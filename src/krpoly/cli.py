@@ -237,6 +237,8 @@ def _cmd_gsp(args):
 
 def _cmd_verify(args):
     checks = run_suite(args.suite, args.n, args.max_s)
+    if not checks:
+        raise KRError(f"suite {args.suite!r} has no checks at n={args.n}, max-s={args.max_s}")
     failed = 0
     for check in checks:
         mark = "ok" if check.ok else "FAIL"

@@ -84,10 +84,12 @@ def intermediate_sequence(x):
                 corrections.append(ka)
             for _ in range(ka):
                 a = a.e(color)
-                assert a is not None, "raising exponent exceeded the string"
+                if a is None:
+                    raise InconsistentRecursion(f"e_{color} exponent exceeded the string")
             for _ in range(kb):
                 b = b.e(color)
-                assert b is not None, "raising exponent exceeded the string"
+                if b is None:
+                    raise InconsistentRecursion(f"e_{color} exponent exceeded the string")
             stage.append((a, b))
             ea_pass.append(ka)
             eb_pass.append(kb)
@@ -103,7 +105,8 @@ def intermediate_sequence(x):
         exponents_b=tuple(exps_b),
         corrections=tuple(corrections),
     )
-    assert seq.final_pair[1].total() == 0, "schedule must raise the second factor to zero"
+    if seq.final_pair[1].total() != 0:
+        raise InconsistentRecursion("schedule did not raise the second factor to zero")
     return seq
 
 
@@ -179,19 +182,20 @@ def local_energy_oracle(params1, params2, max_size=None, sigma=None):
 def global_energy(x, energy=local_energy):
     """Sum of pairwise local energies after R-matrix transport.
 
-    For each ordered pair i < j, factor j is carried next to factor i by
-    successive R-matrix swaps of adjacent slots (j-1 down to i+1) and the
-    local energy of slots (i, i+1) is evaluated on the transported tuple.
+    The pair i < j contributes the local energy of slots (i, i+1) once
+    factor j has been carried next to factor i by R-matrix swaps of
+    adjacent slots (j-1 down to i+1).  Those transports are prefixes of
+    one another, so each factor j is walked leftward once: at every
+    position the local energy is read, then the factor is swapped one slot
+    further.  That is C(N-1, 2) R-matrix calls for N factors, and
+    ``energy`` sees the same pairs as a separate transport per pair.
     """
-    factors = x.factors
     total = 0
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            fs = list(factors)
-            pos = j
-            while pos > i + 1:
-                pair = rmatrix(TensorElement((fs[pos - 1], fs[pos])))
-                fs[pos - 1], fs[pos] = pair.factors
-                pos -= 1
-            total += energy(TensorElement((fs[i], fs[i + 1])))
+    for j in range(1, len(x.factors)):
+        fs = list(x.factors)
+        for pos in range(j, 0, -1):
+            pair = TensorElement((fs[pos - 1], fs[pos]))
+            total += energy(pair)
+            if pos > 1:
+                fs[pos - 1], fs[pos] = rmatrix(pair).factors
     return total

@@ -10,7 +10,7 @@ class DimensionMismatch(KRError):
 
 
 class NegativeEntry(KRError):
-    """A grid entry is negative (or not an integer)."""
+    """A grid entry is negative or not an integer (bools are rejected too)."""
 
 
 class PathSumExceeded(KRError):
@@ -38,15 +38,22 @@ class NotHighestWeight(KRError):
 
 
 class OracleFailure(KRError):
-    """A brute-force oracle found an internal inconsistency.
+    """A brute-force oracle or a construction found an internal inconsistency.
 
     Raised when highest-weight matching is not a weight bijection or edge
-    propagation conflicts; must not occur on valid crystals.
+    propagation conflicts, when the R-matrix transport word does not
+    replay on the image side, or when b_lower/b_upper miss their defining
+    profile; must not occur on valid crystals.
     """
 
 
 class InconsistentRecursion(KRError):
-    """The energy recursion assigned conflicting values along two paths."""
+    """A recursive construction broke its invariant.
+
+    The energy recursion assigned conflicting values along two paths, the
+    closed-form raising schedule left its string or did not reach zero, or
+    the ground-state path recursion did not rotate the weight.
+    """
 
 
 class LevelMismatch(KRError):

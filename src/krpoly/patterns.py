@@ -13,7 +13,7 @@ by ``None`` throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -78,12 +78,25 @@ class AffineWeight:
         return AffineWeight(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KRPattern:
-    """One element of B^{r,s}: rows[q-r][p-1] = a[p,q]."""
+    """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
+
+    Patterns key every operator cache, so the hash of (params, rows) is
+    computed once and kept in ``_hash``, which takes no part in equality,
+    ``repr`` or ``to_dict``.
+    """
 
     params: KRParams
     rows: tuple
+    _hash: int = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.params, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def n(self):
@@ -151,18 +164,25 @@ def zero_pattern(params):
 
 
 def pattern_from_dict(data):
-    params = KRParams(int(data["n"]), int(data["r"]), int(data["s"]))
-    return validate_pattern(data["rows"], params)
+    values = [data[key] for key in ("n", "r", "s")]
+    if not all(_is_int(v) for v in values):
+        raise ValueError(f"n, r and s must be integers, got {values}")
+    return validate_pattern(data["rows"], KRParams(*values))
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def validate_pattern(entries, params):
-    """Check shape, non-negativity and the staircase constraint.
+    """Check shape, integer non-negative entries and the staircase constraint.
 
-    Returns the validated KRPattern.  The polytope constraint is checked
+    Returns the validated KRPattern.  Entries must be ``int`` (not
+    ``bool``); nothing is coerced.  The polytope constraint is checked
     by max-path dynamic programming; on failure the witness staircase is
     attached to the raised PathSumExceeded.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    rows = tuple(tuple(row) for row in entries)
     if len(rows) != params.num_rows or any(len(row) != params.num_cols for row in rows):
         raise DimensionMismatch(
             f"expected {params.num_rows} rows x {params.num_cols} cols for "
@@ -170,6 +190,8 @@ def validate_pattern(entries, params):
         )
     for qi, row in enumerate(rows):
         for pi, x in enumerate(row):
+            if not _is_int(x):
+                raise NegativeEntry(f"entry a[{pi + 1},{qi + params.r}] = {x!r} is not an integer")
             if x < 0:
                 raise NegativeEntry(f"entry a[{pi + 1},{qi + params.r}] = {x} is negative")
     # ms[qi][pi] = largest staircase sum from (1, r) to this cell
@@ -416,20 +438,3 @@ def _classical_weight(A):
                 coeffs[l] -= x * pairing
     return tuple(coeffs[1 : pr.n + 1])
 
-
-def apply_word_e(x, word):
-    """Apply raising operators for the listed colors, left to right."""
-    for l in word:
-        x = x.e(l)
-        if x is None:
-            return None
-    return x
-
-
-def apply_word_f(x, word):
-    """Apply lowering operators for the listed colors, left to right."""
-    for l in word:
-        x = x.f(l)
-        if x is None:
-            return None
-    return x

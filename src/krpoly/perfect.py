@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import LevelMismatch
+from .errors import InconsistentRecursion, LevelMismatch, OracleFailure
 from .graph import closure
 from .patterns import KRPattern, KRParams, enumerate_crystal, zero_pattern
 from .tensor import TensorElement
@@ -81,7 +81,8 @@ def b_lower(weight, params):
         for q in range(params.r, params.n + 1)
     )
     out = KRPattern(params, rows)
-    assert eps_profile(out) == weight.coeffs, "epsilon-profile must match the weight"
+    if eps_profile(out) != weight.coeffs:
+        raise OracleFailure("epsilon-profile of b_lower does not match the weight")
     return out
 
 
@@ -97,7 +98,8 @@ def b_upper(weight, params):
         for q in range(params.r, params.n + 1)
     )
     out = KRPattern(params, rows)
-    assert phi_profile(out) == weight.coeffs, "phi-profile must match the weight"
+    if phi_profile(out) != weight.coeffs:
+        raise OracleFailure("phi-profile of b_upper does not match the weight")
     return out
 
 
@@ -139,7 +141,8 @@ def ground_state_path(weight, params, length):
         b = b_upper(weights[-1], params)
         elements.append(b)
         nxt = weights[-1].rotate(params.r)
-        assert eps_profile(b) == nxt.coeffs, "path recursion must rotate the weight"
+        if eps_profile(b) != nxt.coeffs:
+            raise InconsistentRecursion("ground-state path recursion does not rotate the weight")
         weights.append(nxt)
     return GroundStatePath(params, tuple(weights[:length]), tuple(elements))
 

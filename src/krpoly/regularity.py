@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import KRError
+
 
 @dataclass
 class RegularityReport:
@@ -92,6 +94,8 @@ def is_regular_rank2(graph, pair):
 
 
 def _graph_rank(graph):
+    if not graph.vertices:
+        raise KRError("regularity check needs a graph with at least one vertex")
     v = graph.vertices[0]
     if hasattr(v, "factors"):
         return v.factors[0].params.n

@@ -103,16 +103,26 @@ def rmatrix_on_hw(x):
 
 
 def to_highest_weight(x):
-    """Raise x to its classical highest weight element; returns (hw, word)."""
+    """Raise x to its classical highest weight element; returns (hw, word).
+
+    Each pass raises along whole strings, e_l^{eps_l} for l = 1..n in
+    turn; passes repeat until no classical e_l applies.  The word lists
+    the colors of the single steps in the order applied.  Its length and
+    color multiset are fixed by the weight difference to hw, whatever the
+    schedule.
+    """
     word = []
-    while True:
+    raised = True
+    while raised:
+        raised = False
         for l in range(1, x.n + 1):
-            if x.eps(l) > 0:
+            k = x.eps(l)
+            for _ in range(k):
                 x = x.e(l)
-                word.append(l)
-                break
-        else:
-            return x, tuple(word)
+            if k:
+                word.extend([l] * k)
+                raised = True
+    return x, tuple(word)
 
 
 def rmatrix(x):
@@ -123,7 +133,8 @@ def rmatrix(x):
     y = rmatrix_on_hw(hw)
     for l in reversed(word):
         y = y.f(l)
-        assert y is not None, "transport word failed on the image side"
+        if y is None:
+            raise OracleFailure(f"transport word failed on the image side at f_{l}")
     return y
 
 

@@ -145,3 +145,22 @@ def test_verify_energy_suite(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "energy", "--n", "2", "--max-s", "2"])
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "2", "--max-s", "0"]])
+def test_verify_without_checks_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2
+    assert "no checks" in err
+    assert "checks passed" not in out
+
+
+def test_non_integer_entries_are_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "good.json"
+    bad.write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0.7], [True]]}))
+    good.write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]]}))
+    code, out, err = run(capsys, ["rmatrix", str(bad), str(good)])
+    assert code == 2
+    assert "not an integer" in err
+    assert out == ""

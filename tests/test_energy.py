@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from krpoly import (
 )
 from krpoly.energy import truncate
 from krpoly.graph import build_graph
-from krpoly.rmatrix import HighestWeightDatum, hw_support
+from krpoly.rmatrix import HighestWeightDatum, hw_support, rmatrix
 
 from conftest import all_params, cell, pair, product_elements
 
@@ -165,3 +166,41 @@ def test_global_energy_classical_invariance():
             fx = x.f(l)
             if fx is not None:
                 assert global_energy(fx) == d
+
+
+def pairwise_transport_energy(x, energy=local_energy):
+    """Reference: a fresh R-matrix transport for every pair i < j."""
+    factors = x.factors
+    total = 0
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            fs = list(factors)
+            pos = j
+            while pos > i + 1:
+                swapped = rmatrix(TensorElement((fs[pos - 1], fs[pos])))
+                fs[pos - 1], fs[pos] = swapped.factors
+                pos -= 1
+            total += energy(TensorElement((fs[i], fs[i + 1])))
+    return total
+
+
+def recording(into):
+    """local_energy that also appends every pair it is given to ``into``."""
+
+    def energy(y):
+        into.append(y)
+        return local_energy(y)
+
+    return energy
+
+
+def test_global_energy_matches_pairwise_transport():
+    rng = random.Random(11)
+    crystals = [enumerate_crystal(p) for p in all_params(4, 2)]
+    for size in range(3, 7):
+        for _ in range(10):
+            x = TensorElement(tuple(rng.choice(rng.choice(crystals)) for _ in range(size)))
+            seen, want = [], []
+            got = global_energy(x, energy=recording(seen))
+            assert got == pairwise_transport_energy(x, energy=recording(want))
+            assert Counter(seen) == Counter(want)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from krpoly import KRParams, SizeLimitExceeded, enumerate_crystal, is_regular_rank2
+from krpoly import KRError, KRParams, SizeLimitExceeded, enumerate_crystal, is_regular_rank2
 from krpoly.graph import CrystalGraph, build_graph, closure, vertex_label
 from krpoly.regularity import rank2_off_diagonal
 
@@ -120,3 +120,8 @@ def test_corrupted_edge_is_reported():
     report = is_regular_rank2(broken, (1, 2))
     assert not report.ok
     assert report.violations
+
+
+def test_regularity_rejects_empty_graph():
+    with pytest.raises(KRError, match="at least one vertex"):
+        is_regular_rank2(build_graph([], range(3)), (1, 2))

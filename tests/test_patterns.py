@@ -46,6 +46,13 @@ def test_shape_and_sign_errors():
         validate_pattern([[0]], KRParams(2, 1, 1))
     with pytest.raises(NegativeEntry):
         validate_pattern([[0], [-1]], KRParams(2, 1, 1))
+    for bad in (0.7, True, 1.0, "1", None):
+        with pytest.raises(NegativeEntry, match="not an integer"):
+            validate_pattern([[0], [bad]], KRParams(2, 1, 1))
+    with pytest.raises(NegativeEntry):
+        pattern_from_dict({"n": 2, "r": 1, "s": 1, "rows": [[0.7], [True]]})
+    with pytest.raises(ValueError):
+        pattern_from_dict({"n": 2.0, "r": True, "s": 1, "rows": [[0], [0]]})
 
 
 def test_dp_agrees_with_explicit_staircases():
@@ -136,3 +143,15 @@ def test_json_round_trip():
     data = json.loads(json.dumps(b.to_dict()))
     assert pattern_from_dict(data) == b
     assert data["rows"][0] == [0, 1]
+
+
+def test_hash_is_cached_and_hidden():
+    b = pat(3, 2, 2, [[0, 1], [1, 0]])
+    c = validate_pattern([[0, 1], [1, 0]], KRParams(3, 2, 2))
+    assert b is not c
+    assert b == c
+    assert hash(b) == hash(c) == hash((b.params, b.rows))
+    assert b._hash == hash((b.params, b.rows))
+    assert "_hash" not in repr(b)
+    assert "_hash" not in b.to_dict()
+    assert b != pat(3, 2, 2, [[0, 1], [0, 1]])

@@ -1,10 +1,15 @@
+import importlib
 import math
+import random
+from collections import Counter
 
 import pytest
 
 from krpoly import (
     KRParams,
     NotHighestWeight,
+    OracleFailure,
+    enumerate_crystal,
     highest_weight_elements,
     is_classical_hw,
     rmatrix,
@@ -123,3 +128,37 @@ def test_rmatrix_commutes_with_all_operators():
             assert (fx is None) == (fy is None)
             if fx is not None:
                 assert rmatrix(fx) == fy
+
+
+def single_step_raise(x):
+    """Reference: one raising step at a time, smallest raisable color first."""
+    word = []
+    while True:
+        for l in range(1, x.n + 1):
+            if x.eps(l) > 0:
+                x = x.e(l)
+                word.append(l)
+                break
+        else:
+            return x, tuple(word)
+
+
+def test_whole_string_raising_matches_single_steps():
+    rng = random.Random(7)
+    crystals = [enumerate_crystal(p) for p in all_params(4, 2)]
+    for _ in range(200):
+        x = pair(rng.choice(rng.choice(crystals)), rng.choice(rng.choice(crystals)))
+        hw, word = to_highest_weight(x)
+        ref_hw, ref_word = single_step_raise(x)
+        assert hw == ref_hw
+        assert len(word) == len(ref_word)
+        assert Counter(word) == Counter(ref_word)
+
+
+def test_failed_transport_replay_raises_typed_error(monkeypatch):
+    module = importlib.import_module("krpoly.rmatrix")
+    # the trivial component's highest weight element: f_1 kills it
+    trivial = pair(cell(1, 1, 1), cell(1, 1, 0))
+    monkeypatch.setattr(module, "rmatrix_on_hw", lambda hw: trivial)
+    with pytest.raises(OracleFailure, match="transport word"):
+        rmatrix(pair(cell(1, 1, 1), cell(1, 1, 1)))
