@@ -62,6 +62,6 @@ from .rmatrix import (
     rmatrix_oracle,
     to_highest_weight,
 )
-from .tensor import TensorElement, is_classical_hw, tensor, tensor_from_dict
+from .tensor import TensorElement, is_classical_hw, product_elements, tensor, tensor_from_dict
 
 __version__ = "0.1.0"

@@ -14,10 +14,10 @@ import sys
 from .energy import global_energy, local_energy, local_energy_oracle
 from .errors import KRError, SizeLimitExceeded
 from .graph import build_graph
-from .patterns import KRParams, enumerate_crystal, pattern_from_dict
+from .patterns import ENUMERATION_CAP, KRParams, enumerate_crystal, pattern_from_dict
 from .perfect import DominantWeight, check_perfect, ground_state_path
 from .rmatrix import rmatrix
-from .tensor import TensorElement, tensor_product_elements
+from .tensor import TensorElement, product_elements
 from .verify import SUITES, run_suite
 
 
@@ -27,6 +27,16 @@ def _parse_triple(text):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected n,r,s: {text!r}") from exc
     return KRParams(n, r, s)
+
+
+def _parse_cap(text):
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}") from exc
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return cap
 
 
 def _parse_weight(text):
@@ -50,7 +60,7 @@ def _build_parser():
 
     p = sub.add_parser("enumerate", help="list all patterns of one crystal")
     add_params(p)
-    p.add_argument("--max-elements", type=int, default=None)
+    p.add_argument("--max-elements", type=_parse_cap, default=ENUMERATION_CAP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("graph", help="export a crystal graph as DOT or JSON")
@@ -74,7 +84,7 @@ def _build_parser():
         help="prepend a factor to the left of the base crystal",
     )
     p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--max-elements", type=int, default=None)
+    p.add_argument("--max-elements", type=_parse_cap, default=ENUMERATION_CAP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("rmatrix", help="apply the combinatorial R-matrix")
@@ -126,8 +136,7 @@ def _load_pattern(path):
 
 def _cmd_enumerate(args):
     params = KRParams(args.n, args.r, args.s)
-    cap = args.max_elements
-    elements = enumerate_crystal(params, cap) if cap else enumerate_crystal(params)
+    elements = enumerate_crystal(params, args.max_elements)
     _emit(_json_text([b.to_dict() for b in elements]), args.out)
     return 0
 
@@ -145,14 +154,11 @@ def _cmd_graph(args):
     else:
         raise KRError("graph needs --n/--r/--s or repeated --factor flags")
     cap = args.max_elements
-    crystals = [enumerate_crystal(p, cap) if cap else enumerate_crystal(p) for p in factor_params]
-    if len(crystals) == 1:
-        elements = crystals[0]
-        n = factor_params[0].n
+    if len(factor_params) == 1:
+        elements = enumerate_crystal(factor_params[0], cap)
     else:
-        elements = tensor_product_elements(crystals)
-        n = factor_params[0].n
-    graph = build_graph(elements, range(n + 1), max_size=cap)
+        elements = product_elements(factor_params, cap)
+    graph = build_graph(elements, range(factor_params[0].n + 1), max_size=cap)
     if args.format == "dot":
         _emit(graph.to_dot(), args.out)
     else:

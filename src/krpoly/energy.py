@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentRecursion, NotHighestWeight
-from .rmatrix import rmatrix, rmatrix_oracle, _product_elements
-from .tensor import TensorElement, is_classical_hw
+from .patterns import ENUMERATION_CAP
+from .rmatrix import rmatrix, rmatrix_oracle
+from .tensor import TensorElement, is_classical_hw, product_elements
 
 
 def truncate(x):
@@ -129,7 +130,7 @@ def local_energy(x):
     return -partial + sum(seq.corrections)
 
 
-def local_energy_oracle(params1, params2, max_size=None, sigma=None):
+def local_energy_oracle(params1, params2, max_size=ENUMERATION_CAP, sigma=None):
     """EnergyTable for B1 (x) B2 from the defining recursion.
 
     Propagates the 0-edge increments from 0 (x) 0 across the whole product
@@ -138,7 +139,7 @@ def local_energy_oracle(params1, params2, max_size=None, sigma=None):
     """
     if sigma is None:
         sigma = rmatrix_oracle(params1, params2, max_size)
-    elements = _product_elements(params1, params2, max_size)
+    elements = product_elements((params1, params2), max_size)
     zero = min(elements, key=lambda t: sum(b.total() for b in t.factors))
     if any(b.total() for b in zero.factors):
         raise InconsistentRecursion("product has no zero element")

@@ -19,6 +19,7 @@ from functools import lru_cache
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    KRError,
     NegativeEntry,
     PathSumExceeded,
     SizeLimitExceeded,
@@ -122,22 +123,34 @@ class KRPattern:
 
     def classical_weight(self):
         """Coefficients of the weight on the fundamental weights 1..n."""
-        return _classical_weight(self)
+        pr = self.params
+        coeffs = [0] * (pr.n + 1)  # 1-indexed
+        coeffs[pr.r] = pr.s
+        for q in range(pr.r, pr.n + 1):
+            for p in range(1, pr.r + 1):
+                x = self.a(p, q)
+                if x == 0:
+                    continue
+                # <alpha_{p..q}, coroot_l> = 2*[p<=l<=q] - [p<=l-1<=q] - [p<=l+1<=q]
+                for l in range(max(1, p - 1), min(pr.n, q + 1) + 1):
+                    pairing = 2 * (p <= l <= q) - (p <= l - 1 <= q) - (p <= l + 1 <= q)
+                    coeffs[l] -= x * pairing
+        return tuple(coeffs[1 : pr.n + 1])
 
     def affine_weight(self):
         """The level-zero affine weight (pairing with coroot 0 balances)."""
-        cl = _classical_weight(self)
+        cl = self.classical_weight()
         return AffineWeight((-sum(cl),) + cl)
 
     # -- string statistics and operators ----------------------------------
 
     def phi(self, l):
         """Number of times f_l applies before hitting crystal zero."""
-        return _phi(self, l)
+        return _string(self, l)[0]
 
     def eps(self, l):
         """Number of times e_l applies before hitting crystal zero."""
-        return _eps(self, l)
+        return _string(self, l)[1]
 
     def f(self, l):
         """Lowering operator for color l; None at the end of the string."""
@@ -164,10 +177,16 @@ def zero_pattern(params):
 
 
 def pattern_from_dict(data):
+    """Validated KRPattern from its ``to_dict`` form, e.g. parsed JSON."""
+    if not isinstance(data, dict) or any(key not in data for key in ("n", "r", "s", "rows")):
+        raise KRError("a pattern must be an object with keys n, r, s and rows")
     values = [data[key] for key in ("n", "r", "s")]
     if not all(_is_int(v) for v in values):
         raise ValueError(f"n, r and s must be integers, got {values}")
-    return validate_pattern(data["rows"], KRParams(*values))
+    rows = data["rows"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DimensionMismatch(f"rows must be a list of lists, got {rows!r}")
+    return validate_pattern(rows, KRParams(*values))
 
 
 def _is_int(x):
@@ -266,87 +285,44 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 
 # -- statistics ------------------------------------------------------------
 #
-# For a color l > r the relevant data live in rows l-1 and l; for l < r in
-# columns l and l+1.  Both cases maximize a prefix+suffix objective whose
-# extreme argmax positions are the pivots.
+# Every color l other than 0 and r reads two lines of cells, hi and lo:
+# rows l-1 and l for l > r, columns l+1 and l read bottom-up (q = n..r)
+# for l < r.  Both share one objective, max_i sum(hi[:i+1]) + sum(lo[i:]),
+# with phi = best - sum(lo) and eps = best - sum(hi); f moves one unit from
+# hi to lo at the first argmax and e moves it back at the last.  Colors 0
+# and r act on one cell each, (1, n) and (r, r).
 
 
 @lru_cache(maxsize=None)
-def _plus_data(A, l):
-    """(max value, argmin, argmax, row_{l-1} sum, row_l sum) for l > r."""
-    r = A.params.r
-    hi = [A.a(p, l - 1) for p in range(1, r + 1)]
-    lo = [A.a(p, l) for p in range(1, r + 1)]
+def _string(A, l):
+    """(phi, eps, first, last) of color l; first/last are extreme argmaxes."""
+    pr = A.params
+    if not 0 <= l <= pr.n:
+        raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
+    rows = A.rows
+    if l == 0:
+        eps = pr.s - sum(row[0] for row in rows) - sum(rows[-1][1:])
+        return rows[-1][0], eps, 0, 0
+    if l == pr.r:
+        phi = pr.s - sum(rows[0][:-1]) - sum(row[-1] for row in rows)
+        return phi, rows[0][-1], 0, 0
+    if l > pr.r:
+        hi, lo = rows[l - 1 - pr.r], rows[l - pr.r]
+    else:
+        hi = [row[l] for row in reversed(rows)]
+        lo = [row[l - 1] for row in reversed(rows)]
     suffix = sum(lo)
     run = 0
     best = None
-    pmin = pmax = 1
-    for p in range(1, r + 1):
-        run += hi[p - 1]
+    for i, (h, x) in enumerate(zip(hi, lo)):
+        run += h
         val = run + suffix
-        suffix -= lo[p - 1]
+        suffix -= x
         if best is None or val > best:
-            best, pmin, pmax = val, p, p
+            best, first, last = val, i, i
         elif val == best:
-            pmax = p
-    return best, pmin, pmax, sum(hi), sum(lo)
-
-
-@lru_cache(maxsize=None)
-def _minus_data(A, l):
-    """(max value, argmin, argmax, col_l sum, col_{l+1} sum) for l < r."""
-    pr = A.params
-    left = [A.a(l, q) for q in range(pr.r, pr.n + 1)]
-    right = [A.a(l + 1, q) for q in range(pr.r, pr.n + 1)]
-    suffix = sum(right)
-    run = 0
-    best = None
-    qmin = qmax = pr.r
-    for q in range(pr.r, pr.n + 1):
-        run += left[q - pr.r]
-        val = run + suffix
-        suffix -= right[q - pr.r]
-        if best is None or val > best:
-            best, qmin, qmax = val, q, q
-        elif val == best:
-            qmax = q
-    return best, qmin, qmax, sum(left), sum(right)
-
-
-@lru_cache(maxsize=None)
-def _phi(A, l):
-    pr = A.params
-    if not 0 <= l <= pr.n:
-        raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
-    if l == 0:
-        return A.a(1, pr.n)
-    if l == pr.r:
-        top = sum(A.a(j, pr.r) for j in range(1, pr.r))
-        last_col = sum(A.a(pr.r, q) for q in range(pr.r, pr.n + 1))
-        return pr.s - top - last_col
-    if l > pr.r:
-        best, _, _, _, row_l = _plus_data(A, l)
-        return best - row_l
-    best, _, _, col_l, _ = _minus_data(A, l)
-    return best - col_l
-
-
-@lru_cache(maxsize=None)
-def _eps(A, l):
-    pr = A.params
-    if not 0 <= l <= pr.n:
-        raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
-    if l == 0:
-        first_col = sum(A.a(1, q) for q in range(pr.r, pr.n + 1))
-        last_row = sum(A.a(p, pr.n) for p in range(2, pr.r + 1))
-        return pr.s - first_col - last_row
-    if l == pr.r:
-        return A.a(pr.r, pr.r)
-    if l > pr.r:
-        best, _, _, row_hi, _ = _plus_data(A, l)
-        return best - row_hi
-    best, _, _, _, col_next = _minus_data(A, l)
-    return best - col_next
+            last = i
+    return best - sum(lo), best - sum(hi), first, last
 
 
 @dataclass(frozen=True)
@@ -371,70 +347,43 @@ def pivot(A, l, sign):
     if sign == "plus":
         if not pr.r < l <= pr.n:
             raise IndexOutOfRange(f"plus pivot needs r < l <= n, got l={l}")
-        _, pmin, pmax, _, _ = _plus_data(A, l)
-        return PivotIndices(p_plus=pmin, q_plus=pmax)
+        _, _, first, last = _string(A, l)
+        return PivotIndices(p_plus=first + 1, q_plus=last + 1)
     if sign == "minus":
         if not 1 <= l < pr.r:
             raise IndexOutOfRange(f"minus pivot needs 1 <= l < r, got l={l}")
-        _, qmin, qmax, _, _ = _minus_data(A, l)
-        return PivotIndices(p_minus=qmax, q_minus=qmin)
+        _, _, first, last = _string(A, l)
+        return PivotIndices(p_minus=pr.n - first, q_minus=pr.n - last)
     raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def _bump(A, changes):
-    """Return a copy of A with (p, q) -> delta applied."""
+def _move(A, l, i, step):
+    """Copy of A with ``step`` units moved from hi to lo of color l at i.
+
+    Colors 0 and r change their single cell and ignore i.
+    """
     pr = A.params
     rows = [list(row) for row in A.rows]
-    for (p, q), delta in changes:
-        rows[q - pr.r][p - 1] += delta
-    return KRPattern(A.params, tuple(tuple(row) for row in rows))
+    if l == 0:
+        rows[-1][0] -= step
+    elif l == pr.r:
+        rows[0][-1] += step
+    elif l > pr.r:
+        rows[l - 1 - pr.r][i] -= step
+        rows[l - pr.r][i] += step
+    else:
+        rows[pr.n - pr.r - i][l] -= step
+        rows[pr.n - pr.r - i][l - 1] += step
+    return KRPattern(pr, tuple(tuple(row) for row in rows))
 
 
 @lru_cache(maxsize=None)
 def _f(A, l):
-    pr = A.params
-    if _phi(A, l) == 0:
-        return None
-    if l == 0:
-        return _bump(A, (((1, pr.n), -1),))
-    if l == pr.r:
-        return _bump(A, (((pr.r, pr.r), 1),))
-    if l > pr.r:
-        _, pmin, _, _, _ = _plus_data(A, l)
-        return _bump(A, (((pmin, l - 1), -1), ((pmin, l), 1)))
-    _, _, qmax, _, _ = _minus_data(A, l)
-    return _bump(A, (((l, qmax), 1), ((l + 1, qmax), -1)))
+    phi, _, first, _ = _string(A, l)
+    return _move(A, l, first, 1) if phi else None
 
 
 @lru_cache(maxsize=None)
 def _e(A, l):
-    pr = A.params
-    if _eps(A, l) == 0:
-        return None
-    if l == 0:
-        return _bump(A, (((1, pr.n), 1),))
-    if l == pr.r:
-        return _bump(A, (((pr.r, pr.r), -1),))
-    if l > pr.r:
-        _, _, pmax, _, _ = _plus_data(A, l)
-        return _bump(A, (((pmax, l - 1), 1), ((pmax, l), -1)))
-    _, qmin, _, _, _ = _minus_data(A, l)
-    return _bump(A, (((l, qmin), -1), ((l + 1, qmin), 1)))
-
-
-@lru_cache(maxsize=None)
-def _classical_weight(A):
-    pr = A.params
-    coeffs = [0] * (pr.n + 1)  # 1-indexed
-    coeffs[pr.r] = pr.s
-    for q in range(pr.r, pr.n + 1):
-        for p in range(1, pr.r + 1):
-            x = A.a(p, q)
-            if x == 0:
-                continue
-            # <alpha_{p..q}, coroot_l> = 2*[p<=l<=q] - [p<=l-1<=q] - [p<=l+1<=q]
-            for l in range(max(1, p - 1), min(pr.n, q + 1) + 1):
-                pairing = 2 * (p <= l <= q) - (p <= l - 1 <= q) - (p <= l + 1 <= q)
-                coeffs[l] -= x * pairing
-    return tuple(coeffs[1 : pr.n + 1])
-
+    _, eps, _, last = _string(A, l)
+    return _move(A, l, last, -1) if eps else None

@@ -253,10 +253,7 @@ def _weight_cone(elements, params, report):
 
 
 def _profiles_bijective(elements, profiles, targets, report, tag):
-    hits = {}
-    for b, prof in zip(elements, profiles):
-        if sum(prof) == sum(targets[0].coeffs):
-            hits.setdefault(prof, []).append(b)
+    hits = profile_uniqueness_table(dict(zip(elements, profiles)), sum(targets[0].coeffs))
     ok = True
     for weight in targets:
         found = hits.get(weight.coeffs, [])

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotHighestWeight, OracleFailure
-from .graph import sort_key
-from .patterns import KRParams, enumerate_crystal, zero_pattern
-from .tensor import TensorElement, is_classical_hw
+from .patterns import ENUMERATION_CAP, KRParams, KRPattern, zero_pattern
+from .tensor import TensorElement, is_classical_hw, product_elements
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,7 @@ class HighestWeightDatum:
         rows = [[0] * self.params1.num_cols for _ in range(self.params1.num_rows)]
         for (p, q), value in zip(cells, self.entries):
             rows[q - self.params1.r][p - 1] = value
-        first = zero_pattern(self.params1)
-        first = type(first)(self.params1, tuple(tuple(row) for row in rows))
+        first = KRPattern(self.params1, tuple(tuple(row) for row in rows))
         return TensorElement((first, zero_pattern(self.params2)))
 
 
@@ -98,7 +96,7 @@ def rmatrix_on_hw(x):
     rows = [[0] * second.params.num_cols for _ in range(second.params.num_rows)]
     for (p, q), v in support.items():
         rows[q - second.params.r][p - 1] = v
-    image_first = type(second)(second.params, tuple(tuple(row) for row in rows))
+    image_first = KRPattern(second.params, tuple(tuple(row) for row in rows))
     return TensorElement((image_first, zero_pattern(first.params)))
 
 
@@ -138,7 +136,7 @@ def rmatrix(x):
     return y
 
 
-def rmatrix_oracle(params1, params2, max_size=None):
+def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):
     """The unique classical isomorphism, built without the shape law.
 
     Highest weight elements found by brute raising-operator scan are
@@ -147,8 +145,8 @@ def rmatrix_oracle(params1, params2, max_size=None):
     weight matching, or a failure to intertwine the affine operators raise
     OracleFailure.
     """
-    left = _product_elements(params1, params2, max_size)
-    right = _product_elements(params2, params1, max_size)
+    left = product_elements((params1, params2), max_size)
+    right = product_elements((params2, params1), max_size)
     lhw = [x for x in left if is_classical_hw(x)]
     rhw = [y for y in right if is_classical_hw(y)]
     by_weight = {}
@@ -195,10 +193,3 @@ def rmatrix_oracle(params1, params2, max_size=None):
                 raise OracleFailure(f"{op}_0 not intertwined at {x}")
     return mapping
 
-
-def _product_elements(params1, params2, max_size=None):
-    left = enumerate_crystal(params1, max_size)
-    right = enumerate_crystal(params2, max_size)
-    out = [TensorElement((a, b)) for a in left for b in right]
-    out.sort(key=sort_key)
-    return out

@@ -10,9 +10,12 @@ left.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-from .patterns import KRPattern, pattern_from_dict
+from .errors import SizeLimitExceeded
+from .patterns import ENUMERATION_CAP, enumerate_crystal, pattern_from_dict
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,16 @@ def is_classical_hw(x):
     return all(x.eps(l) == 0 for l in range(1, x.n + 1))
 
 
-def tensor_product_elements(crystals):
-    """All elements of a product, factors drawn lexicographically."""
-    if isinstance(crystals[0], KRPattern):
-        raise TypeError("expected a list of crystals (lists of patterns)")
-    out = [()]
-    for crystal in crystals:
-        out = [prefix + (b,) for prefix in out for b in crystal]
-    return [TensorElement(factors) for factors in out]
+def product_elements(params_list, max_size=ENUMERATION_CAP):
+    """All elements of B_1 (x) ... (x) B_N, factors drawn left to right.
+
+    Each factor is enumerated once, in its lexicographic order, so the
+    product comes out sorted by ``TensorElement.sort_key``.  A product
+    larger than ``max_size`` raises SizeLimitExceeded before any element
+    is built.
+    """
+    crystals = [enumerate_crystal(params, max_size) for params in params_list]
+    size = math.prod(len(crystal) for crystal in crystals)
+    if max_size is not None and size > max_size:
+        raise SizeLimitExceeded(f"product of {len(crystals)} crystals has {size} > {max_size}")
+    return [TensorElement(factors) for factors in itertools.product(*crystals)]

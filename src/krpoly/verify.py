@@ -14,8 +14,8 @@ from .nakajima import psi_crystal, psi_embedding
 from .patterns import KRParams, enumerate_crystal, pivot
 from .perfect import check_perfect, dominant_weights, eps_profile, ground_state_path
 from .regularity import is_regular_rank2
-from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle, _product_elements
-from .tensor import TensorElement, is_classical_hw
+from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle
+from .tensor import TensorElement, is_classical_hw, product_elements
 
 
 @dataclass
@@ -209,7 +209,7 @@ def suite_tensor(n, max_s):
     combos = [(p1, p2) for p1 in _all_params(n, max_s) for p2 in _all_params(n, max_s)]
     for params1, params2 in combos:
         bad = []
-        for x in _product_elements(params1, params2):
+        for x in product_elements((params1, params2)):
             for l in range(n + 1):
                 word = signature_word(x, l)
                 if x.phi(l) != sum(1 for w in word if w[0] == "+"):

@@ -1,4 +1,5 @@
-from krpoly import KRParams, KRPattern, TensorElement, enumerate_crystal
+from krpoly import KRParams, KRPattern, TensorElement
+from krpoly.tensor import product_elements as product_of
 
 
 def pat(n, r, s, rows):
@@ -37,10 +38,4 @@ def all_params(n, max_s):
 
 
 def product_elements(params1, params2):
-    out = [
-        TensorElement((a, b))
-        for a in enumerate_crystal(params1)
-        for b in enumerate_crystal(params2)
-    ]
-    out.sort(key=lambda x: x.sort_key())
-    return out
+    return product_of((params1, params2))

@@ -63,18 +63,33 @@ def test_graph_requires_some_crystal(capsys):
 
 
 def test_size_cap_exit_code(capsys):
-    code, _, err = run(
-        capsys,
+    for argv in (
         ["graph", "--n", "2", "--r", "1", "--s", "2", "--max-elements", "3"],
-    )
-    assert code == 3
-    assert "size cap" in err
+        ["graph", "--factor", "6,3,3", "--factor", "6,3,3"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert "size cap" in err
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["enumerate", "--n", "2"])
-    assert err.value.code == 2
+    for argv in (
+        ["enumerate", "--n", "2"],
+        ["enumerate", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "0"],
+        ["graph", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "-1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+def test_energy_oracle_is_capped(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 6, "r": 3, "s": 3, "rows": [[0, 0, 0]] * 4}))
+    code, out, err = run(capsys, ["energy", str(path), str(path), "--oracle"])
+    assert code == 3
+    assert "size cap" in err
+    assert out == ""
 
 
 def test_rmatrix_subcommand(tmp_path, capsys):
@@ -158,9 +173,15 @@ def test_verify_without_checks_is_a_usage_error(capsys, argv):
 def test_non_integer_entries_are_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     good = tmp_path / "good.json"
-    bad.write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0.7], [True]]}))
     good.write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]]}))
-    code, out, err = run(capsys, ["rmatrix", str(bad), str(good)])
-    assert code == 2
-    assert "not an integer" in err
-    assert out == ""
+    for data, message in (
+        ({"n": 2, "r": 1, "s": 1, "rows": [[0.7], [True]]}, "not an integer"),
+        ({"n": 2, "r": 1, "s": 1}, "keys n, r, s and rows"),
+        ({"n": 2, "r": 1, "s": 1, "rows": [0, 0]}, "list of lists"),
+        ([[0], [1]], "keys n, r, s and rows"),
+    ):
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["rmatrix", str(bad), str(good)])
+        assert code == 2
+        assert message in err
+        assert out == ""

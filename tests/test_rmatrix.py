@@ -9,9 +9,11 @@ from krpoly import (
     KRParams,
     NotHighestWeight,
     OracleFailure,
+    SizeLimitExceeded,
     enumerate_crystal,
     highest_weight_elements,
     is_classical_hw,
+    local_energy_oracle,
     rmatrix,
     rmatrix_on_hw,
     rmatrix_oracle,
@@ -162,3 +164,11 @@ def test_failed_transport_replay_raises_typed_error(monkeypatch):
     monkeypatch.setattr(module, "rmatrix_on_hw", lambda hw: trivial)
     with pytest.raises(OracleFailure, match="transport word"):
         rmatrix(pair(cell(1, 1, 1), cell(1, 1, 1)))
+
+
+@pytest.mark.parametrize("oracle", [rmatrix_oracle, local_energy_oracle])
+def test_oracles_cap_the_product_by_default(oracle):
+    # 4116 elements per factor: each is enumerable, the 16.9M-element product is not
+    params = KRParams(6, 3, 3)
+    with pytest.raises(SizeLimitExceeded):
+        oracle(params, params)

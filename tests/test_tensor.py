@@ -1,10 +1,19 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from krpoly import KRParams, TensorElement, enumerate_crystal, is_classical_hw, tensor
-from krpoly.graph import build_graph
+from krpoly import (
+    KRParams,
+    SizeLimitExceeded,
+    TensorElement,
+    enumerate_crystal,
+    is_classical_hw,
+    tensor,
+)
+from krpoly.graph import build_graph, sort_key
+from krpoly.tensor import product_elements as product_of
 from krpoly.verify import signature_e, signature_f, signature_word, string_eps, string_phi
 
 from conftest import all_params, cell, pair, product_elements
@@ -104,3 +113,20 @@ def test_classical_components_have_one_hw_element_each():
     for comp in graph.component_indices():
         hw = [i for i in comp if is_classical_hw(graph.vertices[i])]
         assert len(hw) == 1
+
+
+def test_product_comes_out_sorted_and_complete():
+    # the factors of the cli workload's `graph --format json` command
+    factors = (KRParams(4, 2, 2), KRParams(4, 1, 2), KRParams(4, 3, 1))
+    elements = product_of(factors)
+    assert elements == sorted(elements, key=sort_key)
+    assert len(set(elements)) == len(elements)
+    assert len(elements) == math.prod(len(enumerate_crystal(p)) for p in factors)
+
+
+def test_product_cap_counts_the_product_not_the_factors():
+    factors = (KRParams(3, 1, 2), KRParams(3, 2, 1))
+    size = len(product_of(factors))
+    assert len(product_of(factors, max_size=size)) == size
+    with pytest.raises(SizeLimitExceeded):
+        product_of(factors, max_size=size - 1)
