@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .errors import InconsistentRecursion, NotHighestWeight
 from .patterns import ENUMERATION_CAP
-from .rmatrix import rmatrix, rmatrix_oracle
-from .tensor import TensorElement, is_classical_hw, product_elements
+from .rmatrix import rmatrix, rmatrix_oracle_ids
+from .table import product_table
+from .tensor import TensorElement, is_classical_hw
 
 
 def truncate(x):
@@ -135,21 +136,27 @@ def local_energy_oracle(params1, params2, max_size=ENUMERATION_CAP, sigma=None):
 
     Propagates the 0-edge increments from 0 (x) 0 across the whole product
     and re-checks every edge afterwards; any conflict (which would mean
-    the recursion is not well defined) raises InconsistentRecursion.
+    the recursion is not well defined) raises InconsistentRecursion.  The
+    walk runs on id pairs (``table.product_table``); ``sigma``, the
+    R-matrix as ``rmatrix_oracle`` returns it, is built on ids when not
+    given.  The result maps TensorElements.
     """
+    pair = product_table(params1, params2, max_size)
+    image = pair.swapped()
     if sigma is None:
-        sigma = rmatrix_oracle(params1, params2, max_size)
-    elements = product_elements((params1, params2), max_size)
-    zero = min(elements, key=lambda t: sum(b.total() for b in t.factors))
-    if any(b.total() for b in zero.factors):
+        sigma_ids = rmatrix_oracle_ids(pair)
+    else:
+        sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}
+    zero = (0, 0)
+    if pair.left.elements[0].total() or pair.right.elements[0].total():
         raise InconsistentRecursion("product has no zero element")
 
     def raising_delta(lower, l):
         # H(e_l lower) - H(lower)
         if l != 0:
             return 0
-        side = lower.e_slot(0)
-        side_image = sigma[lower].e_slot(0)
+        side = pair.e_slot(lower, 0)
+        side_image = image.e_slot(sigma_ids[lower], 0)
         if side == 0 and side_image == 0:
             return -1
         if side == 1 and side_image == 1:
@@ -162,22 +169,22 @@ def local_energy_oracle(params1, params2, max_size=ENUMERATION_CAP, sigma=None):
     while queue:
         x = queue.pop()
         for l in colors:
-            up = x.e(l)
+            up = pair.e(x, l)
             if up is not None and up not in table:
                 table[up] = table[x] + raising_delta(x, l)
                 queue.append(up)
-            down = x.f(l)
+            down = pair.f(x, l)
             if down is not None and down not in table:
                 table[down] = table[x] - raising_delta(down, l)
                 queue.append(down)
-    if len(table) != len(elements):
+    if len(table) != len(pair):
         raise InconsistentRecursion("product crystal is not connected")
-    for x in elements:
+    for x in pair.ids():
         for l in colors:
-            up = x.e(l)
+            up = pair.e(x, l)
             if up is not None and table[up] - table[x] != raising_delta(x, l):
-                raise InconsistentRecursion(f"recursion conflict along e_{l} at {x}")
-    return table
+                raise InconsistentRecursion(f"recursion conflict along e_{l} at {pair.element(x)}")
+    return {pair.element(x): h for x, h in table.items()}
 
 
 def global_energy(x, energy=local_energy):

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SizeLimitExceeded
-
-GRAPH_CAP = 1_000_000
+from .patterns import ENUMERATION_CAP
 
 
 def sort_key(x):
-    return x.sort_key()
+    """Lexicographic key of an element; a tuple of table ids is its own key."""
+    return x if isinstance(x, tuple) else x.sort_key()
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def vertex_label(v):
     return "/".join(",".join(str(x) for x in row) for row in v.rows)
 
 
-def build_graph(elements, colors, f=None, max_size=GRAPH_CAP):
+def build_graph(elements, colors, f=None, max_size=ENUMERATION_CAP):
     """Full colored digraph over the given elements.
 
     ``f`` defaults to the elements' own lowering method.  The element set
@@ -123,7 +123,7 @@ def build_graph(elements, colors, f=None, max_size=GRAPH_CAP):
     return CrystalGraph(vertices, tuple(sorted(edges)), tuple(colors))
 
 
-def closure(seeds, colors, f, e, max_size=GRAPH_CAP):
+def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):
     """All elements reachable from the seeds under the given operators."""
     seen = set(seeds)
     queue = list(seeds)

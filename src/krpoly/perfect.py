@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import InconsistentRecursion, LevelMismatch, OracleFailure
 from .graph import closure
-from .patterns import KRPattern, KRParams, enumerate_crystal, zero_pattern
-from .tensor import TensorElement
+from .patterns import KRPattern, KRParams, zero_pattern
+from .table import product_table
 
 
 @dataclass(frozen=True)
@@ -171,32 +171,39 @@ class PerfectReport:
 
 
 def check_perfect(params, max_size=200_000):
-    """Verify the five perfectness conditions for B^{r,s} at level s."""
+    """Verify the five perfectness conditions for B^{r,s} at level s.
+
+    The tensor square is walked on id pairs (``table.product_table``); a
+    square of more than ``max_size`` elements raises SizeLimitExceeded
+    before the walk.
+    """
     report = PerfectReport(params=params, level=params.s)
-    elements = enumerate_crystal(params)
+    square_table = product_table(params, params, max_size)
+    table = square_table.left
+    elements = table.elements
     report.cardinality = len(elements)
     report.finite = True
 
-    zero = zero_pattern(params)
+    zero = table.index[zero_pattern(params)]
     square = closure(
-        [TensorElement((zero, zero))],
+        [(zero, zero)],
         range(params.n + 1),
-        lambda x, l: x.f(l),
-        lambda x, l: x.e(l),
+        square_table.f,
+        square_table.e,
         max_size=max_size,
     )
-    report.tensor_square_connected = len(square) == len(elements) ** 2
+    report.tensor_square_connected = len(square) == len(square_table)
     if not report.tensor_square_connected:
         report.violations.append(
-            f"tensor square reaches {len(square)} of {len(elements) ** 2} elements"
+            f"tensor square reaches {len(square)} of {len(square_table)} elements"
         )
 
     report.classical_weights_dominated, report.top_weight_unique = _weight_cone(
         elements, params, report
     )
 
-    profiles_e = [eps_profile(b) for b in elements]
-    profiles_f = [phi_profile(b) for b in elements]
+    profiles_e = list(zip(*table.eps))
+    profiles_f = list(zip(*table.phi))
     report.min_profile_level = min(sum(p) for p in profiles_e)
     report.profile_level_ok = report.min_profile_level >= params.s
     if not report.profile_level_ok:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import NotHighestWeight, OracleFailure
 from .patterns import ENUMERATION_CAP, KRParams, KRPattern, zero_pattern
-from .tensor import TensorElement, is_classical_hw, product_elements
+from .table import product_table
+from .tensor import TensorElement, is_classical_hw
 
 
 @dataclass(frozen=True)
@@ -143,15 +144,24 @@ def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):
     matched across the two product orders by classical weight, then the
     matching is propagated along lowering edges.  Conflicts, non-bijective
     weight matching, or a failure to intertwine the affine operators raise
-    OracleFailure.
+    OracleFailure.  The walk runs on id pairs (``table.product_table``);
+    the result maps TensorElements.
     """
-    left = product_elements((params1, params2), max_size)
-    right = product_elements((params2, params1), max_size)
-    lhw = [x for x in left if is_classical_hw(x)]
-    rhw = [y for y in right if is_classical_hw(y)]
+    left = product_table(params1, params2, max_size)
+    right = left.swapped()
+    return {
+        left.element(x): right.element(y) for x, y in rmatrix_oracle_ids(left).items()
+    }
+
+
+def rmatrix_oracle_ids(left):
+    """``rmatrix_oracle`` on the PairTable ``left``: id pair -> id pair."""
+    right = left.swapped()
+    lhw = [x for x in left.ids() if left.is_classical_hw(x)]
+    rhw = [y for y in right.ids() if right.is_classical_hw(y)]
     by_weight = {}
     for y in rhw:
-        key = y.classical_weight()
+        key = right.classical_weight(y)
         if key in by_weight:
             raise OracleFailure(f"duplicate highest weight {key} on the swapped side")
         by_weight[key] = y
@@ -160,7 +170,7 @@ def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):
     mapping = {}
     queue = []
     for x in lhw:
-        key = x.classical_weight()
+        key = left.classical_weight(x)
         if key not in by_weight:
             raise OracleFailure(f"no weight match for highest weight element {key}")
         mapping[x] = by_weight[key]
@@ -168,16 +178,16 @@ def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):
     while queue:
         x = queue.pop()
         y = mapping[x]
-        for l in range(1, params1.n + 1):
-            fx = x.f(l)
-            fy = y.f(l)
+        for l in range(1, left.n + 1):
+            fx = left.f(x, l)
+            fy = right.f(y, l)
             if (fx is None) != (fy is None):
-                raise OracleFailure(f"f_{l} defined on one side only at {x}")
+                raise OracleFailure(f"f_{l} defined on one side only at {left.element(x)}")
             if fx is None:
                 continue
             if fx in mapping:
                 if mapping[fx] != fy:
-                    raise OracleFailure(f"edge propagation conflict at f_{l} of {x}")
+                    raise OracleFailure(f"edge propagation conflict at f_{l} of {left.element(x)}")
             else:
                 mapping[fx] = fy
                 queue.append(fx)
@@ -185,11 +195,10 @@ def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):
         raise OracleFailure("classical components not exhausted from highest weights")
     for x, y in mapping.items():
         for op in ("f", "e"):
-            fx = getattr(x, op)(0)
-            fy = getattr(y, op)(0)
+            fx = getattr(left, op)(x, 0)
+            fy = getattr(right, op)(y, 0)
             if (fx is None) != (fy is None):
-                raise OracleFailure(f"{op}_0 defined on one side only at {x}")
+                raise OracleFailure(f"{op}_0 defined on one side only at {left.element(x)}")
             if fx is not None and mapping[fx] != fy:
-                raise OracleFailure(f"{op}_0 not intertwined at {x}")
+                raise OracleFailure(f"{op}_0 not intertwined at {left.element(x)}")
     return mapping
-

@@ -31,6 +31,13 @@ class TensorElement:
         if any(b.n != n for b in self.factors):
             raise ValueError("all factors must share the same rank n")
 
+    @classmethod
+    def _trusted(cls, factors):
+        """Element of factors already known to share one rank: no re-check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        return out
+
     @property
     def n(self):
         return self.factors[0].n
@@ -102,14 +109,14 @@ class TensorElement:
         y = self.factors[m].f(l)
         if y is None:
             return None
-        return TensorElement(self.factors[:m] + (y,) + self.factors[m + 1 :])
+        return TensorElement._trusted(self.factors[:m] + (y,) + self.factors[m + 1 :])
 
     def e(self, l):
         m = self.e_slot(l)
         y = self.factors[m].e(l)
         if y is None:
             return None
-        return TensorElement(self.factors[:m] + (y,) + self.factors[m + 1 :])
+        return TensorElement._trusted(self.factors[:m] + (y,) + self.factors[m + 1 :])
 
     def to_dict(self):
         return {"factors": [b.to_dict() for b in self.factors]}
@@ -129,16 +136,29 @@ def is_classical_hw(x):
     return all(x.eps(l) == 0 for l in range(1, x.n + 1))
 
 
-def product_elements(params_list, max_size=ENUMERATION_CAP):
-    """All elements of B_1 (x) ... (x) B_N, factors drawn left to right.
+def factor_crystals(params_list, max_size=ENUMERATION_CAP):
+    """The crystal of each factor, equal factors enumerated once.
 
-    Each factor is enumerated once, in its lexicographic order, so the
-    product comes out sorted by ``TensorElement.sort_key``.  A product
-    larger than ``max_size`` raises SizeLimitExceeded before any element
-    is built.
+    A product larger than ``max_size`` raises SizeLimitExceeded before
+    anything else is built on the factors.
     """
-    crystals = [enumerate_crystal(params, max_size) for params in params_list]
+    enumerated = {}
+    for params in params_list:
+        if params not in enumerated:
+            enumerated[params] = enumerate_crystal(params, max_size)
+    crystals = [enumerated[params] for params in params_list]
     size = math.prod(len(crystal) for crystal in crystals)
     if max_size is not None and size > max_size:
         raise SizeLimitExceeded(f"product of {len(crystals)} crystals has {size} > {max_size}")
+    return crystals
+
+
+def product_elements(params_list, max_size=ENUMERATION_CAP):
+    """All elements of B_1 (x) ... (x) B_N, factors drawn left to right.
+
+    Each factor is enumerated in its lexicographic order, so the product
+    comes out sorted by ``TensorElement.sort_key``.  A product larger than
+    ``max_size`` raises SizeLimitExceeded before any element is built.
+    """
+    crystals = factor_crystals(params_list, max_size)
     return [TensorElement(factors) for factors in itertools.product(*crystals)]

@@ -92,6 +92,13 @@ def test_energy_oracle_is_capped(tmp_path, capsys):
     assert out == ""
 
 
+def test_perfect_is_capped(capsys):
+    code, out, err = run(capsys, ["perfect", "--n", "6", "--r", "3", "--s", "2"])
+    assert code == 3
+    assert "size cap" in err
+    assert out == ""
+
+
 def test_rmatrix_subcommand(tmp_path, capsys):
     left = tmp_path / "left.json"
     right = tmp_path / "right.json"

@@ -4,6 +4,7 @@ from krpoly import (
     DominantWeight,
     KRParams,
     LevelMismatch,
+    SizeLimitExceeded,
     b_lower,
     b_upper,
     check_perfect,
@@ -13,6 +14,7 @@ from krpoly import (
     ground_state_path,
     phi_profile,
 )
+from krpoly import perfect
 from krpoly.perfect import profile_uniqueness_table
 
 from conftest import all_params
@@ -165,3 +167,15 @@ def test_period_divides_rotation_order():
         path = ground_state_path(weight, params, 3 * (params.n + 1))
         order = (params.n + 1) // math.gcd(params.n + 1, params.r)
         assert path.period is not None and order % path.period == 0
+
+
+def test_oversized_square_is_refused_before_the_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the tensor square was walked")
+
+    monkeypatch.setattr(perfect, "closure", walk)
+    # |B^{3,2}| = 490 at n=6, so the square has 240,100 > 200,000 elements
+    with pytest.raises(SizeLimitExceeded):
+        check_perfect(KRParams(6, 3, 2))
+    with pytest.raises(SizeLimitExceeded):
+        check_perfect(KRParams(2, 1, 2), max_size=35)

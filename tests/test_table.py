@@ -1,0 +1,163 @@
+"""The integer-indexed tables against the KRPattern and TensorElement code.
+
+The oracle references below are the whole-product walks over
+TensorElements that the id-pair walks replaced; they stay here so that
+both oracles and the tensor-square closure are checked against them on
+the desk sweep.
+"""
+
+import itertools
+
+import pytest
+
+from krpoly import (
+    KRParams,
+    InconsistentRecursion,
+    OracleFailure,
+    TensorElement,
+    check_perfect,
+    enumerate_crystal,
+    is_classical_hw,
+    local_energy_oracle,
+    rmatrix_oracle,
+    zero_pattern,
+)
+from krpoly.graph import closure
+from krpoly.table import CrystalTable, PairTable, product_table
+
+from conftest import all_params, product_elements
+
+
+SWEEP = all_params(3, 2)
+
+
+def reference_rmatrix_oracle(params1, params2):
+    """Weight matching and propagation over TensorElements."""
+    left = product_elements(params1, params2)
+    right = product_elements(params2, params1)
+    by_weight = {}
+    for y in right:
+        if is_classical_hw(y):
+            key = y.classical_weight()
+            if key in by_weight:
+                raise OracleFailure(f"duplicate highest weight {key}")
+            by_weight[key] = y
+    mapping = {x: by_weight[x.classical_weight()] for x in left if is_classical_hw(x)}
+    queue = list(mapping)
+    while queue:
+        x = queue.pop()
+        y = mapping[x]
+        for l in range(1, params1.n + 1):
+            fx, fy = x.f(l), y.f(l)
+            if (fx is None) != (fy is None):
+                raise OracleFailure(f"f_{l} defined on one side only at {x}")
+            if fx is not None and fx not in mapping:
+                mapping[fx] = fy
+                queue.append(fx)
+    for x, y in mapping.items():
+        for op in ("f", "e"):
+            fx, fy = getattr(x, op)(0), getattr(y, op)(0)
+            if (fx is None) != (fy is None) or (fx is not None and mapping[fx] != fy):
+                raise OracleFailure(f"{op}_0 not intertwined at {x}")
+    return mapping
+
+
+def reference_energy_oracle(params1, params2, sigma):
+    """The 0-edge recursion over TensorElements, re-checked on every edge."""
+    elements = product_elements(params1, params2)
+    zero = TensorElement((zero_pattern(params1), zero_pattern(params2)))
+
+    def raising_delta(lower, l):
+        if l != 0:
+            return 0
+        side, side_image = lower.e_slot(0), sigma[lower].e_slot(0)
+        return {(0, 0): -1, (1, 1): 1}.get((side, side_image), 0)
+
+    table = {zero: 0}
+    queue = [zero]
+    colors = range(params1.n + 1)
+    while queue:
+        x = queue.pop()
+        for l in colors:
+            up, down = x.e(l), x.f(l)
+            if up is not None and up not in table:
+                table[up] = table[x] + raising_delta(x, l)
+                queue.append(up)
+            if down is not None and down not in table:
+                table[down] = table[x] - raising_delta(down, l)
+                queue.append(down)
+    for x in elements:
+        for l in colors:
+            up = x.e(l)
+            if up is not None and table[up] - table[x] != raising_delta(x, l):
+                raise InconsistentRecursion(f"recursion conflict along e_{l} at {x}")
+    return table
+
+
+def test_table_matches_pattern_operators():
+    for params in SWEEP:
+        table = CrystalTable(params)
+        assert table.elements == enumerate_crystal(params)
+        for i, b in enumerate(table.elements):
+            assert table.index[b] == i
+            assert table.weights[i] == b.classical_weight()
+            for l in range(params.n + 1):
+                for op, ids in (("f", table.f), ("e", table.e)):
+                    image = getattr(b, op)(l)
+                    assert ids[l][i] == (None if image is None else table.index[image])
+                assert table.phi[l][i] == b.phi(l)
+                assert table.eps[l][i] == b.eps(l)
+
+
+def test_id_pair_rule_matches_tensor_elements():
+    tables = {params: CrystalTable(params) for params in SWEEP}
+    for params1, params2 in itertools.product(SWEEP, repeat=2):
+        pair = PairTable(tables[params1], tables[params2])
+        elements = product_elements(params1, params2)
+        ids = list(pair.ids())
+        # id pairs come in product order, which is the TensorElement sort order
+        assert [pair.element(x) for x in ids] == elements
+        assert sorted(ids) == ids
+        for x, t in zip(ids, elements):
+            assert pair.id_of(t) == x
+            assert pair.is_classical_hw(x) == is_classical_hw(t)
+            assert pair.classical_weight(x) == t.classical_weight()
+            for l in range(params1.n + 1):
+                assert pair.phi(x, l) == t.phi(l)
+                assert pair.eps(x, l) == t.eps(l)
+                assert pair.e_slot(x, l) == t.e_slot(l)
+                for op in ("f", "e"):
+                    image = getattr(pair, op)(x, l)
+                    expected = getattr(t, op)(l)
+                    assert (None if image is None else pair.element(image)) == expected
+
+
+def test_oracles_and_square_closure_match_tensor_element_walks():
+    for params1, params2 in itertools.product(SWEEP, repeat=2):
+        sigma = rmatrix_oracle(params1, params2)
+        assert sigma == reference_rmatrix_oracle(params1, params2)
+        table = local_energy_oracle(params1, params2)
+        assert table == reference_energy_oracle(params1, params2, sigma)
+        assert local_energy_oracle(params1, params2, sigma=sigma) == table
+    for params in SWEEP:
+        square = product_table(params, params)
+        zero = zero_pattern(params)
+        got = closure([(0, 0)], range(params.n + 1), square.f, square.e)
+        expected = closure(
+            [TensorElement((zero, zero))],
+            range(params.n + 1),
+            lambda x, l: x.f(l),
+            lambda x, l: x.e(l),
+        )
+        assert [square.element(x) for x in got] == expected
+        assert check_perfect(params).tensor_square_connected
+
+
+def test_mixed_ranks_are_rejected():
+    small, large = KRParams(2, 1, 1), KRParams(3, 1, 1)
+    with pytest.raises(ValueError):
+        PairTable(CrystalTable(small), CrystalTable(large))
+    with pytest.raises(ValueError):
+        product_table(small, large)
+    with pytest.raises(ValueError):
+        rmatrix_oracle(small, large)

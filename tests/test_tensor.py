@@ -11,6 +11,7 @@ from krpoly import (
     enumerate_crystal,
     is_classical_hw,
     tensor,
+    tensor_from_dict,
 )
 from krpoly.graph import build_graph, sort_key
 from krpoly.tensor import product_elements as product_of
@@ -24,8 +25,15 @@ P13 = KRParams(1, 1, 3)
 
 
 def test_mixed_rank_rejected():
-    with pytest.raises(ValueError):
-        tensor(cell(1, 1, 0), enumerate_crystal(KRParams(2, 1, 1))[0])
+    # operator images skip the rank check; every public construction keeps it
+    low, high = cell(1, 1, 0), enumerate_crystal(KRParams(2, 1, 1))[0]
+    for build in (
+        lambda: tensor(low, high),
+        lambda: TensorElement((low, high)),
+        lambda: tensor_from_dict({"factors": [low.to_dict(), high.to_dict()]}),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_lowering_examples_from_the_eight_element_product():
