@@ -148,7 +148,7 @@ def local_energy_oracle(params1, params2, max_size=ENUMERATION_CAP, sigma=None):
     else:
         sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}
     zero = (0, 0)
-    if pair.left.elements[0].total() or pair.right.elements[0].total():
+    if pair.left.vertices[0].total() or pair.right.vertices[0].total():
         raise InconsistentRecursion("product has no zero element")
 
     def raising_delta(lower, l):

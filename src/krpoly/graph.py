@@ -1,15 +1,18 @@
 """Colored crystal digraphs: construction, components, DOT/JSON export.
 
-Vertices are stored in lexicographic order of their flattened entries and
-edges as (source index, color, target index) triples, so exports are
-byte-for-byte deterministic.
+A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
+of f_l of each vertex (None for crystal zero) and its inverse ``e[l]``;
+components, the rank-2 regularity check and ``table.CrystalTable`` all
+read these id lists.  ``build_graph`` sorts the vertices in lexicographic
+order of their flattened entries and the edges are the sorted (source id,
+color, target id) triples, so exports are byte-for-byte deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import SizeLimitExceeded
+from .errors import KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP
 
 
@@ -18,42 +21,36 @@ def sort_key(x):
     return x if isinstance(x, tuple) else x.sort_key()
 
 
-@dataclass(frozen=True)
 class CrystalGraph:
-    """Finite colored digraph with an edge (u, l, v) iff f_l(u) = v."""
+    """Finite colored digraph with an edge (u, l, v) iff f_l(u) = v.
 
-    vertices: tuple
-    edges: tuple
-    colors: tuple
-    _index: dict = field(default=None, compare=False, repr=False)
+    ``f[l][i]``/``e[l][i]`` are the ids of f_l/e_l of vertex i (None for
+    crystal zero) and ``index`` maps a vertex to its id.  A vertex with two
+    incoming l-edges raises KRError.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+    def __init__(self, vertices, colors, f):
+        self.vertices = tuple(vertices)
+        self.colors = tuple(colors)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.f = {l: f[l] for l in self.colors}
+        self.e = {l: _inverse(self.f[l], len(self.vertices), l) for l in self.colors}
 
-    def vertex_index(self, v):
-        return self._index[v]
+    def __len__(self):
+        return len(self.vertices)
 
-    def fmaps(self):
-        """Per-color partial map source index -> target index."""
-        out = {l: {} for l in self.colors}
-        for a, l, b in self.edges:
-            out[l][a] = b
-        return out
-
-    def emaps(self):
-        out = {l: {} for l in self.colors}
-        for a, l, b in self.edges:
-            out[l][b] = a
-        return out
+    @cached_property
+    def edges(self):
+        """(source, color, target) triples, sorted."""
+        edges = [(i, l, j) for l in self.colors for i, j in enumerate(self.f[l]) if j is not None]
+        return tuple(sorted(edges))
 
     def component_indices(self, colors=None):
         """Undirected connected components, each a sorted tuple of indices."""
-        chosen = set(self.colors if colors is None else colors)
-        adj = {i: [] for i in range(len(self.vertices))}
-        for a, l, b in self.edges:
-            if l in chosen:
-                adj[a].append(b)
-                adj[b].append(a)
+        chosen = self.colors if colors is None else tuple(colors)
+        if not set(chosen) <= set(self.colors):
+            raise KRError(f"colors {chosen} are not all colors of {self.colors}")
+        arrows = [self.f[l] for l in chosen] + [self.e[l] for l in chosen]
         seen = [False] * len(self.vertices)
         comps = []
         for start in range(len(self.vertices)):
@@ -64,8 +61,9 @@ class CrystalGraph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
+                for row in arrows:
+                    w = row[v]
+                    if w is not None and not seen[w]:
                         seen[w] = True
                         stack.append(w)
             comps.append(tuple(sorted(comp)))
@@ -90,6 +88,17 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
+def _inverse(targets, size, color):
+    """The id list of e_l from that of f_l."""
+    sources = [None] * size
+    for i, j in enumerate(targets):
+        if j is not None:
+            if sources[j] is not None:
+                raise KRError(f"vertex {j} has two incoming {color}-edges")
+            sources[j] = i
+    return sources
+
+
 def vertex_label(v):
     """Compact human-readable label; single cells collapse to the integer."""
     if hasattr(v, "factors"):
@@ -97,6 +106,17 @@ def vertex_label(v):
     if len(v.rows) == 1 and len(v.rows[0]) == 1:
         return str(v.rows[0][0])
     return "/".join(",".join(str(x) for x in row) for row in v.rows)
+
+
+def id_lists(vertices, colors, f):
+    """Per color, the id of f(v, l) for every vertex v (None for zero)."""
+    index = {v: i for i, v in enumerate(vertices)}
+    lists = {}
+    for l in colors:
+        lists[l] = [None if (w := f(v, l)) is None else index.get(w, -1) for v in vertices]
+        if -1 in lists[l]:
+            raise ValueError(f"element set not closed under color {l}")
+    return lists
 
 
 def build_graph(elements, colors, f=None, max_size=ENUMERATION_CAP):
@@ -110,17 +130,7 @@ def build_graph(elements, colors, f=None, max_size=ENUMERATION_CAP):
     if f is None:
         f = lambda x, l: x.f(l)
     vertices = tuple(sorted(set(elements), key=sort_key))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for i, v in enumerate(vertices):
-        for l in colors:
-            w = f(v, l)
-            if w is None:
-                continue
-            if w not in index:
-                raise ValueError(f"element set not closed under color {l}")
-            edges.append((i, l, index[w]))
-    return CrystalGraph(vertices, tuple(sorted(edges)), tuple(colors))
+    return CrystalGraph(vertices, colors, id_lists(vertices, colors, f))
 
 
 def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):

@@ -180,7 +180,7 @@ def check_perfect(params, max_size=200_000):
     report = PerfectReport(params=params, level=params.s)
     square_table = product_table(params, params, max_size)
     table = square_table.left
-    elements = table.elements
+    elements = table.vertices
     report.cardinality = len(elements)
     report.finite = True
 

@@ -3,10 +3,12 @@
 For a pair of colors J = {j, k} the J-components of a crystal of A_n^(1)
 (n >= 2) must look like crystals of the rank-2 algebra determined by J:
 A_2 when j and k are adjacent on the cycle of n+1 nodes, A_1 x A_1
-otherwise.  The verifier works purely on the abstract graph: it recomputes
-string statistics by walking edges and checks
+otherwise.  The verifier works purely on the abstract graph, whose
+per-color id lists already give every vertex at most one incoming and one
+outgoing edge of each color: it recomputes string statistics by walking
+edges and checks
 
-  * string structure (per-color in/out degree <= 1, no monochrome cycles),
+  * string structure (no monochrome cycles),
   * the allowed one-step effects of e_i/f_i on the j-statistics,
   * commuting squares and the length-five braid relation, with their
     degree side conditions,
@@ -40,16 +42,16 @@ def rank2_off_diagonal(j, k, n):
     return -1 if (j - k) % (n + 1) in (1, n) else 0
 
 
-def _string_stats(comp, fmap, emap, color, report, label):
+def _string_stats(comp, f, e, color, report, label):
     """eps/phi per vertex of one color, walked from string heads."""
-    heads = [v for v in comp if v not in emap[color]]
+    heads = [v for v in comp if e[color][v] is None]
     eps = {}
     phi = {}
     for head in heads:
         chain = [head]
         v = head
-        while v in fmap[color]:
-            v = fmap[color][v]
+        while f[color][v] is not None:
+            v = f[color][v]
             chain.append(v)
             if len(chain) > len(comp):
                 report.violations.append(f"{label}: color {color} string too long (cycle?)")
@@ -64,50 +66,35 @@ def _string_stats(comp, fmap, emap, color, report, label):
 
 
 def is_regular_rank2(graph, pair):
-    """Check every {j,k}-component against the rank-2 string axioms."""
+    """Check every {j,k}-component against the rank-2 string axioms.
+
+    The pair must name two distinct colors of the graph.
+    """
     j, k = pair
+    if j == k or j not in graph.colors or k not in graph.colors:
+        raise KRError(f"color pair {pair} is not two distinct colors of {graph.colors}")
     n = _graph_rank(graph)
     a = rank2_off_diagonal(j, k, n)
     report = RegularityReport(pair=(j, k), cartan_off_diagonal=a)
     comps = graph.component_indices(colors=pair)
     report.num_components = len(comps)
-
-    fmap = {c: {} for c in pair}
-    emap = {c: {} for c in pair}
-    for src, l, tgt in graph.edges:
-        if l not in pair:
-            continue
-        if src in fmap[l]:
-            report.violations.append(f"vertex {src} has two outgoing {l}-edges")
-            continue
-        if tgt in emap[l]:
-            report.violations.append(f"vertex {tgt} has two incoming {l}-edges")
-            continue
-        fmap[l][src] = tgt
-        emap[l][tgt] = src
-    if report.violations:
-        return report
-
     for comp in comps:
-        _check_component(comp, fmap, emap, pair, a, report)
+        _check_component(comp, graph.f, graph.e, pair, a, report)
     return report
 
 
 def _graph_rank(graph):
     if not graph.vertices:
         raise KRError("regularity check needs a graph with at least one vertex")
-    v = graph.vertices[0]
-    if hasattr(v, "factors"):
-        return v.factors[0].params.n
-    return v.params.n
+    return graph.vertices[0].n
 
 
-def _check_component(comp, fmap, emap, pair, a, report):
+def _check_component(comp, f, e, pair, a, report):
     label = f"component@{min(comp)}"
     eps = {}
     phi = {}
     for c in pair:
-        eps[c], phi[c] = _string_stats(comp, fmap, emap, c, report, label)
+        eps[c], phi[c] = _string_stats(comp, f, e, c, report, label)
         if eps[c] is None:
             return
 
@@ -115,14 +102,14 @@ def _check_component(comp, fmap, emap, pair, a, report):
     allowed_f = {(0, 0)} if a == 0 else {(0, 1), (-1, 0)}
     for x in comp:
         for i, j in ((pair[0], pair[1]), (pair[1], pair[0])):
-            u = emap[i].get(x)
+            u = e[i][x]
             if u is not None:
                 delta = (eps[j][u] - eps[j][x], phi[j][u] - phi[j][x])
                 if delta not in allowed_e:
                     report.violations.append(
                         f"{label}: e_{i} at {x} moves ({j})-stats by {delta}"
                     )
-            v = fmap[i].get(x)
+            v = f[i][x]
             if v is not None:
                 delta = (eps[j][v] - eps[j][x], phi[j][v] - phi[j][x])
                 if delta not in allowed_f:
@@ -131,13 +118,13 @@ def _check_component(comp, fmap, emap, pair, a, report):
                     )
 
         i, j = pair
-        ui, uj = emap[i].get(x), emap[j].get(x)
+        ui, uj = e[i][x], e[j][x]
         if ui is not None and uj is not None:
             di = eps[j][ui] - eps[j][x]
             dj = eps[i][uj] - eps[i][x]
             if di == 0 or dj == 0:
-                y1 = emap[j].get(ui)
-                y2 = emap[i].get(uj)
+                y1 = e[j][ui]
+                y2 = e[i][uj]
                 if y1 is None or y2 is None or y1 != y2:
                     report.violations.append(f"{label}: raising square at {x} fails")
                 else:
@@ -150,17 +137,17 @@ def _check_component(comp, fmap, emap, pair, a, report):
                             f"{label}: raising square at {x} fails degree condition"
                         )
             elif di == 1 and dj == 1:
-                y1 = _walk(emap, ui, (j, j, i))
-                y2 = _walk(emap, uj, (i, i, j))
+                y1 = _walk(e, ui, (j, j, i))
+                y2 = _walk(e, uj, (i, i, j))
                 if y1 is None or y2 is None or y1 != y2:
                     report.violations.append(f"{label}: raising braid relation at {x} fails")
-        vi, vj = fmap[i].get(x), fmap[j].get(x)
+        vi, vj = f[i][x], f[j][x]
         if vi is not None and vj is not None:
             di = phi[j][vi] - phi[j][x]
             dj = phi[i][vj] - phi[i][x]
             if di == 0 or dj == 0:
-                y1 = fmap[j].get(vi)
-                y2 = fmap[i].get(vj)
+                y1 = f[j][vi]
+                y2 = f[i][vj]
                 if y1 is None or y2 is None or y1 != y2:
                     report.violations.append(f"{label}: lowering square at {x} fails")
                 else:
@@ -173,8 +160,8 @@ def _check_component(comp, fmap, emap, pair, a, report):
                             f"{label}: lowering square at {x} fails degree condition"
                         )
             elif di == 1 and dj == 1:
-                y1 = _walk(fmap, vi, (j, j, i))
-                y2 = _walk(fmap, vj, (i, i, j))
+                y1 = _walk(f, vi, (j, j, i))
+                y2 = _walk(f, vj, (i, i, j))
                 if y1 is None or y2 is None or y1 != y2:
                     report.violations.append(f"{label}: lowering braid relation at {x} fails")
 
@@ -205,7 +192,7 @@ def _check_component(comp, fmap, emap, pair, a, report):
 def _walk(step, start, colors):
     v = start
     for c in colors:
-        v = step[c].get(v)
+        v = step[c][v]
         if v is None:
             return None
     return v

@@ -1,23 +1,26 @@
 """Integer-indexed crystal tables for whole-product checks.
 
-A ``CrystalTable`` enumerates B^{r,s} once and numbers its elements in
-lexicographic order.  For every color it lists the id of each element's
-f/e image (None for crystal zero) and each element's phi/eps, all read off
-the ``KRPattern`` operators, which stay the one definition of the crystal.
-A ``PairTable`` applies the two-factor tensor rule of ``tensor`` to id
-pairs (i, j).  Id pairs sort in the same order as the TensorElements they
-stand for.
+A ``CrystalTable`` is the ``graph.CrystalGraph`` of B^{r,s} over all colors
+0..n: the crystal is enumerated once, its elements are numbered in
+lexicographic order, and the per-color f/e id lists (None for crystal
+zero) are filled by the same code as ``graph.build_graph`` from the
+``KRPattern`` operators, which stay the one definition of the crystal.
+The table adds each element's phi/eps and classical weight.  A
+``PairTable`` applies the two-factor tensor rule of ``tensor`` to id pairs
+(i, j).  Id pairs sort in the same order as the TensorElements they stand
+for.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .graph import CrystalGraph, id_lists
 from .patterns import ENUMERATION_CAP, enumerate_crystal
 from .tensor import TensorElement, factor_crystals
 
 
-class CrystalTable:
+class CrystalTable(CrystalGraph):
     """B^{r,s} with ids 0..|B|-1 and per-color operator and statistic lists.
 
     ``f[l][i]``/``e[l][i]`` are the ids of f_l/e_l of element i (None for
@@ -25,28 +28,15 @@ class CrystalTable:
     ``weights[i]`` its classical weight.
     """
 
-    __slots__ = ("params", "elements", "index", "f", "e", "phi", "eps", "weights")
-
     def __init__(self, params, elements=None):
         if elements is None:
             elements = enumerate_crystal(params)
-        index = {b: i for i, b in enumerate(elements)}
-
-        def ids(images):
-            return [None if y is None else index[y] for y in images]
-
         colors = range(params.n + 1)
+        super().__init__(elements, colors, id_lists(elements, colors, lambda b, l: b.f(l)))
         self.params = params
-        self.elements = elements
-        self.index = index
-        self.f = [ids(b.f(l) for b in elements) for l in colors]
-        self.e = [ids(b.e(l) for b in elements) for l in colors]
         self.phi = [[b.phi(l) for b in elements] for l in colors]
         self.eps = [[b.eps(l) for b in elements] for l in colors]
         self.weights = [b.classical_weight() for b in elements]
-
-    def __len__(self):
-        return len(self.elements)
 
 
 class PairTable:
@@ -119,7 +109,7 @@ class PairTable:
 
     def element(self, x):
         i, j = x
-        return TensorElement._trusted((self.left.elements[i], self.right.elements[j]))
+        return TensorElement._trusted((self.left.vertices[i], self.right.vertices[j]))
 
     def id_of(self, x):
         """The id pair of a two-fold TensorElement of this product."""

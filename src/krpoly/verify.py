@@ -9,6 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .energy import intermediate_sequence, local_energy, local_energy_hw, local_energy_oracle
+from .errors import KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import psi_crystal, psi_embedding
 from .patterns import KRParams, enumerate_crystal, pivot
@@ -148,51 +149,75 @@ def _all_params(n, max_s):
     return [KRParams(n, r, s) for r in range(1, n + 1) for s in range(1, max_s + 1)]
 
 
+def _check(name, failures):
+    """The Check of one product or crystal; ``failures()`` lists what broke.
+
+    A KRError from ``failures`` (an oracle or a construction finding an
+    inconsistency) fails this check instead of ending the suite.  A size
+    cap still propagates: the check was refused, not failed.
+    """
+    try:
+        bad = failures()
+    except SizeLimitExceeded:
+        raise
+    except KRError as exc:
+        return Check(name, False, f"{type(exc).__name__}: {exc}")
+    return Check(name, not bad, "; ".join(bad[:3]))
+
+
+def _name(kind, n, *factors):
+    return f"{kind} " + "x".join(f"B^({p.r},{p.s})" for p in factors) + f" n={n}"
+
+
+def _pairs(n, max_s):
+    return itertools.product(_all_params(n, max_s), repeat=2)
+
+
 def suite_ops(n, max_s):
     """Single-crystal structure: strings, weights, pivots, commutation."""
-    checks = []
-    for params in _all_params(n, max_s):
-        crystal = enumerate_crystal(params)
-        bad = []
-        for b in crystal:
-            for l in range(n + 1):
-                if b.phi(l) != string_phi(b, l) or b.eps(l) != string_eps(b, l):
-                    bad.append(f"string stats at {b} color {l}")
-                fb = b.f(l)
-                if fb is not None and (fb.e(l) != b or fb.validate() is None):
-                    bad.append(f"e o f at {b} color {l}")
-                eb = b.e(l)
-                if eb is not None and (eb.f(l) != b or eb.validate() is None):
-                    bad.append(f"f o e at {b} color {l}")
-            pair = b.affine_weight().pairings
-            if sum(pair) != 0:
-                bad.append(f"nonzero level at {b}")
-            if any(b.phi(l) - b.eps(l) != pair[l] for l in range(n + 1)):
-                bad.append(f"phi - eps mismatch at {b}")
-            for l in range(2, n):
-                for first, second in (("f", "f"), ("f", "e"), ("e", "f"), ("e", "e")):
-                    lhs = _compose(b, ((first, 0), (second, l)))
-                    rhs = _compose(b, ((second, l), (first, 0)))
-                    if lhs != rhs:
-                        bad.append(f"color-0 commutation at {b} with {second}_{l}")
-            for l in range(1, n + 1):
-                if l == params.r:
-                    continue
-                sign = "plus" if l > params.r else "minus"
-                piv = pivot(b, l, sign)
-                lo, hi = brute_pivot(b, l, sign)
-                got = (piv.p_plus, piv.q_plus) if sign == "plus" else (piv.q_minus, piv.p_minus)
-                if got != (lo, hi):
-                    bad.append(f"pivot mismatch at {b} color {l}")
-        graph = build_graph(crystal, range(n + 1))
-        if not graph.is_connected():
-            bad.append("affine graph disconnected")
-        if not graph.is_connected(range(1, n + 1)):
-            bad.append("classical graph disconnected")
-        checks.append(
-            Check(f"ops B^({params.r},{params.s}) n={n}", not bad, "; ".join(bad[:3]))
-        )
-    return checks
+    return [_check(_name("ops", n, p), lambda: _ops_failures(p)) for p in _all_params(n, max_s)]
+
+
+def _ops_failures(params):
+    n = params.n
+    crystal = enumerate_crystal(params)
+    bad = []
+    for b in crystal:
+        for l in range(n + 1):
+            if b.phi(l) != string_phi(b, l) or b.eps(l) != string_eps(b, l):
+                bad.append(f"string stats at {b} color {l}")
+            fb = b.f(l)
+            if fb is not None and (fb.e(l) != b or fb.validate() is None):
+                bad.append(f"e o f at {b} color {l}")
+            eb = b.e(l)
+            if eb is not None and (eb.f(l) != b or eb.validate() is None):
+                bad.append(f"f o e at {b} color {l}")
+        pair = b.affine_weight().pairings
+        if sum(pair) != 0:
+            bad.append(f"nonzero level at {b}")
+        if any(b.phi(l) - b.eps(l) != pair[l] for l in range(n + 1)):
+            bad.append(f"phi - eps mismatch at {b}")
+        for l in range(2, n):
+            for first, second in (("f", "f"), ("f", "e"), ("e", "f"), ("e", "e")):
+                lhs = _compose(b, ((first, 0), (second, l)))
+                rhs = _compose(b, ((second, l), (first, 0)))
+                if lhs != rhs:
+                    bad.append(f"color-0 commutation at {b} with {second}_{l}")
+        for l in range(1, n + 1):
+            if l == params.r:
+                continue
+            sign = "plus" if l > params.r else "minus"
+            piv = pivot(b, l, sign)
+            lo, hi = brute_pivot(b, l, sign)
+            got = (piv.p_plus, piv.q_plus) if sign == "plus" else (piv.q_minus, piv.p_minus)
+            if got != (lo, hi):
+                bad.append(f"pivot mismatch at {b} color {l}")
+    graph = build_graph(crystal, range(n + 1))
+    if not graph.is_connected():
+        bad.append("affine graph disconnected")
+    if not graph.is_connected(range(1, n + 1)):
+        bad.append("classical graph disconnected")
+    return bad
 
 
 def _compose(b, steps):
@@ -205,147 +230,133 @@ def _compose(b, steps):
 
 def suite_tensor(n, max_s):
     """Recursive tensor rule against the signature-cancellation rule."""
-    checks = []
-    combos = [(p1, p2) for p1 in _all_params(n, max_s) for p2 in _all_params(n, max_s)]
-    for params1, params2 in combos:
-        bad = []
-        for x in product_elements((params1, params2)):
-            for l in range(n + 1):
-                word = signature_word(x, l)
-                if x.phi(l) != sum(1 for w in word if w[0] == "+"):
-                    bad.append(f"phi vs signature at {x} color {l}")
-                if x.eps(l) != sum(1 for w in word if w[0] == "-"):
-                    bad.append(f"eps vs signature at {x} color {l}")
-                if x.f(l) != signature_f(x, l):
-                    bad.append(f"f vs signature at {x} color {l}")
-                if x.e(l) != signature_e(x, l):
-                    bad.append(f"e vs signature at {x} color {l}")
-                fx = x.f(l)
-                if fx is not None and fx.e(l) != x:
-                    bad.append(f"partial inverse at {x} color {l}")
-            if sum(x.affine_weight().pairings) != 0:
-                bad.append(f"nonzero level at {x}")
-        checks.append(
-            Check(
-                f"tensor B^({params1.r},{params1.s})xB^({params2.r},{params2.s}) n={n}",
-                not bad,
-                "; ".join(bad[:3]),
-            )
-        )
-    return checks
+    return [
+        _check(_name("tensor", n, p1, p2), lambda: _tensor_failures(p1, p2))
+        for p1, p2 in _pairs(n, max_s)
+    ]
+
+
+def _tensor_failures(params1, params2):
+    bad = []
+    for x in product_elements((params1, params2)):
+        for l in range(params1.n + 1):
+            word = signature_word(x, l)
+            if x.phi(l) != sum(1 for w in word if w[0] == "+"):
+                bad.append(f"phi vs signature at {x} color {l}")
+            if x.eps(l) != sum(1 for w in word if w[0] == "-"):
+                bad.append(f"eps vs signature at {x} color {l}")
+            if x.f(l) != signature_f(x, l):
+                bad.append(f"f vs signature at {x} color {l}")
+            if x.e(l) != signature_e(x, l):
+                bad.append(f"e vs signature at {x} color {l}")
+            fx = x.f(l)
+            if fx is not None and fx.e(l) != x:
+                bad.append(f"partial inverse at {x} color {l}")
+        if sum(x.affine_weight().pairings) != 0:
+            bad.append(f"nonzero level at {x}")
+    return bad
 
 
 def suite_rmatrix(n, max_s):
     """Transported R-matrix against the weight-matching oracle."""
-    checks = []
-    for params1 in _all_params(n, max_s):
-        for params2 in _all_params(n, max_s):
-            bad = []
-            try:
-                oracle = rmatrix_oracle(params1, params2)
-                reverse = rmatrix_oracle(params2, params1)
-            except Exception as exc:  # suite reports failures instead of raising
-                checks.append(
-                    Check(
-                        f"rmatrix B^({params1.r},{params1.s})xB^({params2.r},{params2.s}) n={n}",
-                        False,
-                        f"oracle failed: {exc}",
-                    )
-                )
-                continue
-            for x, y in oracle.items():
-                if rmatrix(x) != y:
-                    bad.append(f"transport differs from oracle at {x}")
-                if reverse[y] != x:
-                    bad.append(f"oracle not an involution at {x}")
-                if x.affine_weight() != y.affine_weight():
-                    bad.append(f"weight not preserved at {x}")
-            checks.append(
-                Check(
-                    f"rmatrix B^({params1.r},{params1.s})xB^({params2.r},{params2.s}) n={n}",
-                    not bad,
-                    "; ".join(bad[:3]),
-                )
-            )
-    return checks
+    return [
+        _check(_name("rmatrix", n, p1, p2), lambda: _rmatrix_failures(p1, p2))
+        for p1, p2 in _pairs(n, max_s)
+    ]
+
+
+def _rmatrix_failures(params1, params2):
+    bad = []
+    oracle = rmatrix_oracle(params1, params2)
+    reverse = rmatrix_oracle(params2, params1)
+    for x, y in oracle.items():
+        if rmatrix(x) != y:
+            bad.append(f"transport differs from oracle at {x}")
+        if reverse[y] != x:
+            bad.append(f"oracle not an involution at {x}")
+        if x.affine_weight() != y.affine_weight():
+            bad.append(f"weight not preserved at {x}")
+    return bad
 
 
 def suite_energy(n, max_s):
     """Closed-form energy against the recursion oracle, plus the hw law."""
-    checks = []
-    for params1 in _all_params(n, max_s):
-        for params2 in _all_params(n, max_s):
-            bad = []
-            sigma = rmatrix_oracle(params1, params2)
-            table = local_energy_oracle(params1, params2, sigma=sigma)
-            for x, h in table.items():
-                if local_energy(x) != h:
-                    bad.append(f"closed form differs at {x}")
-                if is_classical_hw(x) and local_energy_hw(x) != h:
-                    bad.append(f"hw law differs at {x}")
-                if h > 0:
-                    bad.append(f"positive energy at {x}")
-            for x in highest_weight_elements(params1, params2):
-                if local_energy_hw(x) != -x.factors[0].total():
-                    bad.append(f"hw law broken at {x}")
-                seq = intermediate_sequence(x)
-                if seq.final_pair[1].total() != 0:
-                    bad.append(f"schedule leaves nonzero second factor at {x}")
-            checks.append(
-                Check(
-                    f"energy B^({params1.r},{params1.s})xB^({params2.r},{params2.s}) n={n}",
-                    not bad,
-                    "; ".join(bad[:3]),
-                )
-            )
-    return checks
+    return [
+        _check(_name("energy", n, p1, p2), lambda: _energy_failures(p1, p2))
+        for p1, p2 in _pairs(n, max_s)
+    ]
+
+
+def _energy_failures(params1, params2):
+    bad = []
+    sigma = rmatrix_oracle(params1, params2)
+    table = local_energy_oracle(params1, params2, sigma=sigma)
+    for x, h in table.items():
+        if local_energy(x) != h:
+            bad.append(f"closed form differs at {x}")
+        if is_classical_hw(x) and local_energy_hw(x) != h:
+            bad.append(f"hw law differs at {x}")
+        if h > 0:
+            bad.append(f"positive energy at {x}")
+    for x in highest_weight_elements(params1, params2):
+        if local_energy_hw(x) != -x.factors[0].total():
+            bad.append(f"hw law broken at {x}")
+        seq = intermediate_sequence(x)
+        if seq.final_pair[1].total() != 0:
+            bad.append(f"schedule leaves nonzero second factor at {x}")
+    return bad
 
 
 def suite_regular(n, max_s):
     """Rank-2 string axioms for every color pair on every B^{r,s}."""
-    checks = []
-    for params in _all_params(n, max_s):
-        graph = build_graph(enumerate_crystal(params), range(n + 1))
-        bad = []
-        for pair in itertools.combinations(range(n + 1), 2):
-            report = is_regular_rank2(graph, pair)
-            if not report.ok:
-                bad.append(f"pair {pair}: {report.violations[0]}")
-        checks.append(
-            Check(f"regular B^({params.r},{params.s}) n={n}", not bad, "; ".join(bad[:3]))
-        )
-    return checks
+    return [
+        _check(_name("regular", n, p), lambda: _regular_failures(p))
+        for p in _all_params(n, max_s)
+    ]
+
+
+def _regular_failures(params):
+    colors = range(params.n + 1)
+    graph = build_graph(enumerate_crystal(params), colors)
+    bad = []
+    for pair in itertools.combinations(colors, 2):
+        report = is_regular_rank2(graph, pair)
+        if not report.ok:
+            bad.append(f"pair {pair}: {report.violations[0]}")
+    return bad
 
 
 def suite_nakajima(n, max_s):
     """Corner embedding: statistics, operator intertwining, pivots."""
     crystal2 = psi_crystal()
-    checks = []
-    for params in _all_params(n, max_s):
-        bad = []
-        for b in enumerate_crystal(params):
-            m = psi_embedding(b)
-            if crystal2.phi(m, 1) != b.phi(0) or crystal2.eps(m, 1) != b.eps(0):
-                bad.append(f"color-0 statistics differ at {b}")
-            if not _psi_commutes(crystal2, b, m, 0, 1):
-                bad.append(f"color-0 operators differ at {b}")
-            if params.r >= 2:
-                if crystal2.phi(m, 2) != b.phi(1) or crystal2.eps(m, 2) != b.eps(1):
-                    bad.append(f"color-1 statistics differ at {b}")
-                if not _psi_commutes(crystal2, b, m, 1, 2):
-                    bad.append(f"color-1 operators differ at {b}")
-                if b.phi(1) > 0:
-                    piv = pivot(b, 1, "minus")
-                    if crystal2.nf(m, 2) != params.n - piv.p_minus:
-                        bad.append(f"nf pivot identity fails at {b}")
-                if b.eps(1) > 0:
-                    piv = pivot(b, 1, "minus")
-                    if crystal2.ne(m, 2) != params.n - piv.q_minus:
-                        bad.append(f"ne pivot identity fails at {b}")
-        checks.append(
-            Check(f"nakajima B^({params.r},{params.s}) n={n}", not bad, "; ".join(bad[:3]))
-        )
-    return checks
+    return [
+        _check(_name("nakajima", n, p), lambda: _nakajima_failures(crystal2, p))
+        for p in _all_params(n, max_s)
+    ]
+
+
+def _nakajima_failures(crystal2, params):
+    bad = []
+    for b in enumerate_crystal(params):
+        m = psi_embedding(b)
+        if crystal2.phi(m, 1) != b.phi(0) or crystal2.eps(m, 1) != b.eps(0):
+            bad.append(f"color-0 statistics differ at {b}")
+        if not _psi_commutes(crystal2, b, m, 0, 1):
+            bad.append(f"color-0 operators differ at {b}")
+        if params.r >= 2:
+            if crystal2.phi(m, 2) != b.phi(1) or crystal2.eps(m, 2) != b.eps(1):
+                bad.append(f"color-1 statistics differ at {b}")
+            if not _psi_commutes(crystal2, b, m, 1, 2):
+                bad.append(f"color-1 operators differ at {b}")
+            if b.phi(1) > 0:
+                piv = pivot(b, 1, "minus")
+                if crystal2.nf(m, 2) != params.n - piv.p_minus:
+                    bad.append(f"nf pivot identity fails at {b}")
+            if b.eps(1) > 0:
+                piv = pivot(b, 1, "minus")
+                if crystal2.ne(m, 2) != params.n - piv.q_minus:
+                    bad.append(f"ne pivot identity fails at {b}")
+    return bad
 
 
 def _psi_commutes(crystal2, b, m, pattern_color, monomial_color):
@@ -370,48 +381,41 @@ def suite_perfect(n, max_level):
     for level in range(1, max_level + 1):
         for r in range(1, n + 1):
             params = KRParams(n, r, level)
-            report = check_perfect(params)
             checks.append(
-                Check(
-                    f"perfect B^({r},{level}) n={n}",
-                    report.ok,
-                    "; ".join(report.violations[:3]),
-                )
-            )
-            weight = dominant_weights(n, level)[0]
-            path = ground_state_path(weight, params, 2 * (n + 1))
-            rotated = all(
-                path.weights[k + 1] == path.weights[k].rotate(r)
-                for k in range(len(path.weights) - 1)
-            )
-            recursion = all(
-                eps_profile(path.elements[k]) == path.weights[k].rotate(r).coeffs
-                for k in range(len(path.elements))
+                _check(_name("perfect", n, params), lambda: check_perfect(params).violations)
             )
             checks.append(
-                Check(
-                    f"ground-state path B^({r},{level}) n={n}",
-                    rotated and recursion,
-                    "" if rotated and recursion else "rotation or recursion failed",
-                )
+                _check(_name("ground-state path", n, params), lambda: _path_failures(params))
             )
     return checks
+
+
+def _path_failures(params):
+    n, r = params.n, params.r
+    weight = dominant_weights(n, params.s)[0]
+    path = ground_state_path(weight, params, 2 * (n + 1))
+    rotated = all(
+        path.weights[k + 1] == path.weights[k].rotate(r) for k in range(len(path.weights) - 1)
+    )
+    recursion = all(
+        eps_profile(path.elements[k]) == path.weights[k].rotate(r).coeffs
+        for k in range(len(path.elements))
+    )
+    return [] if rotated and recursion else ["rotation or recursion failed"]
 
 
 def suite_cardinality(n, max_s):
     """Crystal sizes against the semistandard-tableau count."""
-    checks = []
-    for params in _all_params(n, max_s):
-        got = len(enumerate_crystal(params))
-        want = count_rect_ssyt(params.r, params.s, n + 1)
-        checks.append(
-            Check(
-                f"cardinality B^({params.r},{params.s}) n={n}",
-                got == want,
-                f"enumerated {got}, tableau count {want}",
-            )
-        )
-    return checks
+    return [
+        _check(_name("cardinality", n, p), lambda: _cardinality_failures(p))
+        for p in _all_params(n, max_s)
+    ]
+
+
+def _cardinality_failures(params):
+    got = len(enumerate_crystal(params))
+    want = count_rect_ssyt(params.r, params.s, params.n + 1)
+    return [] if got == want else [f"enumerated {got}, tableau count {want}"]
 
 
 SUITES = {

@@ -192,3 +192,29 @@ def test_non_integer_entries_are_rejected(tmp_path, capsys):
         assert code == 2
         assert message in err
         assert out == ""
+
+
+def test_a_failing_oracle_fails_its_check(capsys, monkeypatch):
+    from krpoly import InconsistentRecursion, SizeLimitExceeded, verify
+
+    def forced(*args, **kwargs):
+        raise InconsistentRecursion("forced")
+
+    monkeypatch.setattr(verify, "local_energy_oracle", forced)
+    (check,) = verify.suite_energy(1, 1)
+    assert check.name == "energy B^(1,1)xB^(1,1) n=1"
+    assert not check.ok
+    assert check.detail == "InconsistentRecursion: forced"
+    code, out, err = run(capsys, ["verify", "--suite", "energy", "--n", "1", "--max-s", "1"])
+    assert code == 1
+    assert "FAIL energy B^(1,1)xB^(1,1) n=1 (InconsistentRecursion: forced)" in out
+    assert "0/1 checks passed" in out
+    assert err == ""
+
+    def capped(*args, **kwargs):
+        raise SizeLimitExceeded("forced cap")
+
+    monkeypatch.setattr(verify, "local_energy_oracle", capped)
+    code, out, err = run(capsys, ["verify", "--suite", "energy", "--n", "1", "--max-s", "1"])
+    assert code == 3
+    assert "forced cap" in err

@@ -39,9 +39,13 @@ def test_edges_match_operators_both_ways():
             for l in range(params.n + 1):
                 w = v.f(l)
                 if w is not None:
-                    j = graph.vertex_index(w)
+                    j = graph.index[w]
                     assert (i, l, j) in edge_set
                     assert graph.vertices[j].e(l) == v
+                    assert graph.f[l][i] == j
+                    assert graph.e[l][j] == i
+        for i, l, j in edge_set:
+            assert graph.e[l][j] == i
 
 
 def test_dot_output_is_well_formed_and_deterministic():
@@ -66,6 +70,12 @@ def test_json_export_shape():
 def test_vertex_cap():
     with pytest.raises(SizeLimitExceeded):
         build_graph(enumerate_crystal(KRParams(2, 1, 2)), range(3), max_size=3)
+
+
+def test_element_set_must_be_closed():
+    crystal = enumerate_crystal(KRParams(2, 1, 2))
+    with pytest.raises(ValueError, match="not closed under color"):
+        build_graph(crystal[:3], range(3))
 
 
 def test_closure_recovers_whole_crystal():
@@ -113,13 +123,32 @@ def test_tensor_graph_regularity():
 
 def test_corrupted_edge_is_reported():
     graph = three_cycle()
-    edges = list(graph.edges)
-    src, color, tgt = edges[0]
-    edges[0] = (src, color, src)  # retarget one arrow onto its own source
-    broken = CrystalGraph(graph.vertices, tuple(edges), graph.colors)
+    src, color, tgt = graph.edges[0]
+    f = {l: list(graph.f[l]) for l in graph.colors}
+    f[color][src] = src  # retarget one arrow onto its own source
+    broken = CrystalGraph(graph.vertices, graph.colors, f)
     report = is_regular_rank2(broken, (1, 2))
     assert not report.ok
     assert report.violations
+
+
+def test_two_incoming_edges_are_rejected():
+    graph = three_cycle()
+    src, color, tgt = graph.edges[0]
+    f = {l: list(graph.f[l]) for l in graph.colors}
+    other = next(i for i in range(len(graph.vertices)) if f[color][i] is None)
+    f[color][other] = tgt
+    with pytest.raises(KRError, match="two incoming"):
+        CrystalGraph(graph.vertices, graph.colors, f)
+
+
+def test_regularity_rejects_a_pair_that_is_not_two_graph_colors():
+    graph = build_graph(enumerate_crystal(KRParams(3, 2, 2)), (1,))
+    for pair_ in ((0, 2), (0, 9), (1, 1)):
+        with pytest.raises(KRError, match="two distinct colors"):
+            is_regular_rank2(graph, pair_)
+    with pytest.raises(KRError, match="not all colors"):
+        graph.component_indices((0, 1))
 
 
 def test_regularity_rejects_empty_graph():

@@ -101,17 +101,15 @@ def crystal_isomorphic(graph1, graph2, colors):
     """Rooted colored-digraph isomorphism, sources matched first."""
     if len(graph1.vertices) != len(graph2.vertices):
         return False
-    emaps1, emaps2 = graph1.emaps(), graph2.emaps()
-    fmaps1, fmaps2 = graph1.fmaps(), graph2.fmaps()
     src1 = [
         i
         for i in range(len(graph1.vertices))
-        if all(i not in emaps1[l] for l in colors)
+        if all(graph1.e[l][i] is None for l in colors)
     ]
     src2 = [
         i
         for i in range(len(graph2.vertices))
-        if all(i not in emaps2[l] for l in colors)
+        if all(graph2.e[l][i] is None for l in colors)
     ]
     if len(src1) != 1 or len(src2) != 1:
         return False
@@ -120,7 +118,7 @@ def crystal_isomorphic(graph1, graph2, colors):
     while queue:
         i = queue.pop()
         for l in colors:
-            a, b = fmaps1[l].get(i), fmaps2[l].get(match[i])
+            a, b = graph1.f[l][i], graph2.f[l][match[i]]
             if (a is None) != (b is None):
                 return False
             if a is None:

@@ -97,8 +97,8 @@ def reference_energy_oracle(params1, params2, sigma):
 def test_table_matches_pattern_operators():
     for params in SWEEP:
         table = CrystalTable(params)
-        assert table.elements == enumerate_crystal(params)
-        for i, b in enumerate(table.elements):
+        assert list(table.vertices) == enumerate_crystal(params)
+        for i, b in enumerate(table.vertices):
             assert table.index[b] == i
             assert table.weights[i] == b.classical_weight()
             for l in range(params.n + 1):
