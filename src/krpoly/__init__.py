@@ -58,6 +58,7 @@ from .rmatrix import (
     HighestWeightDatum,
     highest_weight_elements,
     rmatrix,
+    rmatrix_from_hw,
     rmatrix_on_hw,
     rmatrix_oracle,
     to_highest_weight,

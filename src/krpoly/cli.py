@@ -107,7 +107,7 @@ def _build_parser():
     p = sub.add_parser("gsp", help="ground-state path")
     p.add_argument("--weight", type=_parse_weight, required=True, metavar="A0,A1,...")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--len", type=int, required=True, dest="length")
+    p.add_argument("--len", type=_parse_cap, required=True, dest="length")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -183,7 +183,9 @@ def _cmd_energy(args):
     result = {}
     if mode in ("closed-form", "both"):
         result["closed_form"] = (
-            local_energy(x) if len(patterns) == 2 else global_energy(x)
+            local_energy(x)
+            if len(patterns) == 2
+            else global_energy(x, energy=local_energy)
         )
     if mode in ("oracle", "both"):
         result["oracle"] = _oracle_energy(x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentRecursion, NotHighestWeight
 from .patterns import ENUMERATION_CAP
-from .rmatrix import rmatrix, rmatrix_oracle_ids
+from .rmatrix import rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw
 
@@ -187,7 +187,7 @@ def local_energy_oracle(params1, params2, max_size=ENUMERATION_CAP, sigma=None):
     return {pair.element(x): h for x, h in table.items()}
 
 
-def global_energy(x, energy=local_energy):
+def global_energy(x, energy=None):
     """Sum of pairwise local energies after R-matrix transport.
 
     The pair i < j contributes the local energy of slots (i, i+1) once
@@ -195,15 +195,28 @@ def global_energy(x, energy=local_energy):
     adjacent slots (j-1 down to i+1).  Those transports are prefixes of
     one another, so each factor j is walked leftward once: at every
     position the local energy is read, then the factor is swapped one slot
-    further.  That is C(N-1, 2) R-matrix calls for N factors, and
-    ``energy`` sees the same pairs as a separate transport per pair.
+    further.
+
+    By default each position is raised to its classical highest weight
+    element once: H is constant on classical components, so it is minus
+    the entry sum of the first factor there (``local_energy_hw``), and the
+    swap is mapped back from the same element (``rmatrix_from_hw``).  That
+    is C(N, 2) transports for N factors.  A callable ``energy`` (such as
+    ``local_energy``, the closed form) is read on each pair instead, and
+    the swaps go through ``rmatrix``: C(N-1, 2) calls, with ``energy``
+    seeing the same pairs as a separate transport per pair.
     """
     total = 0
     for j in range(1, len(x.factors)):
         fs = list(x.factors)
         for pos in range(j, 0, -1):
             pair = TensorElement((fs[pos - 1], fs[pos]))
-            total += energy(pair)
+            if energy is None:
+                hw, word = to_highest_weight(pair)
+                total -= hw.factors[0].total()
+            else:
+                total += energy(pair)
             if pos > 1:
-                fs[pos - 1], fs[pos] = rmatrix(pair).factors
+                image = rmatrix_from_hw(hw, word) if energy is None else rmatrix(pair)
+                fs[pos - 1], fs[pos] = image.factors
     return total

@@ -25,14 +25,17 @@ class CrystalGraph:
     """Finite colored digraph with an edge (u, l, v) iff f_l(u) = v.
 
     ``f[l][i]``/``e[l][i]`` are the ids of f_l/e_l of vertex i (None for
-    crystal zero) and ``index`` maps a vertex to its id.  A vertex with two
-    incoming l-edges raises KRError.
+    crystal zero) and ``index`` maps a vertex to its id.  ``f`` is given
+    either as those id lists or as an operator f(v, l) on vertices that
+    fills them.  A vertex with two incoming l-edges raises KRError.
     """
 
     def __init__(self, vertices, colors, f):
         self.vertices = tuple(vertices)
         self.colors = tuple(colors)
         self.index = {v: i for i, v in enumerate(self.vertices)}
+        if callable(f):
+            f = _id_lists(self.index, self.colors, f)
         self.f = {l: f[l] for l in self.colors}
         self.e = {l: _inverse(self.f[l], len(self.vertices), l) for l in self.colors}
 
@@ -108,12 +111,11 @@ def vertex_label(v):
     return "/".join(",".join(str(x) for x in row) for row in v.rows)
 
 
-def id_lists(vertices, colors, f):
-    """Per color, the id of f(v, l) for every vertex v (None for zero)."""
-    index = {v: i for i, v in enumerate(vertices)}
+def _id_lists(index, colors, f):
+    """Per color, the id of f(v, l) for every vertex v of ``index`` (None for zero)."""
     lists = {}
     for l in colors:
-        lists[l] = [None if (w := f(v, l)) is None else index.get(w, -1) for v in vertices]
+        lists[l] = [None if (w := f(v, l)) is None else index.get(w, -1) for v in index]
         if -1 in lists[l]:
             raise ValueError(f"element set not closed under color {l}")
     return lists
@@ -130,7 +132,7 @@ def build_graph(elements, colors, f=None, max_size=ENUMERATION_CAP):
     if f is None:
         f = lambda x, l: x.f(l)
     vertices = tuple(sorted(set(elements), key=sort_key))
-    return CrystalGraph(vertices, colors, id_lists(vertices, colors, f))
+    return CrystalGraph(vertices, colors, f)
 
 
 def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):

@@ -134,6 +134,8 @@ def ground_state_path(weight, params, length):
     against the defining recursion (the epsilon-profile of the current
     element is the next weight).
     """
+    if length < 0:
+        raise ValueError(f"path length must be non-negative, got {length}")
     _check_level(weight, params)
     weights = [weight]
     elements = []

@@ -124,17 +124,25 @@ def to_highest_weight(x):
     return x, tuple(word)
 
 
-def rmatrix(x):
-    """R-matrix on an arbitrary element of a two-fold product."""
-    if len(x.factors) != 2:
-        raise ValueError("the R-matrix acts on two-fold products")
-    hw, word = to_highest_weight(x)
+def rmatrix_from_hw(hw, word):
+    """R-matrix image of the element that ``to_highest_weight`` raised to hw.
+
+    Maps hw by ``rmatrix_on_hw`` and lowers the image back along the
+    reversed transport word.
+    """
     y = rmatrix_on_hw(hw)
     for l in reversed(word):
         y = y.f(l)
         if y is None:
             raise OracleFailure(f"transport word failed on the image side at f_{l}")
     return y
+
+
+def rmatrix(x):
+    """R-matrix on an arbitrary element of a two-fold product."""
+    if len(x.factors) != 2:
+        raise ValueError("the R-matrix acts on two-fold products")
+    return rmatrix_from_hw(*to_highest_weight(x))
 
 
 def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):

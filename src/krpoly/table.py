@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import CrystalGraph, id_lists
+from .graph import CrystalGraph
 from .patterns import ENUMERATION_CAP, enumerate_crystal
 from .tensor import TensorElement, factor_crystals
 
@@ -32,7 +32,7 @@ class CrystalTable(CrystalGraph):
         if elements is None:
             elements = enumerate_crystal(params)
         colors = range(params.n + 1)
-        super().__init__(elements, colors, id_lists(elements, colors, lambda b, l: b.f(l)))
+        super().__init__(elements, colors, lambda b, l: b.f(l))
         self.params = params
         self.phi = [[b.phi(l) for b in elements] for l in colors]
         self.eps = [[b.eps(l) for b in elements] for l in colors]

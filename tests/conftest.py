@@ -1,4 +1,4 @@
-from krpoly import KRParams, KRPattern, TensorElement
+from krpoly import KRParams, KRPattern, TensorElement, rmatrix, validate_pattern
 from krpoly.tensor import product_elements as product_of
 
 
@@ -39,3 +39,30 @@ def all_params(n, max_s):
 
 def product_elements(params1, params2):
     return product_of((params1, params2))
+
+
+def random_pattern(rng, params):
+    """A valid pattern of B^{r,s}, drawn cell by cell without enumeration.
+
+    Each cell takes a value in 0..s minus the largest staircase sum that
+    reaches its upper or left neighbour, so every staircase stays at most s.
+    """
+    rows = [[0] * params.num_cols for _ in range(params.num_rows)]
+    reach = [[0] * params.num_cols for _ in range(params.num_rows)]
+    for q in range(params.num_rows):
+        for p in range(params.num_cols):
+            base = max(reach[q][p - 1] if p else 0, reach[q - 1][p] if q else 0)
+            rows[q][p] = rng.randint(0, params.s - base)
+            reach[q][p] = base + rows[q][p]
+    return validate_pattern(rows, params)
+
+
+def random_element(rng, shapes, size):
+    """A tensor element of ``size`` random factors, each of a random shape."""
+    return TensorElement(tuple(random_pattern(rng, rng.choice(shapes)) for _ in range(size)))
+
+
+def swap_at(x, k):
+    """R-matrix on slots k, k+1 of a tensor element."""
+    image = rmatrix(pair(*x.factors[k : k + 2]))
+    return TensorElement(x.factors[:k] + image.factors + x.factors[k + 2 :])

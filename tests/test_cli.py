@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from krpoly import cli, local_energy
 from krpoly.cli import main
 
 
@@ -77,6 +78,8 @@ def test_usage_error_exit_code():
         ["enumerate", "--n", "2"],
         ["enumerate", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "0"],
         ["graph", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "-1"],
+        ["gsp", "--weight", "1,1,0", "--r", "1", "--len", "0"],
+        ["gsp", "--weight", "1,1,0", "--r", "1", "--len", "-1"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -122,15 +125,24 @@ def test_energy_subcommand_modes(tmp_path, capsys):
     assert data == {"closed_form": -1, "oracle": -1, "agree": True}
 
 
-def test_energy_three_factors(tmp_path, capsys):
+def test_energy_three_factors(tmp_path, capsys, monkeypatch):
     paths = []
     for idx in range(3):
         path = tmp_path / f"p{idx}.json"
         path.write_text(json.dumps({"n": 1, "r": 1, "s": 2, "rows": [[idx]]}))
         paths.append(str(path))
+    # the value labelled closed_form is read through the closed form
+    seen = []
+
+    def counting(x):
+        seen.append(x)
+        return local_energy(x)
+
+    monkeypatch.setattr(cli, "local_energy", counting)
     code, out, _ = run(capsys, ["energy", *paths])
     assert code == 0
     assert "closed_form" in json.loads(out)
+    assert len(seen) == 3
 
 
 def test_perfect_subcommand(capsys):

@@ -1,3 +1,6 @@
+import importlib
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -21,7 +24,7 @@ from krpoly.energy import truncate
 from krpoly.graph import build_graph
 from krpoly.rmatrix import HighestWeightDatum, hw_support, rmatrix
 
-from conftest import all_params, cell, pair, product_elements
+from conftest import all_params, cell, pair, product_elements, random_element, swap_at
 
 
 P11 = KRParams(1, 1, 1)
@@ -204,3 +207,50 @@ def test_global_energy_matches_pairwise_transport():
             got = global_energy(x, energy=recording(seen))
             assert got == pairwise_transport_energy(x, energy=recording(want))
             assert Counter(seen) == Counter(want)
+
+
+SHAPES_N5 = [KRParams(5, r, s) for r in range(1, 4) for s in range(1, 4)]
+
+
+def test_default_global_energy_matches_closed_form_and_pairwise_transport():
+    rng = random.Random(5)
+    for _ in range(12):
+        x = random_element(rng, SHAPES_N5, 8)
+        # some pair i < j has s_i > s_j, which the closed form reads through rmatrix
+        assert any(a.params.s > b.params.s for a, b in itertools.combinations(x.factors, 2))
+        got = global_energy(x)
+        assert got == global_energy(x, energy=local_energy)
+        assert got == pairwise_transport_energy(x)
+
+
+def test_default_global_energy_transports_each_pair_once(monkeypatch):
+    module = importlib.import_module("krpoly.energy")
+    calls = []
+    to_hw = module.to_highest_weight
+
+    def counting(x):
+        calls.append(x)
+        return to_hw(x)
+
+    def forbidden(x):
+        raise AssertionError("the default route must not use the closed form")
+
+    monkeypatch.setattr(module, "to_highest_weight", counting)
+    monkeypatch.setattr(module, "local_energy", forbidden)
+    monkeypatch.setattr(module, "intermediate_sequence", forbidden)
+    rng = random.Random(6)
+    for size in range(2, 9):
+        calls.clear()
+        module.global_energy(random_element(rng, SHAPES_N5, size))
+        assert len(calls) == math.comb(size, 2)
+
+
+def test_global_energy_is_invariant_under_every_adjacent_swap():
+    rng = random.Random(8)
+    shapes = all_params(4, 3)
+    for _ in range(60):
+        x = random_element(rng, shapes, 4)
+        d = global_energy(x)
+        assert d <= 0
+        for k in range(3):
+            assert global_energy(swap_at(x, k)) == d

@@ -159,6 +159,13 @@ def test_ground_state_path_one_hot_weight():
         assert sum(w.coeffs) == 2
 
 
+def test_ground_state_path_rejects_a_negative_length():
+    weight = DominantWeight((1, 1, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        ground_state_path(weight, KRParams(2, 1, 2), -1)
+    assert ground_state_path(weight, KRParams(2, 1, 2), 0).elements == ()
+
+
 def test_period_divides_rotation_order():
     import math
 

@@ -21,7 +21,7 @@ from krpoly import (
 )
 from krpoly.rmatrix import HighestWeightDatum, hw_support
 
-from conftest import all_params, cell, pair, product_elements
+from conftest import all_params, cell, pair, product_elements, random_element, swap_at
 
 
 def test_hw_elements_rank_one_example():
@@ -155,6 +155,17 @@ def test_whole_string_raising_matches_single_steps():
         assert hw == ref_hw
         assert len(word) == len(ref_word)
         assert Counter(word) == Counter(ref_word)
+
+
+def test_yang_baxter_on_triples():
+    rng = random.Random(4)
+    shapes = all_params(4, 3)
+    for _ in range(150):
+        x = random_element(rng, shapes, 3)
+        left = swap_at(swap_at(swap_at(x, 0), 1), 0)
+        right = swap_at(swap_at(swap_at(x, 1), 0), 1)
+        assert left == right
+        assert [b.params for b in left.factors] == [b.params for b in reversed(x.factors)]
 
 
 def test_failed_transport_replay_raises_typed_error(monkeypatch):
