@@ -197,26 +197,21 @@ def global_energy(x, energy=None):
     position the local energy is read, then the factor is swapped one slot
     further.
 
-    By default each position is raised to its classical highest weight
-    element once: H is constant on classical components, so it is minus
-    the entry sum of the first factor there (``local_energy_hw``), and the
-    swap is mapped back from the same element (``rmatrix_from_hw``).  That
-    is C(N, 2) transports for N factors.  A callable ``energy`` (such as
-    ``local_energy``, the closed form) is read on each pair instead, and
-    the swaps go through ``rmatrix``: C(N-1, 2) calls, with ``energy``
-    seeing the same pairs as a separate transport per pair.
+    Each position is raised to its classical highest weight element once
+    (``to_highest_weight``), and the swap is mapped back from that element
+    (``rmatrix_from_hw``): C(N, 2) transports for N factors.  By default H
+    is read there: it is constant on classical components, so it is minus
+    the entry sum of the first factor (``local_energy_hw``).  A callable
+    ``energy`` (such as ``local_energy``, the closed form) is read on each
+    pair instead; it sees the same pairs as a separate transport per pair.
     """
     total = 0
     for j in range(1, len(x.factors)):
         fs = list(x.factors)
         for pos in range(j, 0, -1):
             pair = TensorElement((fs[pos - 1], fs[pos]))
-            if energy is None:
-                hw, word = to_highest_weight(pair)
-                total -= hw.factors[0].total()
-            else:
-                total += energy(pair)
+            hw, word = to_highest_weight(pair)
+            total += -hw.factors[0].total() if energy is None else energy(pair)
             if pos > 1:
-                image = rmatrix_from_hw(hw, word) if energy is None else rmatrix(pair)
-                fs[pos - 1], fs[pos] = image.factors
+                fs[pos - 1], fs[pos] = rmatrix_from_hw(hw, word).factors
     return total

@@ -1,9 +1,10 @@
 """Colored crystal digraphs: construction, components, DOT/JSON export.
 
 A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
-of f_l of each vertex (None for crystal zero) and its inverse ``e[l]``;
-components, the rank-2 regularity check and ``table.CrystalTable`` all
-read these id lists.  ``build_graph`` sorts the vertices in lexicographic
+of f_l of each vertex (None for crystal zero), its inverse ``e[l]`` and
+the string lengths ``eps[l]``/``phi[l]`` derived from them once;
+components, the rank-2 regularity check and ``table.PairTable`` all read
+these id lists.  ``build_graph`` sorts the vertices in lexicographic
 order of their flattened entries and the edges are the sorted (source id,
 color, target id) triples, so exports are byte-for-byte deterministic.
 """
@@ -28,6 +29,8 @@ class CrystalGraph:
     crystal zero) and ``index`` maps a vertex to its id.  ``f`` is given
     either as those id lists or as an operator f(v, l) on vertices that
     fills them.  A vertex with two incoming l-edges raises KRError.
+    ``eps[l][i]``/``phi[l][i]`` are the numbers of l-steps from vertex i
+    to the head and to the end of its l-string, None on an l-cycle.
     """
 
     def __init__(self, vertices, colors, f):
@@ -38,6 +41,9 @@ class CrystalGraph:
             f = _id_lists(self.index, self.colors, f)
         self.f = {l: f[l] for l in self.colors}
         self.e = {l: _inverse(self.f[l], len(self.vertices), l) for l in self.colors}
+        self.eps, self.phi = {}, {}
+        for l in self.colors:
+            self.eps[l], self.phi[l] = _string_lengths(self.f[l], self.e[l])
 
     def __len__(self):
         return len(self.vertices)
@@ -100,6 +106,32 @@ def _inverse(targets, size, color):
                 raise KRError(f"vertex {j} has two incoming {color}-edges")
             sources[j] = i
     return sources
+
+
+def _string_lengths(targets, sources):
+    """eps/phi id lists of one color, walked twice down each string from its head.
+
+    The first walk counts the steps from the head, the second counts them
+    back down to the end.  The walks end because ``sources`` is the exact
+    inverse of ``targets``: no vertex is entered twice.  Vertices on a
+    cycle keep None.
+    """
+    eps = [None] * len(targets)
+    phi = [None] * len(targets)
+    for head, up in enumerate(sources):
+        if up is not None:
+            continue
+        steps, v = 0, head
+        while v is not None:
+            eps[v] = steps
+            steps += 1
+            v = targets[v]
+        v = head
+        while v is not None:
+            steps -= 1
+            phi[v] = steps
+            v = targets[v]
+    return eps, phi
 
 
 def vertex_label(v):

@@ -13,7 +13,6 @@ wraparound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InconsistentRecursion, LevelMismatch, OracleFailure
 from .graph import closure
@@ -204,8 +203,8 @@ def check_perfect(params, max_size=200_000):
         elements, params, report
     )
 
-    profiles_e = list(zip(*table.eps))
-    profiles_f = list(zip(*table.phi))
+    profiles_e = list(zip(*table.eps.values()))
+    profiles_f = list(zip(*table.phi.values()))
     report.min_profile_level = min(sum(p) for p in profiles_e)
     report.profile_level_ok = report.min_profile_level >= params.s
     if not report.profile_level_ok:
@@ -238,13 +237,12 @@ def check_perfect(params, max_size=200_000):
 
 
 def _weight_cone(elements, params, report):
-    # classical weight of the zero pattern dominates the whole crystal
+    # classical weight of the zero pattern dominates the whole crystal:
+    # top - wt must be a non-negative integer combination of simple roots,
+    # read with the inverse Cartan matrix scaled by n+1 to stay in integers
     n = params.n
     top = zero_pattern(params).classical_weight()
-    inverse = [
-        [Fraction(min(i, j)) - Fraction(i * j, n + 1) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
+    inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
     dominated = True
     at_top = 0
     for b in elements:
@@ -252,8 +250,8 @@ def _weight_cone(elements, params, report):
         if wt == top:
             at_top += 1
         diff = [top[t] - wt[t] for t in range(n)]
-        coords = [sum(inverse[i][t] * diff[t] for t in range(n)) for i in range(n)]
-        if any(c < 0 or c.denominator != 1 for c in coords):
+        coords = [sum(row[t] * diff[t] for t in range(n)) for row in inverse]
+        if any(c < 0 or c % (n + 1) for c in coords):
             dominated = False
             report.violations.append(f"weight of {b} escapes the dominance cone")
     if at_top != 1:

@@ -5,8 +5,8 @@ For a pair of colors J = {j, k} the J-components of a crystal of A_n^(1)
 A_2 when j and k are adjacent on the cycle of n+1 nodes, A_1 x A_1
 otherwise.  The verifier works purely on the abstract graph, whose
 per-color id lists already give every vertex at most one incoming and one
-outgoing edge of each color: it recomputes string statistics by walking
-edges and checks
+outgoing edge of each color, and whose string lengths eps/phi the graph
+derived once from those lists.  For each component it checks
 
   * string structure (no monochrome cycles),
   * the allowed one-step effects of e_i/f_i on the j-statistics,
@@ -42,29 +42,6 @@ def rank2_off_diagonal(j, k, n):
     return -1 if (j - k) % (n + 1) in (1, n) else 0
 
 
-def _string_stats(comp, f, e, color, report, label):
-    """eps/phi per vertex of one color, walked from string heads."""
-    heads = [v for v in comp if e[color][v] is None]
-    eps = {}
-    phi = {}
-    for head in heads:
-        chain = [head]
-        v = head
-        while f[color][v] is not None:
-            v = f[color][v]
-            chain.append(v)
-            if len(chain) > len(comp):
-                report.violations.append(f"{label}: color {color} string too long (cycle?)")
-                return None, None
-        for d, v in enumerate(chain):
-            eps[v] = d
-            phi[v] = len(chain) - 1 - d
-    if len(eps) != len(comp):
-        report.violations.append(f"{label}: color {color} has a cyclic or tangled string")
-        return None, None
-    return eps, phi
-
-
 def is_regular_rank2(graph, pair):
     """Check every {j,k}-component against the rank-2 string axioms.
 
@@ -79,7 +56,7 @@ def is_regular_rank2(graph, pair):
     comps = graph.component_indices(colors=pair)
     report.num_components = len(comps)
     for comp in comps:
-        _check_component(comp, graph.f, graph.e, pair, a, report)
+        _check_component(comp, graph, pair, a, report)
     return report
 
 
@@ -89,13 +66,12 @@ def _graph_rank(graph):
     return graph.vertices[0].n
 
 
-def _check_component(comp, f, e, pair, a, report):
+def _check_component(comp, graph, pair, a, report):
     label = f"component@{min(comp)}"
-    eps = {}
-    phi = {}
+    f, e, eps, phi = graph.f, graph.e, graph.eps, graph.phi
     for c in pair:
-        eps[c], phi[c] = _string_stats(comp, f, e, c, report, label)
-        if eps[c] is None:
+        if any(eps[c][x] is None for x in comp):
+            report.violations.append(f"{label}: color {c} has a cyclic or tangled string")
             return
 
     allowed_e = {(0, 0)} if a == 0 else {(1, 0), (0, -1)}

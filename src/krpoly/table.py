@@ -1,14 +1,13 @@
-"""Integer-indexed crystal tables for whole-product checks.
+"""Integer-indexed crystal products for whole-product checks.
 
-A ``CrystalTable`` is the ``graph.CrystalGraph`` of B^{r,s} over all colors
-0..n: the crystal is enumerated once, its elements are numbered in
+Each factor B^{r,s} is the ``graph.CrystalGraph`` over all colors 0..n:
+the crystal is enumerated once, its elements are numbered in
 lexicographic order, and the per-color f/e id lists (None for crystal
-zero) are filled by the same code as ``graph.build_graph`` from the
-``KRPattern`` operators, which stay the one definition of the crystal.
-The table adds each element's phi/eps and classical weight.  A
+zero) are filled from the ``KRPattern`` operators, which stay the one
+definition of the crystal; the graph derives phi/eps from them.  A
 ``PairTable`` applies the two-factor tensor rule of ``tensor`` to id pairs
-(i, j).  Id pairs sort in the same order as the TensorElements they stand
-for.
+(i, j) of two such graphs.  Id pairs sort in the same order as the
+TensorElements they stand for.
 """
 
 from __future__ import annotations
@@ -16,31 +15,12 @@ from __future__ import annotations
 import itertools
 
 from .graph import CrystalGraph
-from .patterns import ENUMERATION_CAP, enumerate_crystal
+from .patterns import ENUMERATION_CAP
 from .tensor import TensorElement, factor_crystals
 
 
-class CrystalTable(CrystalGraph):
-    """B^{r,s} with ids 0..|B|-1 and per-color operator and statistic lists.
-
-    ``f[l][i]``/``e[l][i]`` are the ids of f_l/e_l of element i (None for
-    crystal zero), ``phi[l][i]``/``eps[l][i]`` its string lengths and
-    ``weights[i]`` its classical weight.
-    """
-
-    def __init__(self, params, elements=None):
-        if elements is None:
-            elements = enumerate_crystal(params)
-        colors = range(params.n + 1)
-        super().__init__(elements, colors, lambda b, l: b.f(l))
-        self.params = params
-        self.phi = [[b.phi(l) for b in elements] for l in colors]
-        self.eps = [[b.eps(l) for b in elements] for l in colors]
-        self.weights = [b.classical_weight() for b in elements]
-
-
 class PairTable:
-    """B1 (x) B2 on id pairs (i, j).
+    """B1 (x) B2 on id pairs (i, j) of two CrystalGraphs over colors 0..n.
 
     f_l acts on the left factor iff eps_l(b1) >= phi_l(b2), e_l iff
     eps_l(b1) > phi_l(b2); phi and eps of a pair follow ``TensorElement``.
@@ -49,14 +29,14 @@ class PairTable:
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        if left.params.n != right.params.n:
+        if left.colors != right.colors:
             raise ValueError("all factors must share the same rank n")
         self.left = left
         self.right = right
 
     @property
     def n(self):
-        return self.left.params.n
+        return len(self.left.colors) - 1
 
     def __len__(self):
         return len(self.left) * len(self.right)
@@ -105,7 +85,8 @@ class PairTable:
 
     def classical_weight(self, x):
         i, j = x
-        return tuple(a + b for a, b in zip(self.left.weights[i], self.right.weights[j]))
+        first, second = self.left.vertices[i], self.right.vertices[j]
+        return tuple(a + b for a, b in zip(first.classical_weight(), second.classical_weight()))
 
     def element(self, x):
         i, j = x
@@ -118,12 +99,13 @@ class PairTable:
 
 
 def product_table(params1, params2, max_size=ENUMERATION_CAP):
-    """B1 (x) B2 as a PairTable; equal factors share one CrystalTable.
+    """B1 (x) B2 as a PairTable; equal factors share one CrystalGraph.
 
     A product larger than ``max_size`` raises SizeLimitExceeded once the
-    factors are enumerated, before any table is filled.
+    factors are enumerated, before any graph is filled.
     """
-    crystals = factor_crystals((params1, params2), max_size)
-    left = CrystalTable(params1, crystals[0])
-    right = left if params2 == params1 else CrystalTable(params2, crystals[1])
+    first, second = factor_crystals((params1, params2), max_size)
+    f = lambda b, l: b.f(l)
+    left = CrystalGraph(first, range(params1.n + 1), f)
+    right = left if params2 == params1 else CrystalGraph(second, range(params2.n + 1), f)
     return PairTable(left, right)

@@ -129,7 +129,7 @@ def test_corrupted_edge_is_reported():
     broken = CrystalGraph(graph.vertices, graph.colors, f)
     report = is_regular_rank2(broken, (1, 2))
     assert not report.ok
-    assert report.violations
+    assert any("cyclic or tangled string" in v for v in report.violations)
 
 
 def test_two_incoming_edges_are_rejected():

@@ -119,6 +119,37 @@ def test_four_cycle_mimic_fails_uniqueness():
     assert sorted(hits[(0, 1, 0)]) == ["B", "D"]
 
 
+class WeightStub:
+    """Stands in for a crystal element; only its classical weight is read."""
+
+    def __init__(self, name, weight):
+        self.name, self.weight = name, weight
+
+    def classical_weight(self):
+        return self.weight
+
+    def __repr__(self):
+        return self.name
+
+
+def test_weight_cone_rejects_a_second_top_and_escaping_weights():
+    params = KRParams(2, 1, 1)
+    elements = enumerate_crystal(params)
+    clean = perfect.PerfectReport(params=params, level=1)
+    assert perfect._weight_cone(elements, params, clean) == (True, True)
+    assert clean.violations == []
+    top = elements[0].classical_weight()
+    # (0, 0) lies under the top (1, 0) but off the root lattice; (2, 0) lies above it
+    stubs = [WeightStub("twin", top), WeightStub("off", (0, 0)), WeightStub("above", (2, 0))]
+    report = perfect.PerfectReport(params=params, level=1)
+    assert perfect._weight_cone(elements + stubs, params, report) == (False, False)
+    assert report.violations == [
+        "weight of off escapes the dominance cone",
+        "weight of above escapes the dominance cone",
+        "2 elements share the top classical weight",
+    ]
+
+
 def test_ground_state_path_full_rotation():
     # r = n: the weight cycle has period n+1 and the rows shift by one
     weight = DominantWeight((1, 0, 2, 0))

@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import krpoly
@@ -18,3 +19,24 @@ def test_library_has_no_assert_statements():
         ]
     assert sorted(SOURCE.glob("*.py"))
     assert not found, f"assert statements in krpoly: {', '.join(found)}"
+
+
+def test_library_imports_only_the_standard_library():
+    # krpoly has no third-party runtime dependencies
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"krpoly"}
+            ]
+    assert sorted(SOURCE.glob("*.py"))
+    assert not found, f"non-standard imports in krpoly: {', '.join(found)}"

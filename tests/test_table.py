@@ -22,13 +22,18 @@ from krpoly import (
     rmatrix_oracle,
     zero_pattern,
 )
-from krpoly.graph import closure
-from krpoly.table import CrystalTable, PairTable, product_table
+from krpoly.graph import build_graph, closure
+from krpoly.table import PairTable, product_table
 
 from conftest import all_params, product_elements
 
 
 SWEEP = all_params(3, 2)
+
+
+def crystal_graph(params):
+    """B^{r,s} as the graph over all colors 0..n that PairTable takes."""
+    return build_graph(enumerate_crystal(params), range(params.n + 1))
 
 
 def reference_rmatrix_oracle(params1, params2):
@@ -96,11 +101,10 @@ def reference_energy_oracle(params1, params2, sigma):
 
 def test_table_matches_pattern_operators():
     for params in SWEEP:
-        table = CrystalTable(params)
+        table = product_table(params, params).left
         assert list(table.vertices) == enumerate_crystal(params)
         for i, b in enumerate(table.vertices):
             assert table.index[b] == i
-            assert table.weights[i] == b.classical_weight()
             for l in range(params.n + 1):
                 for op, ids in (("f", table.f), ("e", table.e)):
                     image = getattr(b, op)(l)
@@ -110,7 +114,7 @@ def test_table_matches_pattern_operators():
 
 
 def test_id_pair_rule_matches_tensor_elements():
-    tables = {params: CrystalTable(params) for params in SWEEP}
+    tables = {params: crystal_graph(params) for params in SWEEP}
     for params1, params2 in itertools.product(SWEEP, repeat=2):
         pair = PairTable(tables[params1], tables[params2])
         elements = product_elements(params1, params2)
@@ -156,7 +160,7 @@ def test_oracles_and_square_closure_match_tensor_element_walks():
 def test_mixed_ranks_are_rejected():
     small, large = KRParams(2, 1, 1), KRParams(3, 1, 1)
     with pytest.raises(ValueError):
-        PairTable(CrystalTable(small), CrystalTable(large))
+        PairTable(crystal_graph(small), crystal_graph(large))
     with pytest.raises(ValueError):
         product_table(small, large)
     with pytest.raises(ValueError):

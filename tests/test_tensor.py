@@ -113,6 +113,10 @@ def test_product_of_kr_crystals_is_connected_all_colors():
         for params2 in all_params(2, 2):
             graph = build_graph(product_elements(params1, params2), range(3))
             assert graph.is_connected()
+            for i, v in enumerate(graph.vertices):
+                for l in graph.colors:
+                    assert graph.eps[l][i] == v.eps(l)
+                    assert graph.phi[l][i] == v.phi(l)
 
 
 def test_classical_components_have_one_hw_element_each():
