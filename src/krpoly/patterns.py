@@ -178,8 +178,8 @@ def zero_pattern(params):
 
 def pattern_from_dict(data):
     """Validated KRPattern from its ``to_dict`` form, e.g. parsed JSON."""
-    if not isinstance(data, dict) or any(key not in data for key in ("n", "r", "s", "rows")):
-        raise KRError("a pattern must be an object with keys n, r, s and rows")
+    if not isinstance(data, dict) or data.keys() != {"n", "r", "s", "rows"}:
+        raise KRError("a pattern must be an object with exactly the keys n, r, s and rows")
     values = [data[key] for key in ("n", "r", "s")]
     if not all(_is_int(v) for v in values):
         raise ValueError(f"n, r and s must be integers, got {values}")

@@ -14,6 +14,9 @@ derived once from those lists.  For each component it checks
     degree side conditions,
   * unique source and sink, the source/sink profile swap (A_2 case), and
   * the component cardinality predicted by the source profile.
+
+The axioms are written once, for e: the lowering axioms are checked as the
+raising axioms on the dual crystal, whose e is f and whose eps is phi.
 """
 
 from __future__ import annotations
@@ -68,101 +71,71 @@ def _graph_rank(graph):
 
 def _check_component(comp, graph, pair, a, report):
     label = f"component@{min(comp)}"
-    f, e, eps, phi = graph.f, graph.e, graph.eps, graph.phi
     for c in pair:
-        if any(eps[c][x] is None for x in comp):
+        if any(graph.eps[c][x] is None for x in comp):
             report.violations.append(f"{label}: color {c} has a cyclic or tangled string")
             return
-
-    allowed_e = {(0, 0)} if a == 0 else {(1, 0), (0, -1)}
-    allowed_f = {(0, 0)} if a == 0 else {(0, 1), (-1, 0)}
-    for x in comp:
-        for i, j in ((pair[0], pair[1]), (pair[1], pair[0])):
-            u = e[i][x]
-            if u is not None:
-                delta = (eps[j][u] - eps[j][x], phi[j][u] - phi[j][x])
-                if delta not in allowed_e:
-                    report.violations.append(
-                        f"{label}: e_{i} at {x} moves ({j})-stats by {delta}"
-                    )
-            v = f[i][x]
-            if v is not None:
-                delta = (eps[j][v] - eps[j][x], phi[j][v] - phi[j][x])
-                if delta not in allowed_f:
-                    report.violations.append(
-                        f"{label}: f_{i} at {x} moves ({j})-stats by {delta}"
-                    )
-
-        i, j = pair
-        ui, uj = e[i][x], e[j][x]
-        if ui is not None and uj is not None:
-            di = eps[j][ui] - eps[j][x]
-            dj = eps[i][uj] - eps[i][x]
-            if di == 0 or dj == 0:
-                y1 = e[j][ui]
-                y2 = e[i][uj]
-                if y1 is None or y2 is None or y1 != y2:
-                    report.violations.append(f"{label}: raising square at {x} fails")
-                else:
-                    if di == 0 and phi[i][y1] != phi[i][ui]:
-                        report.violations.append(
-                            f"{label}: raising square at {x} fails degree condition"
-                        )
-                    if dj == 0 and phi[j][y1] != phi[j][uj]:
-                        report.violations.append(
-                            f"{label}: raising square at {x} fails degree condition"
-                        )
-            elif di == 1 and dj == 1:
-                y1 = _walk(e, ui, (j, j, i))
-                y2 = _walk(e, uj, (i, i, j))
-                if y1 is None or y2 is None or y1 != y2:
-                    report.violations.append(f"{label}: raising braid relation at {x} fails")
-        vi, vj = f[i][x], f[j][x]
-        if vi is not None and vj is not None:
-            di = phi[j][vi] - phi[j][x]
-            dj = phi[i][vj] - phi[i][x]
-            if di == 0 or dj == 0:
-                y1 = f[j][vi]
-                y2 = f[i][vj]
-                if y1 is None or y2 is None or y1 != y2:
-                    report.violations.append(f"{label}: lowering square at {x} fails")
-                else:
-                    if di == 0 and eps[i][y1] != eps[i][vi]:
-                        report.violations.append(
-                            f"{label}: lowering square at {x} fails degree condition"
-                        )
-                    if dj == 0 and eps[j][y1] != eps[j][vj]:
-                        report.violations.append(
-                            f"{label}: lowering square at {x} fails degree condition"
-                        )
-            elif di == 1 and dj == 1:
-                y1 = _walk(f, vi, (j, j, i))
-                y2 = _walk(f, vj, (i, i, j))
-                if y1 is None or y2 is None or y1 != y2:
-                    report.violations.append(f"{label}: lowering braid relation at {x} fails")
-
+    hi = _check_direction(label, comp, pair, a, "e", graph.e, graph.eps, graph.phi, report)
+    lo = _check_direction(label, comp, pair, a, "f", graph.f, graph.phi, graph.eps, report)
+    if hi is None or lo is None:
+        return
     i, j = pair
-    sources = [x for x in comp if eps[i][x] == 0 and eps[j][x] == 0]
-    sinks = [x for x in comp if phi[i][x] == 0 and phi[j][x] == 0]
-    if len(sources) != 1:
-        report.violations.append(f"{label}: {len(sources)} sources, expected 1")
-    if len(sinks) != 1:
-        report.violations.append(f"{label}: {len(sinks)} sinks, expected 1")
-    if len(sources) == 1 and len(sinks) == 1:
-        hi, lo = sources[0], sinks[0]
-        wa, wb = phi[i][hi], phi[j][hi]
-        if a == 0:
-            expected = (wa + 1) * (wb + 1)
-            swap = (wa, wb)
-        else:
-            expected = (wa + 1) * (wb + 1) * (wa + wb + 2) // 2
-            swap = (wb, wa)
-        if len(comp) != expected:
-            report.violations.append(
-                f"{label}: size {len(comp)} differs from predicted {expected}"
-            )
-        if (eps[i][lo], eps[j][lo]) != swap:
-            report.violations.append(f"{label}: sink profile is not the source profile dual")
+    wa, wb = graph.phi[i][hi], graph.phi[j][hi]
+    if a == 0:
+        expected = (wa + 1) * (wb + 1)
+        swap = (wa, wb)
+    else:
+        expected = (wa + 1) * (wb + 1) * (wa + wb + 2) // 2
+        swap = (wb, wa)
+    if len(comp) != expected:
+        report.violations.append(f"{label}: size {len(comp)} differs from predicted {expected}")
+    if (graph.eps[i][lo], graph.eps[j][lo]) != swap:
+        report.violations.append(f"{label}: sink profile is not the source profile dual")
+
+
+def _check_direction(label, comp, pair, a, op, step, up, down, report):
+    """The raising axioms on one component, read through ``step``/``up``/``down``.
+
+    With ``op`` "e" and (e, eps, phi) these are the raising axioms; with
+    "f" and (f, phi, eps) they are the raising axioms of the dual crystal,
+    which are the lowering axioms.  Returns the unique vertex of the
+    component that both colors of ``step`` kill, or None if there is not
+    exactly one.
+    """
+    name, ends = ("raising", "sources") if op == "e" else ("lowering", "sinks")
+    allowed = {(0, 0)} if a == 0 else {(1, 0), (0, -1)}
+    bad = report.violations.append
+    i, j = pair
+    for x in comp:
+        for c, d in ((i, j), (j, i)):
+            u = step[c][x]
+            if u is not None:
+                delta = (up[d][u] - up[d][x], down[d][u] - down[d][x])
+                if delta not in allowed:
+                    delta = delta if op == "e" else delta[::-1]  # messages read (eps, phi)
+                    bad(f"{label}: {op}_{c} at {x} moves ({d})-stats by {delta}")
+        ui, uj = step[i][x], step[j][x]
+        if ui is None or uj is None:
+            continue
+        di = up[j][ui] - up[j][x]
+        dj = up[i][uj] - up[i][x]
+        if di == 0 or dj == 0:
+            y = step[j][ui]
+            if y is None or y != step[i][uj]:
+                bad(f"{label}: {name} square at {x} fails")
+            else:
+                for dc, c, v in ((di, i, ui), (dj, j, uj)):
+                    if dc == 0 and down[c][y] != down[c][v]:
+                        bad(f"{label}: {name} square at {x} fails degree condition")
+        elif di == 1 and dj == 1:
+            y = _walk(step, ui, (j, j, i))
+            if y is None or y != _walk(step, uj, (i, i, j)):
+                bad(f"{label}: {name} braid relation at {x} fails")
+    found = [x for x in comp if up[i][x] == 0 and up[j][x] == 0]
+    if len(found) != 1:
+        bad(f"{label}: {len(found)} {ends}, expected 1")
+        return None
+    return found[0]
 
 
 def _walk(step, start, colors):

@@ -86,6 +86,38 @@ def test_usage_error_exit_code():
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["energy", "{n2}"], "at least two patterns"),
+        (["energy", "{n2}", "{n3}"], "same rank n"),
+        (["rmatrix", "{n2}", "{n3}"], "same rank n"),
+        (["graph", "--factor", "2,1,1", "--factor", "3,1,1"], "same rank n"),
+        (["rmatrix", "{missing}", "{n2}"], "No such file"),
+        (["rmatrix", "{text}", "{n2}"], "Expecting value"),
+        (["gsp", "--weight", "1,-1,0", "--r", "1", "--len", "2"], "non-negative"),
+        (["perfect", "--n", "2", "--r", "3", "--s", "1"], "1 <= r <= n"),
+        (["enumerate", "--n", "2", "--r", "1", "--s", "1", "--out", "{nodir}"], "No such file"),
+        (["verify", "--suite", "regular", "--n", "1"], "requires n >= 2"),
+    ],
+)
+def test_input_error_exit_code(tmp_path, capsys, argv, fragment):
+    files = {
+        "n2": tmp_path / "n2.json",
+        "n3": tmp_path / "n3.json",
+        "missing": tmp_path / "missing.json",
+        "text": tmp_path / "text.json",
+        "nodir": tmp_path / "nodir" / "out.json",
+    }
+    files["n2"].write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]]}))
+    files["n3"].write_text(json.dumps({"n": 3, "r": 1, "s": 1, "rows": [[0], [1], [0]]}))
+    files["text"].write_text("not json")
+    code, out, err = run(capsys, [arg.format(**files) for arg in argv])
+    assert code == 2
+    assert fragment in err
+    assert out == ""
+
+
 def test_energy_oracle_is_capped(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"n": 6, "r": 3, "s": 3, "rows": [[0, 0, 0]] * 4}))
@@ -196,6 +228,7 @@ def test_non_integer_entries_are_rejected(tmp_path, capsys):
     for data, message in (
         ({"n": 2, "r": 1, "s": 1, "rows": [[0.7], [True]]}, "not an integer"),
         ({"n": 2, "r": 1, "s": 1}, "keys n, r, s and rows"),
+        ({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]], "extra": 1}, "keys n, r, s and rows"),
         ({"n": 2, "r": 1, "s": 1, "rows": [0, 0]}, "list of lists"),
         ([[0], [1]], "keys n, r, s and rows"),
     ):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -154,3 +156,92 @@ def test_regularity_rejects_a_pair_that_is_not_two_graph_colors():
 def test_regularity_rejects_empty_graph():
     with pytest.raises(KRError, match="at least one vertex"):
         is_regular_rank2(build_graph([], range(3)), (1, 2))
+
+
+# Negative controls: a corrupted graph swaps the l-targets of two vertices in
+# a copy of ``graph.f``.  f stays injective, so CrystalGraph accepts it.
+
+CORRUPTED_PAIRS = ((1, 2), (1, 3), (0, 1), (0, 2), (2, 3))
+
+VIOLATION_KINDS = {
+    "tangled string": r"color \d has a cyclic or tangled string$",
+    "e moves": r": e_\d at \d+ moves \(\d\)-stats by \(-?\d+, -?\d+\)$",
+    "f moves": r": f_\d at \d+ moves \(\d\)-stats by \(-?\d+, -?\d+\)$",
+    "raising square": r"raising square at \d+ fails$",
+    "raising degree": r"raising square at \d+ fails degree condition$",
+    "raising braid": r"raising braid relation at \d+ fails$",
+    "lowering square": r"lowering square at \d+ fails$",
+    "lowering degree": r"lowering square at \d+ fails degree condition$",
+    "lowering braid": r"lowering braid relation at \d+ fails$",
+    "sources": r": \d+ sources, expected 1$",
+    "sinks": r": \d+ sinks, expected 1$",
+    "size": r": size \d+ differs from predicted \d+$",
+    "profile dual": r": sink profile is not the source profile dual$",
+}
+
+MIRROR = {"raising": "lowering", "lowering": "raising", "sources": "sinks", "sinks": "sources",
+          "e_": "f_", "f_": "e_"}
+
+
+def corrupted_graphs(params_list, count, seed):
+    """``count`` seeded single-swap corruptions of each crystal's graph."""
+    for params in params_list:
+        graph = build_graph(enumerate_crystal(params), range(params.n + 1))
+        rng = random.Random(seed)
+        for _ in range(count):
+            color = rng.choice(graph.colors)
+            u, v = rng.sample(range(len(graph)), 2)
+            f = {l: list(graph.f[l]) for l in graph.colors}
+            f[color][u], f[color][v] = f[color][v], f[color][u]
+            yield CrystalGraph(graph.vertices, graph.colors, f)
+
+
+def mirrored(violation):
+    """The message the dual crystal (f and e exchanged) reports for ``violation``."""
+    words = r"raising|lowering|sources|sinks|\b[ef]_"
+    text = re.sub(words, lambda m: MIRROR[m.group()], violation)
+    return re.sub(r"by \((-?\d+), (-?\d+)\)$", r"by (\2, \1)", text)
+
+
+def test_corruptions_reach_every_violation_kind():
+    crystals = (KRParams(3, 2, 1), KRParams(3, 1, 2), KRParams(3, 2, 2))
+    reached = set()
+    for broken in corrupted_graphs(crystals, 300, seed=1):
+        for pair_ in CORRUPTED_PAIRS:
+            for violation in is_regular_rank2(broken, pair_).violations:
+                kinds = [k for k, pat in VIOLATION_KINDS.items() if re.search(pat, violation)]
+                assert len(kinds) == 1, violation
+                reached.add(kinds[0])
+    assert reached == set(VIOLATION_KINDS)
+
+
+def test_dual_crystal_reports_the_mirrored_violations():
+    # exchanging f and e exchanges eps and phi; the size and profile-dual
+    # checks are left out: both read the source's phi, which in the dual
+    # crystal is the sink's eps, so a corruption can change them
+    crystals = (KRParams(3, 2, 1), KRParams(3, 1, 2), KRParams(3, 2, 2), KRParams(4, 2, 1))
+    unmirrored = re.compile(VIOLATION_KINDS["size"] + "|" + VIOLATION_KINDS["profile dual"])
+    reported = 0
+    for broken in corrupted_graphs(crystals, 200, seed=2):
+        dual = CrystalGraph(broken.vertices, broken.colors, broken.e)
+        for pair_ in CORRUPTED_PAIRS:
+            report, dual_report = is_regular_rank2(broken, pair_), is_regular_rank2(dual, pair_)
+            assert dual_report.num_components == report.num_components
+            mine = sorted(mirrored(v) for v in report.violations if not unmirrored.search(v))
+            theirs = sorted(v for v in dual_report.violations if not unmirrored.search(v))
+            assert theirs == mine
+            reported += len(mine)
+    assert reported > 1000
+
+
+def test_violation_lists_of_seeded_corruptions_are_pinned():
+    crystals = (KRParams(3, 2, 1), KRParams(3, 1, 2), KRParams(3, 2, 2), KRParams(4, 2, 1),
+                KRParams(4, 1, 1))
+    records = []
+    for broken in corrupted_graphs(crystals, 150, seed=3):
+        for pair_ in CORRUPTED_PAIRS:
+            report = is_regular_rank2(broken, pair_)
+            records.append((report.ok, report.num_components, sorted(report.violations)))
+    assert sum(not ok for ok, _, _ in records) == 941
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == "2b437b074fa62bc0"

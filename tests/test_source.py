@@ -40,3 +40,24 @@ def test_library_imports_only_the_standard_library():
             ]
     assert sorted(SOURCE.glob("*.py"))
     assert not found, f"non-standard imports in krpoly: {', '.join(found)}"
+
+
+def test_module_level_caches_are_the_operator_memos():
+    # the string walker and the two operators are the only memos that live
+    # as long as the process; any other cache belongs to an object a caller owns
+    def cache_name(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Attribute):
+            return target.attr
+        return target.id if isinstance(target, ast.Name) else None
+
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+        ]
+    assert sorted(found) == ["patterns._e", "patterns._f", "patterns._string"]

@@ -1,4 +1,4 @@
-from krpoly import KRParams
+from krpoly import KRParams, highest_weight_elements, verify
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
 from conftest import cell, pair, pat
@@ -34,3 +34,13 @@ def test_run_all_suites_at_rank_one_skips_rank_two_axioms():
     checks = run_suite("all", 1, 1)
     assert checks and all(c.ok for c in checks)
     assert not any("regular" in c.name for c in checks)
+
+
+def test_energy_check_fails_on_a_formula_element_that_is_not_highest_weight(monkeypatch):
+    params = KRParams(1, 1, 1)
+    lowered = highest_weight_elements(params, params)[0].f(1)
+    assert lowered is not None
+    monkeypatch.setattr(verify, "highest_weight_elements", lambda p1, p2: iter([lowered]))
+    (check,) = verify.suite_energy(1, 1)
+    assert not check.ok
+    assert check.detail == f"formula element is not highest weight at {lowered}"
