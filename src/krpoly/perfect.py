@@ -7,17 +7,19 @@ is hit by exactly one epsilon-profile and one phi-profile.  For B^{r,l}
 the distinguished elements are written down directly: the element whose
 phi-profile equals a dominant weight reads the weight coefficients along
 anti-diagonals modulo n+1, the epsilon-side element reads them without
-wraparound.
+wraparound.  Connectivity of the tensor square is read off its classical
+highest weight elements when they certify it, and walked otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InconsistentRecursion, LevelMismatch, OracleFailure
+from .errors import InconsistentRecursion, LevelMismatch, OracleFailure, SizeLimitExceeded
 from .graph import closure
 from .patterns import KRPattern, KRParams, zero_pattern
-from .table import product_table
+from .rmatrix import highest_weight_elements
+from .table import PairTable, crystal_graph
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,8 @@ class PerfectReport:
     phi_profiles_bijective: bool = False
     formulas_match_search: bool = False
     violations: list = field(default_factory=list)
+    # "certificate" or "closure": how tensor_square_connected was decided
+    connectivity_route: str = None
 
     @property
     def ok(self):
@@ -174,30 +178,32 @@ class PerfectReport:
 def check_perfect(params, max_size=200_000):
     """Verify the five perfectness conditions for B^{r,s} at level s.
 
-    The tensor square is walked on id pairs (``table.product_table``); a
-    square of more than ``max_size`` elements raises SizeLimitExceeded
-    before the walk.
+    B is enumerated under ``ENUMERATION_CAP``.  The tensor square is
+    connected when the highest weight certificate (``_certificate``) shows
+    it; otherwise it is walked on id pairs from 0 (x) 0, and a square of
+    more than ``max_size`` elements raises SizeLimitExceeded before that
+    walk.  A disconnected verdict thus always comes from the walk.
     """
     report = PerfectReport(params=params, level=params.s)
-    square_table = product_table(params, params, max_size)
-    table = square_table.left
+    table = crystal_graph(params)
+    square = PairTable(table, table)
     elements = table.vertices
     report.cardinality = len(elements)
     report.finite = True
 
-    zero = table.index[zero_pattern(params)]
-    square = closure(
-        [(zero, zero)],
-        range(params.n + 1),
-        square_table.f,
-        square_table.e,
-        max_size=max_size,
-    )
-    report.tensor_square_connected = len(square) == len(square_table)
+    if _certificate(square, params):
+        report.connectivity_route = "certificate"
+        reached = len(square)
+    else:
+        report.connectivity_route = "closure"
+        if max_size is not None and len(square) > max_size:
+            raise SizeLimitExceeded(f"tensor square has {len(square)} > {max_size} elements")
+        zero = table.index[zero_pattern(params)]
+        colors = range(params.n + 1)
+        reached = len(closure([(zero, zero)], colors, square.f, square.e, max_size=max_size))
+    report.tensor_square_connected = reached == len(square)
     if not report.tensor_square_connected:
-        report.violations.append(
-            f"tensor square reaches {len(square)} of {len(square_table)} elements"
-        )
+        report.violations.append(f"tensor square reaches {reached} of {len(square)} elements")
 
     report.classical_weights_dominated, report.top_weight_unique = _weight_cone(
         elements, params, report
@@ -234,6 +240,79 @@ def check_perfect(params, max_size=200_000):
             report.violations.append(f"search and formula disagree on b^({weight.coeffs})")
     report.formulas_match_search = formula_ok
     return report
+
+
+def _certificate(square, params):
+    """True when the classical highest weight elements show B (x) B connected.
+
+    H, the id pairs of ``highest_weight_elements(params, params)``, is
+    taken as the list of classical components only if its elements are
+    distinct and classical highest weight and their Weyl dimensions sum to
+    |B (x) B|.  Classical edges connect each component, so B (x) B is
+    connected when joining each element of H to the highest weight
+    elements of its f_0 and e_0 images leaves one class.  False means
+    undecided: a failed guard, an image raised outside H, or several
+    classes.
+    """
+    hw = [square.id_of(x) for x in highest_weight_elements(params, params)]
+    if len(set(hw)) != len(hw) or not all(square.is_classical_hw(x) for x in hw):
+        return False
+    if sum(weyl_dimension(square.classical_weight(x)) for x in hw) != len(square):
+        return False
+    root = {x: x for x in hw}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    classes = len(hw)
+    for x, y in _affine_edges(square, hw):
+        if y not in root:
+            return False
+        a, b = find(x), find(y)
+        if a != b:
+            root[a] = b
+            classes -= 1
+    return classes == 1
+
+
+def _affine_edges(square, hw):
+    """(x, the highest weight element of op_0(x)) for op in f, e and x in hw."""
+    for x in hw:
+        for op in (square.f, square.e):
+            y = op(x, 0)
+            if y is not None:
+                yield x, _raise_ids(square, y)
+
+
+def _raise_ids(square, x):
+    """The classical highest weight element of the id pair x."""
+    raised = True
+    while raised:
+        raised = False
+        for l in range(1, square.n + 1):
+            while (y := square.e(x, l)) is not None:
+                x, raised = y, True
+    return x
+
+
+def weyl_dimension(weight):
+    """Dimension of the irreducible sl_{n+1} module of highest weight sum m_i Lambda_i.
+
+    ``weight`` is (m_1, ..., m_n); the Weyl product
+    prod_{i<j} (m_i + ... + m_{j-1} + j - i) / (j - i) over
+    1 <= i < j <= n+1 is taken in integers.
+    """
+    num = den = 1
+    n = len(weight)
+    for i in range(n):
+        partial = 0
+        for j in range(i + 1, n + 1):
+            partial += weight[j - 1]
+            num *= partial + j - i
+            den *= j - i
+    return num // den
 
 
 def _weight_cone(elements, params, report):

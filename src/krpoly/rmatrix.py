@@ -11,6 +11,7 @@ by transport to the highest weight representative.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotHighestWeight, OracleFailure
@@ -105,10 +106,10 @@ def to_highest_weight(x):
     """Raise x to its classical highest weight element; returns (hw, word).
 
     Each pass raises along whole strings, e_l^{eps_l} for l = 1..n in
-    turn; passes repeat until no classical e_l applies.  The word lists
-    the colors of the single steps in the order applied.  Its length and
-    color multiset are fixed by the weight difference to hw, whatever the
-    schedule.
+    turn, each string in one move; passes repeat until no classical e_l
+    applies.  The word lists the colors of the single steps in the order
+    applied.  Its length and color multiset are fixed by the weight
+    difference to hw, whatever the schedule.
     """
     word = []
     raised = True
@@ -116,9 +117,8 @@ def to_highest_weight(x):
         raised = False
         for l in range(1, x.n + 1):
             k = x.eps(l)
-            for _ in range(k):
-                x = x.e(l)
             if k:
+                x = x._string_move(l, k, raising=True)
                 word.extend([l] * k)
                 raised = True
     return x, tuple(word)
@@ -128,11 +128,11 @@ def rmatrix_from_hw(hw, word):
     """R-matrix image of the element that ``to_highest_weight`` raised to hw.
 
     Maps hw by ``rmatrix_on_hw`` and lowers the image back along the
-    reversed transport word.
+    reversed transport word, each run of one color in one move.
     """
     y = rmatrix_on_hw(hw)
-    for l in reversed(word):
-        y = y.f(l)
+    for l, run in itertools.groupby(reversed(word)):
+        y = y._string_move(l, sum(1 for _ in run), raising=False)
         if y is None:
             raise OracleFailure(f"transport word failed on the image side at f_{l}")
     return y

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .graph import CrystalGraph
-from .patterns import ENUMERATION_CAP
+from .patterns import ENUMERATION_CAP, enumerate_crystal
 from .tensor import TensorElement, factor_crystals
 
 
@@ -98,6 +98,15 @@ class PairTable:
         return self.left.index[first], self.right.index[second]
 
 
+def crystal_graph(params, max_size=ENUMERATION_CAP):
+    """B^{r,s} as the CrystalGraph over colors 0..n.
+
+    A crystal larger than ``max_size`` raises SizeLimitExceeded while it
+    is enumerated.
+    """
+    return _fill(params, enumerate_crystal(params, max_size))
+
+
 def product_table(params1, params2, max_size=ENUMERATION_CAP):
     """B1 (x) B2 as a PairTable; equal factors share one CrystalGraph.
 
@@ -105,7 +114,10 @@ def product_table(params1, params2, max_size=ENUMERATION_CAP):
     factors are enumerated, before any graph is filled.
     """
     first, second = factor_crystals((params1, params2), max_size)
-    f = lambda b, l: b.f(l)
-    left = CrystalGraph(first, range(params1.n + 1), f)
-    right = left if params2 == params1 else CrystalGraph(second, range(params2.n + 1), f)
+    left = _fill(params1, first)
+    right = left if params2 == params1 else _fill(params2, second)
     return PairTable(left, right)
+
+
+def _fill(params, elements):
+    return CrystalGraph(elements, range(params.n + 1), lambda b, l: b.f(l))

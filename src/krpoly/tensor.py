@@ -118,6 +118,33 @@ class TensorElement:
             return None
         return TensorElement._trusted(self.factors[:m] + (y,) + self.factors[m + 1 :])
 
+    def _string_move(self, l, k, raising):
+        """e_l^k (``raising``) or f_l^k in one move; None past the l-string.
+
+        Walking right to left, factor m splits the k steps with its left
+        prefix P by the tensor rule: e_l acts on P while eps_l(P) >
+        phi_l(b_m), so the first max(0, eps_l(P) - phi_l(b_m)) raises go
+        left; f_l acts on b_m while phi_l(b_m) > eps_l(P), so the first
+        max(0, phi_l(b_m) - eps_l(P)) lowerings stay on b_m.
+        """
+        prefix = self._prefix_eps(l)
+        factors = list(self.factors)
+        for m in range(len(factors) - 1, -1, -1):
+            b = factors[m]
+            left = 0
+            if m:
+                gap = prefix[m - 1] - b.phi(l)
+                left = min(k, max(0, gap)) if raising else k - min(k, max(0, -gap))
+            for _ in range(k - left):
+                b = b.e(l) if raising else b.f(l)
+                if b is None:
+                    return None
+            factors[m] = b
+            k = left
+            if not k:
+                break
+        return TensorElement._trusted(tuple(factors))
+
     def to_dict(self):
         return {"factors": [b.to_dict() for b in self.factors]}
 

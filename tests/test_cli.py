@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from krpoly import cli, local_energy
+from krpoly import cli, local_energy, perfect
 from krpoly.cli import main
 
 
@@ -127,11 +127,24 @@ def test_energy_oracle_is_capped(tmp_path, capsys):
     assert out == ""
 
 
-def test_perfect_is_capped(capsys):
+def test_perfect_is_capped(capsys, monkeypatch):
+    # without the highest weight certificate the square walk is capped:
+    # |B^{3,2}| = 490 at n=6, so the square has 240,100 > 200,000 elements
+    complete = perfect.highest_weight_elements
+    monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[1:])
     code, out, err = run(capsys, ["perfect", "--n", "6", "--r", "3", "--s", "2"])
     assert code == 3
     assert "size cap" in err
     assert out == ""
+
+
+def test_perfect_past_the_square_cap(capsys):
+    # the certificate decides connectivity, so no square walk is capped
+    code, out, _ = run(capsys, ["perfect", "--n", "6", "--r", "3", "--s", "2"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["perfect"] is True
+    assert data["cardinality"] == 490
 
 
 def test_rmatrix_subcommand(tmp_path, capsys):

@@ -212,8 +212,24 @@ def test_oversized_square_is_refused_before_the_walk(monkeypatch):
         raise AssertionError("the tensor square was walked")
 
     monkeypatch.setattr(perfect, "closure", walk)
-    # |B^{3,2}| = 490 at n=6, so the square has 240,100 > 200,000 elements
+    # |B^{3,2}| = 490 at n=6: the certificate needs no walk of the
+    # 240,100 > 200,000 square elements
+    report = check_perfect(KRParams(6, 3, 2))
+    assert report.ok and report.connectivity_route == "certificate"
+    # with one highest weight element missing the dimension guard fails,
+    # and the fallback walk is refused before it starts
+    complete = perfect.highest_weight_elements
+    monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[1:])
     with pytest.raises(SizeLimitExceeded):
         check_perfect(KRParams(6, 3, 2))
     with pytest.raises(SizeLimitExceeded):
         check_perfect(KRParams(2, 1, 2), max_size=35)
+
+
+def test_weyl_dimension_counts_each_kr_crystal():
+    # B^{r,s} is classically irreducible of highest weight s Lambda_r
+    for params in all_params(4, 3):
+        weight = tuple(params.s if l == params.r else 0 for l in range(1, params.n + 1))
+        assert perfect.weyl_dimension(weight) == len(enumerate_crystal(params))
+    assert perfect.weyl_dimension((1, 1)) == 8  # adjoint of sl_3
+    assert perfect.weyl_dimension((0, 0, 0)) == 1

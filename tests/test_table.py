@@ -6,6 +6,7 @@ both oracles and the tensor-square closure are checked against them on
 the desk sweep.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -14,6 +15,7 @@ from krpoly import (
     KRParams,
     InconsistentRecursion,
     OracleFailure,
+    SizeLimitExceeded,
     TensorElement,
     check_perfect,
     enumerate_crystal,
@@ -22,6 +24,7 @@ from krpoly import (
     rmatrix_oracle,
     zero_pattern,
 )
+from krpoly import perfect
 from krpoly.graph import build_graph, closure
 from krpoly.table import PairTable, product_table
 
@@ -155,6 +158,46 @@ def test_oracles_and_square_closure_match_tensor_element_walks():
         )
         assert [square.element(x) for x in got] == expected
         assert check_perfect(params).tensor_square_connected
+
+
+def test_certificate_agrees_with_the_closure_on_the_desk_sweep():
+    checked = 0
+    for n in range(1, 6):
+        for params in all_params(n, 3):
+            try:
+                square = product_table(params, params, max_size=200_000)
+            except SizeLimitExceeded:
+                continue
+            zero = square.left.index[zero_pattern(params)]
+            walked = closure([(zero, zero)], range(n + 1), square.f, square.e, max_size=None)
+            assert perfect._certificate(square, params) == (len(walked) == len(square))
+            checked += 1
+    assert checked == 42
+
+
+def test_a_failed_certificate_falls_back_to_the_closure(monkeypatch):
+    complete = perfect.highest_weight_elements
+    for params in SWEEP:
+        expected = check_perfect(params)
+        assert expected.connectivity_route == "certificate"
+        square = product_table(params, params)
+        hw = [square.id_of(x) for x in complete(params, params)]
+        assert len(hw) > 1
+        truncated = hw[:-1]
+        dims = sum(perfect.weyl_dimension(square.classical_weight(x)) for x in truncated)
+        assert dims < len(square)
+        with monkeypatch.context() as patch:
+            patch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[:-1])
+            assert not perfect._certificate(square, params)
+            missing = check_perfect(params)
+        with monkeypatch.context() as patch:
+            # no f_0/e_0 union edges: every element of H stays its own class
+            patch.setattr(perfect, "_affine_edges", lambda square, hw: iter(()))
+            assert not perfect._certificate(square, params)
+            unjoined = check_perfect(params)
+        for report in (missing, unjoined):
+            assert report.connectivity_route == "closure"
+            assert dataclasses.replace(report, connectivity_route="certificate") == expected
 
 
 def test_mixed_ranks_are_rejected():
