@@ -14,7 +14,7 @@ import sys
 from .energy import global_energy, local_energy, local_energy_oracle
 from .errors import KRError, SizeLimitExceeded
 from .graph import build_graph
-from .patterns import ENUMERATION_CAP, KRParams, enumerate_crystal, pattern_from_dict
+from .patterns import ENUMERATION_CAP, KRParams, KRPattern, enumerate_crystal, pattern_from_dict
 from .perfect import DominantWeight, check_perfect, ground_state_path
 from .rmatrix import rmatrix
 from .tensor import TensorElement, product_elements
@@ -117,16 +117,82 @@ def _build_parser():
     return parser
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write the text chunks to the file ``out``, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=2) + "\n"
+def _json_chunks(payload):
+    """``json.dumps(payload, indent=2, default=to_dict) + "\\n"``, in chunks.
+
+    A top-level list, and each list under a top-level key, comes one chunk
+    per item.  Patterns and tensor elements (whose entries are ints, as in
+    every validated pattern) and tuples of ints print as
+    ``template % entries``, the template made once per shape and depth
+    from the element's own ``to_dict`` encoding with a placeholder in
+    every entry, so ``to_dict`` alone defines the layout.  Any other value
+    prints through ``json.dumps`` re-indented to its depth, which is exact
+    because JSON strings hold no raw newline.
+    """
+    hole = json.dumps("\0")
+    templates = {}
+
+    def dumps(value, depth):
+        text = json.dumps(value, indent=2, default=lambda o: o.to_dict())
+        return text.replace("\n", "\n" + "  " * depth)
+
+    def encode(value, depth):
+        if isinstance(value, KRPattern):
+            shape, entries = value.params, value.entries_flat()
+        elif isinstance(value, TensorElement):
+            shape = tuple(b.params for b in value.factors)
+            entries = tuple(x for b in value.factors for row in b.rows for x in row)
+        elif type(value) is tuple and all(type(x) is int for x in value):
+            shape, entries = len(value), value
+        else:
+            return dumps(value, depth)
+        template = templates.get((shape, depth))
+        if template is None:
+            text = dumps(_hollow(value), depth).replace("%", "%%").replace(hole, "%s")
+            template = templates[shape, depth] = text
+        return template % entries
+
+    def items(values, depth):
+        pad = "\n" + "  " * (depth + 1)
+        sep = "[" + pad
+        for value in values:
+            yield sep + encode(value, depth + 1)
+            sep = "," + pad
+        yield "\n" + "  " * depth + "]"
+
+    if isinstance(payload, (list, tuple)) and payload:
+        yield from items(payload, 0)
+    elif isinstance(payload, dict) and payload and all(isinstance(k, str) for k in payload):
+        sep = "{\n  "
+        for key, value in payload.items():
+            yield sep + json.dumps(key) + ": "
+            if isinstance(value, (list, tuple)) and value:
+                yield from items(value, 1)
+            else:
+                yield encode(value, 1)
+            sep = ",\n  "
+        yield "\n}"
+    else:
+        yield encode(payload, 0)
+    yield "\n"
+
+
+def _hollow(value):
+    """``value`` with the placeholder "\\0" in place of every entry."""
+    if isinstance(value, KRPattern):
+        return KRPattern(value.params, tuple(("\0",) * len(row) for row in value.rows))
+    if isinstance(value, TensorElement):
+        return TensorElement(tuple(map(_hollow, value.factors)))
+    return ("\0",) * len(value)
 
 
 def _load_pattern(path):
@@ -137,7 +203,7 @@ def _load_pattern(path):
 def _cmd_enumerate(args):
     params = KRParams(args.n, args.r, args.s)
     elements = enumerate_crystal(params, args.max_elements)
-    _emit(_json_text([b.to_dict() for b in elements]), args.out)
+    _emit(_json_chunks(elements), args.out)
     return 0
 
 
@@ -160,9 +226,9 @@ def _cmd_graph(args):
         elements = product_elements(factor_params, cap)
     graph = build_graph(elements, range(factor_params[0].n + 1), max_size=cap)
     if args.format == "dot":
-        _emit(graph.to_dot(), args.out)
+        _emit((graph.to_dot(),), args.out)
     else:
-        _emit(_json_text(graph.to_json_dict()), args.out)
+        _emit(_json_chunks({"vertices": graph.vertices, "edges": graph.edges}), args.out)
     return 0
 
 
@@ -170,7 +236,7 @@ def _cmd_rmatrix(args):
     left = _load_pattern(args.left)
     right = _load_pattern(args.right)
     image = rmatrix(TensorElement((left, right)))
-    _emit(_json_text(image.to_dict()), args.out)
+    _emit(_json_chunks(image), args.out)
     return 0
 
 
@@ -191,7 +257,7 @@ def _cmd_energy(args):
         result["oracle"] = _oracle_energy(x)
     if mode == "both":
         result["agree"] = result["closed_form"] == result["oracle"]
-    _emit(_json_text(result), args.out)
+    _emit(_json_chunks(result), args.out)
     return 0
 
 
@@ -231,7 +297,7 @@ def _cmd_perfect(args):
         "perfect": report.ok,
         "violations": report.violations,
     }
-    _emit(_json_text(payload), args.out)
+    _emit(_json_chunks(payload), args.out)
     return 0
 
 
@@ -239,7 +305,7 @@ def _cmd_gsp(args):
     weight = DominantWeight(args.weight)
     params = KRParams(len(args.weight) - 1, args.r, weight.level)
     path = ground_state_path(weight, params, args.length)
-    _emit(_json_text([b.to_dict() for b in path.elements]), args.out)
+    _emit(_json_chunks(path.elements), args.out)
     return 0
 
 

@@ -28,6 +28,29 @@ from .errors import (
 ENUMERATION_CAP = 1_000_000
 
 
+def weyl_dimension(weight):
+    """Dimension of the irreducible sl_{n+1} module of highest weight sum m_i Lambda_i.
+
+    ``weight`` is (m_1, ..., m_n); the Weyl product
+    prod_{i<j} (m_i + ... + m_{j-1} + j - i) / (j - i) over
+    1 <= i < j <= n+1 is taken in integers.
+    """
+    num = den = 1
+    n = len(weight)
+    for i in range(n):
+        partial = 0
+        for j in range(i + 1, n + 1):
+            partial += weight[j - 1]
+            num *= partial + j - i
+            den *= j - i
+    return num // den
+
+
+def crystal_size(params):
+    """|B^{r,s}| without enumerating it: the Weyl dimension of s Lambda_r."""
+    return weyl_dimension(tuple(params.s * (l == params.r) for l in range(1, params.n + 1)))
+
+
 @dataclass(frozen=True)
 class KRParams:
     """Crystal parameters: rank n of A_n^(1), classical node r, level s."""
@@ -122,20 +145,21 @@ class KRPattern:
     # -- weights ---------------------------------------------------------
 
     def classical_weight(self):
-        """Coefficients of the weight on the fundamental weights 1..n."""
+        """Coefficients of the weight on the fundamental weights 1..n.
+
+        Cell (p, q) holds the root alpha_p + ... + alpha_q, which pairs
+        -1 with coroots p-1 and q+1 and 1 with coroots p and q (2 when
+        p = q), so coefficient l is s*[l = r] - C_l - R_l + C_{l+1} +
+        R_{l-1} in the column sums C_p and row sums R_q (zero off the grid).
+        """
         pr = self.params
-        coeffs = [0] * (pr.n + 1)  # 1-indexed
-        coeffs[pr.r] = pr.s
-        for q in range(pr.r, pr.n + 1):
-            for p in range(1, pr.r + 1):
-                x = self.a(p, q)
-                if x == 0:
-                    continue
-                # <alpha_{p..q}, coroot_l> = 2*[p<=l<=q] - [p<=l-1<=q] - [p<=l+1<=q]
-                for l in range(max(1, p - 1), min(pr.n, q + 1) + 1):
-                    pairing = 2 * (p <= l <= q) - (p <= l - 1 <= q) - (p <= l + 1 <= q)
-                    coeffs[l] -= x * pairing
-        return tuple(coeffs[1 : pr.n + 1])
+        rows = self.rows
+        cols = [0, *map(sum, zip(*rows))] + [0] * (pr.n + 1 - pr.r)
+        sums = [0] * pr.r + [sum(row) for row in rows] + [0]
+        return tuple(
+            pr.s * (l == pr.r) - cols[l] - sums[l] + cols[l + 1] + sums[l - 1]
+            for l in range(1, pr.n + 1)
+        )
 
     def affine_weight(self):
         """The level-zero affine weight (pairing with coroot 0 balances)."""
@@ -252,8 +276,14 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
     """All elements of B^{r,s}, in lexicographic order of flattened rows.
 
     Cells are filled row-major; partial grids whose max-path DP already
-    exceeds s are pruned, so only valid patterns are materialized.
+    exceeds s are pruned, so only valid patterns are materialized.  A
+    crystal larger than ``max_size`` (None: no cap) raises
+    SizeLimitExceeded before any pattern is built.
     """
+    if max_size is not None and crystal_size(params) > max_size:
+        raise SizeLimitExceeded(
+            f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
+        )
     nrows, ncols = params.num_rows, params.num_cols
     rows = [[0] * ncols for _ in range(nrows)]
     ms = [[0] * ncols for _ in range(nrows)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import InconsistentRecursion, LevelMismatch, OracleFailure, SizeLimitExceeded
 from .graph import closure
-from .patterns import KRPattern, KRParams, zero_pattern
+from .patterns import KRPattern, KRParams, weyl_dimension, zero_pattern
 from .rmatrix import highest_weight_elements
 from .table import PairTable, crystal_graph
 
@@ -295,24 +295,6 @@ def _raise_ids(square, x):
             while (y := square.e(x, l)) is not None:
                 x, raised = y, True
     return x
-
-
-def weyl_dimension(weight):
-    """Dimension of the irreducible sl_{n+1} module of highest weight sum m_i Lambda_i.
-
-    ``weight`` is (m_1, ..., m_n); the Weyl product
-    prod_{i<j} (m_i + ... + m_{j-1} + j - i) / (j - i) over
-    1 <= i < j <= n+1 is taken in integers.
-    """
-    num = den = 1
-    n = len(weight)
-    for i in range(n):
-        partial = 0
-        for j in range(i + 1, n + 1):
-            partial += weight[j - 1]
-            num *= partial + j - i
-            den *= j - i
-    return num // den
 
 
 def _weight_cone(elements, params, report):

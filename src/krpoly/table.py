@@ -101,7 +101,7 @@ class PairTable:
 def crystal_graph(params, max_size=ENUMERATION_CAP):
     """B^{r,s} as the CrystalGraph over colors 0..n.
 
-    A crystal larger than ``max_size`` raises SizeLimitExceeded while it
+    A crystal larger than ``max_size`` raises SizeLimitExceeded before it
     is enumerated.
     """
     return _fill(params, enumerate_crystal(params, max_size))
@@ -110,8 +110,8 @@ def crystal_graph(params, max_size=ENUMERATION_CAP):
 def product_table(params1, params2, max_size=ENUMERATION_CAP):
     """B1 (x) B2 as a PairTable; equal factors share one CrystalGraph.
 
-    A product larger than ``max_size`` raises SizeLimitExceeded once the
-    factors are enumerated, before any graph is filled.
+    A product larger than ``max_size`` raises SizeLimitExceeded before the
+    factors are enumerated.
     """
     first, second = factor_crystals((params1, params2), max_size)
     left = _fill(params1, first)

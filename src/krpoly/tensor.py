@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded
-from .patterns import ENUMERATION_CAP, enumerate_crystal, pattern_from_dict
+from .patterns import ENUMERATION_CAP, crystal_size, enumerate_crystal, pattern_from_dict
 
 
 @dataclass(frozen=True)
@@ -166,18 +166,17 @@ def is_classical_hw(x):
 def factor_crystals(params_list, max_size=ENUMERATION_CAP):
     """The crystal of each factor, equal factors enumerated once.
 
-    A product larger than ``max_size`` raises SizeLimitExceeded before
-    anything else is built on the factors.
+    A product larger than ``max_size`` raises SizeLimitExceeded before any
+    factor is enumerated: its size is the product of the Weyl dimensions.
     """
+    size = math.prod(crystal_size(params) for params in params_list)
+    if max_size is not None and size > max_size:
+        raise SizeLimitExceeded(f"product of {len(params_list)} crystals has {size} > {max_size}")
     enumerated = {}
     for params in params_list:
         if params not in enumerated:
             enumerated[params] = enumerate_crystal(params, max_size)
-    crystals = [enumerated[params] for params in params_list]
-    size = math.prod(len(crystal) for crystal in crystals)
-    if max_size is not None and size > max_size:
-        raise SizeLimitExceeded(f"product of {len(crystals)} crystals has {size} > {max_size}")
-    return crystals
+    return [enumerated[params] for params in params_list]
 
 
 def product_elements(params_list, max_size=ENUMERATION_CAP):

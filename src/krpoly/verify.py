@@ -12,7 +12,7 @@ from .energy import intermediate_sequence, local_energy, local_energy_hw, local_
 from .errors import KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import psi_crystal, psi_embedding
-from .patterns import KRParams, enumerate_crystal, pivot
+from .patterns import KRParams, crystal_size, enumerate_crystal, pivot
 from .perfect import check_perfect, dominant_weights, eps_profile, ground_state_path
 from .regularity import is_regular_rank2
 from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle
@@ -403,7 +403,7 @@ def _path_failures(params):
 
 
 def suite_cardinality(n, max_s):
-    """Crystal sizes against the semistandard-tableau count."""
+    """Crystal sizes against the semistandard-tableau count and the Weyl dimension."""
     return [
         _check(_name("cardinality", n, p), lambda: _cardinality_failures(p))
         for p in _all_params(n, max_s)
@@ -413,7 +413,10 @@ def suite_cardinality(n, max_s):
 def _cardinality_failures(params):
     got = len(enumerate_crystal(params))
     want = count_rect_ssyt(params.r, params.s, params.n + 1)
-    return [] if got == want else [f"enumerated {got}, tableau count {want}"]
+    weyl = crystal_size(params)
+    if got == want == weyl:
+        return []
+    return [f"enumerated {got}, tableau count {want}, Weyl dimension {weyl}"]
 
 
 SUITES = {

@@ -1,9 +1,27 @@
 import json
+import random
 
 import pytest
 
-from krpoly import cli, local_energy, perfect
+from krpoly import (
+    DominantWeight,
+    KRParams,
+    TensorElement,
+    build_graph,
+    check_perfect,
+    cli,
+    enumerate_crystal,
+    ground_state_path,
+    local_energy,
+    local_energy_oracle,
+    pattern_from_dict,
+    perfect,
+    product_elements,
+    rmatrix,
+)
 from krpoly.cli import main
+
+from conftest import all_params, random_element, random_pattern
 
 
 def run(capsys, argv):
@@ -276,3 +294,203 @@ def test_a_failing_oracle_fails_its_check(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "--suite", "energy", "--n", "1", "--max-s", "1"])
     assert code == 3
     assert "forced cap" in err
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+WRITER_SHAPES = (KRParams(1, 1, 2), KRParams(2, 1, 1), KRParams(3, 2, 2), KRParams(4, 2, 1))
+
+
+def reference_json(payload):
+    return json.dumps(payload, indent=2, default=lambda o: o.to_dict()) + "\n"
+
+
+def random_payload(rng, depth):
+    """A nested JSON value holding patterns, tensor elements and edge-like tuples."""
+    if depth < 4 and rng.random() < 0.6:
+        size = rng.choice((0, 1, 2, 4))
+        kind = rng.choice(("list", "tuple", "dict", "dict"))
+        values = [random_payload(rng, depth + 1) for _ in range(size)]
+        if kind == "list":
+            return values
+        if kind == "tuple":
+            return tuple(values)
+        keys = [rng.choice(("a", "%s", 'q"', "b\\\\", "\n", "é", "日本", "\0")) + str(i)
+                for i in range(size)]
+        if rng.random() < 0.2:
+            keys = list(range(size))
+        return dict(zip(keys, values))
+    pick = rng.randrange(9)
+    if pick == 0:
+        return rng.choice((0, -1, 7, -(10**30), 10**40))
+    if pick == 1:
+        return rng.choice((True, False, None, 0.5))
+    if pick == 2:
+        alphabet = 'ab"\\%\n\t\0é日本'
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if pick == 3:
+        return tuple(rng.randrange(-3, 9) for _ in range(rng.randrange(4)))
+    if pick == 4:
+        return (rng.randrange(5), True, None)
+    if pick in (5, 6):
+        return random_pattern(rng, rng.choice(WRITER_SHAPES))
+    return random_element(rng, all_params(rng.choice((2, 3)), 2), rng.randrange(1, 4))
+
+
+def test_writer_matches_json_dumps_on_nested_payloads():
+    rng = random.Random(20261018)
+    for _ in range(600):
+        payload = random_payload(rng, 0)
+        assert "".join(cli._json_chunks(payload)) == reference_json(payload), payload
+
+
+def test_writer_prints_mixed_elements_at_every_depth():
+    # several shapes side by side, each of its own template at each depth
+    rng = random.Random(7)
+    elements = [random_pattern(rng, shape) for shape in (*WRITER_SHAPES, *all_params(3, 2))]
+    head = random_pattern(rng, KRParams(3, 2, 2))
+    for size in range(3):
+        elements.append(TensorElement((head, *random_element(rng, all_params(3, 2), size + 1).factors)))
+    elements += [(0, 1, 2), (3, 0, 10**20), (), (4, 5), (6, 7, 8)]
+    for x in elements:
+        for payload in (x, [x, x], {"k": [x], "%s": x}, [{"v": [x, x]}], {"k": [[x]]}):
+            assert "".join(cli._json_chunks(payload)) == reference_json(payload)
+    for payload in (
+        elements,
+        {"a": elements, "b": [elements, {"c": elements}], "d": elements[3]},
+        [[elements, {"c": elements}]],
+    ):
+        assert "".join(cli._json_chunks(payload)) == reference_json(payload)
+
+
+def test_writer_streams_one_chunk_per_item():
+    elements = enumerate_crystal(KRParams(3, 2, 1))
+    assert len(list(cli._json_chunks(elements))) == len(elements) + 2
+    graph = build_graph(elements, range(4))
+    payload = {"vertices": graph.vertices, "edges": graph.edges}
+    chunks = list(cli._json_chunks(payload))
+    assert len(chunks) == 2 * 2 + len(graph.vertices) + len(graph.edges) + 2
+    assert "".join(chunks) == json.dumps(graph.to_json_dict(), indent=2) + "\n"
+
+
+def cli_cases(tmp_path):
+    """(argv, payload rebuilt in-process) for every JSON subcommand."""
+    left = pattern_from_dict({"n": 3, "r": 2, "s": 2, "rows": [[0, 1], [1, 0]]})
+    right = pattern_from_dict({"n": 3, "r": 1, "s": 3, "rows": [[1], [0], [2]]})
+    files = []
+    for i, b in enumerate((left, right)):
+        path = tmp_path / f"p{i}.json"
+        path.write_text(json.dumps(b.to_dict()))
+        files.append(str(path))
+    pair = TensorElement((left, right))
+    small = KRParams(3, 2, 2)
+    params = KRParams(3, 2, 2)
+    report = check_perfect(params)
+    conditions = (
+        "finite",
+        "tensor_square_connected",
+        "classical_weights_dominated",
+        "top_weight_unique",
+        "profile_level_ok",
+        "eps_profiles_bijective",
+        "phi_profiles_bijective",
+        "formulas_match_search",
+    )
+    perfect_payload = {
+        "params": {"n": params.n, "r": params.r, "s": params.s},
+        "level": report.level,
+        "cardinality": report.cardinality,
+        "conditions": {name: getattr(report, name) for name in conditions},
+        "min_profile_level": report.min_profile_level,
+        "perfect": report.ok,
+        "violations": report.violations,
+    }
+    factors = [KRParams(3, 2, 2), KRParams(3, 1, 2), KRParams(3, 3, 1)]
+    gsp = ground_state_path(DominantWeight((1, 0, 2, 0)), KRParams(3, 3, 3), 8)
+    oracle = local_energy_oracle(left.params, right.params)[pair]
+    return [
+        (
+            ["enumerate", "--n", "4", "--r", "2", "--s", "2"],
+            [b.to_dict() for b in enumerate_crystal(KRParams(4, 2, 2))],
+        ),
+        (
+            ["graph", "--n", "3", "--r", "2", "--s", "2", "--format", "json"],
+            build_graph(enumerate_crystal(small), range(4)).to_json_dict(),
+        ),
+        (
+            ["graph", *(f"--factor={p.n},{p.r},{p.s}" for p in factors), "--format", "json"],
+            build_graph(product_elements(factors), range(4)).to_json_dict(),
+        ),
+        (
+            ["graph", "--n", "3", "--r", "2", "--s", "2", "--tensor", "3,1,1", "--format", "json"],
+            build_graph(product_elements([KRParams(3, 1, 1), small]), range(4)).to_json_dict(),
+        ),
+        (["rmatrix", *files], rmatrix(pair).to_dict()),
+        (
+            ["energy", *files, "--both"],
+            {"closed_form": local_energy(pair), "oracle": oracle, "agree": True},
+        ),
+        (["perfect", "--n", "3", "--r", "2", "--s", "2"], perfect_payload),
+        (
+            ["gsp", "--weight", "1,0,2,0", "--r", "3", "--len", "8"],
+            [b.to_dict() for b in gsp.elements],
+        ),
+    ]
+
+
+def test_json_subcommands_print_the_indented_payload(tmp_path, capsys):
+    for argv, payload in cli_cases(tmp_path):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(payload, indent=2) + "\n", argv
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    cases = cli_cases(tmp_path)
+    cases.append((["graph", "--n", "2", "--r", "1", "--s", "2", "--tensor", "2,2,1"], None))
+    for k, (argv, _) in enumerate(cases):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        target = tmp_path / f"out{k}.txt"
+        code, again, _ = run(capsys, [*argv, "--out", str(target)])
+        assert (code, again) == (0, "")
+        assert target.read_bytes() == out.encode("utf-8"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["enumerate", "--n", "3", "--r", "2", "--s", "2", "--max-elements", "19"], 3),
+        (["graph", "--n", "3", "--r", "2", "--s", "2", "--format", "json", "--max-elements", "5"], 3),
+        (["graph", "--factor", "3,2,2", "--factor", "3,2,2", "--max-elements", "399"], 3),
+        (["gsp", "--weight", "1,-1,0", "--r", "1", "--len", "2"], 2),
+        (["perfect", "--n", "2", "--r", "3", "--s", "1"], 2),
+        (["graph", "--factor", "2,1,1", "--factor", "3,1,1", "--format", "json"], 2),
+    ],
+)
+def test_failing_commands_print_nothing(tmp_path, capsys, argv, code):
+    target = tmp_path / "out.json"
+    got, out, err = run(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err
+    got, out, _ = run(capsys, [*argv, "--out", str(target)])
+    assert (got, out) == (code, "")
+    assert not target.exists()
+
+
+def test_oversized_crystals_exit_before_enumerating(capsys, monkeypatch):
+    from krpoly import patterns
+
+    def build(*args):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(patterns, "KRPattern", build)
+    # |B^{4,4}| = 1,646,568 at n=8 passes the cap of 1,000,000
+    for argv in (
+        ["perfect", "--n", "8", "--r", "4", "--s", "4"],
+        ["enumerate", "--n", "8", "--r", "4", "--s", "4"],
+        ["graph", "--factor", "6,3,3", "--factor", "6,3,3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "size cap" in err

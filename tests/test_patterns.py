@@ -14,6 +14,7 @@ from krpoly import (
     validate_pattern,
     zero_pattern,
 )
+from krpoly import patterns
 from krpoly.verify import count_rect_ssyt
 
 from conftest import all_params, pat, staircases
@@ -92,16 +93,33 @@ def test_enumerate_lexicographic_and_unique():
         assert len(set(flats)) == len(flats)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_crystal(KRParams(2, 1, 2), max_size=3)
+    assert len(enumerate_crystal(KRParams(2, 1, 2), max_size=None)) == 6
+    # the count inside the enumeration still refuses what the size misjudges
+    monkeypatch.setattr(patterns, "crystal_size", lambda params: 0)
     with pytest.raises(SizeLimitExceeded):
         enumerate_crystal(KRParams(2, 1, 2), max_size=3)
 
 
+def test_oversized_crystals_are_refused_before_any_pattern(monkeypatch):
+    def build(*args):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(patterns, "KRPattern", build)
+    # |B^{4,4}| = 1,646,568 at n=8
+    with pytest.raises(SizeLimitExceeded, match="exceeds cap 1000000"):
+        enumerate_crystal(KRParams(8, 4, 4))
+    with pytest.raises(SizeLimitExceeded, match="exceeds cap 19"):
+        enumerate_crystal(KRParams(3, 2, 2), max_size=19)
+
+
 def test_cardinality_matches_ssyt_count():
     for params in all_params(3, 2):
-        assert len(enumerate_crystal(params)) == count_rect_ssyt(
-            params.r, params.s, params.n + 1
-        )
+        size = len(enumerate_crystal(params))
+        assert size == count_rect_ssyt(params.r, params.s, params.n + 1)
+        assert size == patterns.crystal_size(params)
 
 
 def test_classical_weight_of_generator():
@@ -115,6 +133,24 @@ def test_classical_weight_examples():
     assert pat(1, 1, 3, [[1]]).classical_weight() == (1,)
     # n=2: w_1 - alpha_1 = -w_1 + w_2
     assert pat(2, 1, 1, [[1], [0]]).classical_weight() == (-1, 1)
+
+
+def test_classical_weight_from_line_sums_matches_the_root_sum():
+    # oracle: s Lambda_r minus a[p,q] times the root alpha_p + ... + alpha_q
+    # of every cell, paired with each coroot l
+    count = 0
+    for n in range(1, 7):
+        for params in all_params(n, 2):
+            for b in enumerate_crystal(params):
+                coeffs = [params.s * (l == params.r) for l in range(n + 1)]
+                for q in range(params.r, n + 1):
+                    for p in range(1, params.r + 1):
+                        for l in range(1, n + 1):
+                            pairing = 2 * (p <= l <= q) - (p <= l - 1 <= q) - (p <= l + 1 <= q)
+                            coeffs[l] -= b.a(p, q) * pairing
+                assert b.classical_weight() == tuple(coeffs[1:]), b
+                count += 1
+    assert count == 2280
 
 
 def test_affine_weight_level_zero_and_pairing():

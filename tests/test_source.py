@@ -61,3 +61,32 @@ def test_module_level_caches_are_the_operator_memos():
             and any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
         ]
     assert sorted(found) == ["patterns._e", "patterns._f", "patterns._string"]
+
+
+def test_indented_json_is_written_only_by_the_cli_writer():
+    # one output path: every json.dump/json.dumps call given an indent sits
+    # inside cli._json_chunks, whose output the CLI streams
+    def is_json_dump(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        )
+
+    inside, outside = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writer = set()
+        for node in ast.walk(tree):
+            if path.name == "cli.py" and getattr(node, "name", None) == "_json_chunks":
+                writer = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and any(kw.arg == "indent" for kw in node.keywords)
+                and any(is_json_dump(f) for f in (node.func, *node.args))
+            ):
+                (inside if id(node) in writer else outside).append(f"{path.name}:{node.lineno}")
+    assert inside, "cli._json_chunks no longer indents through json.dumps"
+    assert not outside, f"indented JSON written outside the writer: {', '.join(outside)}"

@@ -44,3 +44,12 @@ def test_energy_check_fails_on_a_formula_element_that_is_not_highest_weight(monk
     (check,) = verify.suite_energy(1, 1)
     assert not check.ok
     assert check.detail == f"formula element is not highest weight at {lowered}"
+
+
+def test_cardinality_check_compares_the_weyl_dimension(monkeypatch):
+    checks = run_suite("cardinality", 2, 2)
+    assert checks and all(check.ok for check in checks)
+    monkeypatch.setattr(verify, "crystal_size", lambda params: 0)
+    checks = run_suite("cardinality", 2, 2)
+    assert not any(check.ok for check in checks)
+    assert "Weyl dimension 0" in checks[0].detail
