@@ -17,9 +17,17 @@ from dataclasses import dataclass, field
 
 from .errors import InconsistentRecursion, LevelMismatch, OracleFailure, SizeLimitExceeded
 from .graph import closure
-from .patterns import KRPattern, KRParams, weyl_dimension, zero_pattern
-from .rmatrix import highest_weight_elements
-from .table import PairTable, crystal_graph
+from .patterns import (
+    ENUMERATION_CAP,
+    KRPattern,
+    KRParams,
+    enumerate_crystal,
+    weyl_dimension,
+    zero_pattern,
+)
+from .rmatrix import highest_weight_elements, to_highest_weight
+from .table import product_table
+from .tensor import is_classical_hw
 
 
 @dataclass(frozen=True)
@@ -133,10 +141,13 @@ def ground_state_path(weight, params, length):
 
     Successive weights are left-rotations by r; each step is checked
     against the defining recursion (the epsilon-profile of the current
-    element is the next weight).
+    element is the next weight).  A length over ``ENUMERATION_CAP`` raises
+    SizeLimitExceeded before any element is built.
     """
     if length < 0:
         raise ValueError(f"path length must be non-negative, got {length}")
+    if length > ENUMERATION_CAP:
+        raise SizeLimitExceeded(f"path length {length} exceeds cap {ENUMERATION_CAP}")
     _check_level(weight, params)
     weights = [weight]
     elements = []
@@ -185,32 +196,32 @@ def check_perfect(params, max_size=200_000):
     walk.  A disconnected verdict thus always comes from the walk.
     """
     report = PerfectReport(params=params, level=params.s)
-    table = crystal_graph(params)
-    square = PairTable(table, table)
-    elements = table.vertices
+    elements = enumerate_crystal(params)
+    size = len(elements) ** 2
     report.cardinality = len(elements)
     report.finite = True
 
-    if _certificate(square, params):
+    if _certificate(params, size):
         report.connectivity_route = "certificate"
-        reached = len(square)
+        reached = size
     else:
         report.connectivity_route = "closure"
-        if max_size is not None and len(square) > max_size:
-            raise SizeLimitExceeded(f"tensor square has {len(square)} > {max_size} elements")
-        zero = table.index[zero_pattern(params)]
+        if max_size is not None and size > max_size:
+            raise SizeLimitExceeded(f"tensor square has {size} > {max_size} elements")
+        # id 0 is the zero pattern, the first in lexicographic order
+        square = product_table(params, params, max_size)
         colors = range(params.n + 1)
-        reached = len(closure([(zero, zero)], colors, square.f, square.e, max_size=max_size))
-    report.tensor_square_connected = reached == len(square)
+        reached = len(closure([(0, 0)], colors, square.f, square.e, max_size=max_size))
+    report.tensor_square_connected = reached == size
     if not report.tensor_square_connected:
-        report.violations.append(f"tensor square reaches {reached} of {len(square)} elements")
+        report.violations.append(f"tensor square reaches {reached} of {size} elements")
 
     report.classical_weights_dominated, report.top_weight_unique = _weight_cone(
         elements, params, report
     )
 
-    profiles_e = list(zip(*table.eps.values()))
-    profiles_f = list(zip(*table.phi.values()))
+    profiles_e = [eps_profile(b) for b in elements]
+    profiles_f = [phi_profile(b) for b in elements]
     report.min_profile_level = min(sum(p) for p in profiles_e)
     report.profile_level_ok = report.min_profile_level >= params.s
     if not report.profile_level_ok:
@@ -242,22 +253,22 @@ def check_perfect(params, max_size=200_000):
     return report
 
 
-def _certificate(square, params):
+def _certificate(params, size):
     """True when the classical highest weight elements show B (x) B connected.
 
-    H, the id pairs of ``highest_weight_elements(params, params)``, is
-    taken as the list of classical components only if its elements are
-    distinct and classical highest weight and their Weyl dimensions sum to
-    |B (x) B|.  Classical edges connect each component, so B (x) B is
-    connected when joining each element of H to the highest weight
+    H = ``highest_weight_elements(params, params)`` is taken as the list of
+    classical components only if its elements are distinct and classical
+    highest weight and their Weyl dimensions sum to ``size``, the
+    enumerated |B|^2.  Classical edges connect each component, so B (x) B
+    is connected when joining each element of H to the highest weight
     elements of its f_0 and e_0 images leaves one class.  False means
     undecided: a failed guard, an image raised outside H, or several
     classes.
     """
-    hw = [square.id_of(x) for x in highest_weight_elements(params, params)]
-    if len(set(hw)) != len(hw) or not all(square.is_classical_hw(x) for x in hw):
+    hw = highest_weight_elements(params, params)
+    if len(set(hw)) != len(hw) or not all(is_classical_hw(x) for x in hw):
         return False
-    if sum(weyl_dimension(square.classical_weight(x)) for x in hw) != len(square):
+    if sum(weyl_dimension(x.classical_weight()) for x in hw) != size:
         return False
     root = {x: x for x in hw}
 
@@ -267,7 +278,7 @@ def _certificate(square, params):
         return x
 
     classes = len(hw)
-    for x, y in _affine_edges(square, hw):
+    for x, y in _affine_edges(hw):
         if y not in root:
             return False
         a, b = find(x), find(y)
@@ -277,24 +288,12 @@ def _certificate(square, params):
     return classes == 1
 
 
-def _affine_edges(square, hw):
+def _affine_edges(hw):
     """(x, the highest weight element of op_0(x)) for op in f, e and x in hw."""
     for x in hw:
-        for op in (square.f, square.e):
-            y = op(x, 0)
+        for y in (x.f(0), x.e(0)):
             if y is not None:
-                yield x, _raise_ids(square, y)
-
-
-def _raise_ids(square, x):
-    """The classical highest weight element of the id pair x."""
-    raised = True
-    while raised:
-        raised = False
-        for l in range(1, square.n + 1):
-            while (y := square.e(x, l)) is not None:
-                x, raised = y, True
-    return x
+                yield x, to_highest_weight(y)[0]
 
 
 def _weight_cone(elements, params, report):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .graph import CrystalGraph
-from .patterns import ENUMERATION_CAP, enumerate_crystal
+from .patterns import ENUMERATION_CAP
 from .tensor import TensorElement, factor_crystals
 
 
@@ -96,15 +96,6 @@ class PairTable:
         """The id pair of a two-fold TensorElement of this product."""
         first, second = x.factors
         return self.left.index[first], self.right.index[second]
-
-
-def crystal_graph(params, max_size=ENUMERATION_CAP):
-    """B^{r,s} as the CrystalGraph over colors 0..n.
-
-    A crystal larger than ``max_size`` raises SizeLimitExceeded before it
-    is enumerated.
-    """
-    return _fill(params, enumerate_crystal(params, max_size))
 
 
 def product_table(params1, params2, max_size=ENUMERATION_CAP):

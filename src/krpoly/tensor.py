@@ -150,7 +150,7 @@ class TensorElement:
 
 
 def tensor(*factors):
-    """Build a TensorElement from patterns (or collapse a single pattern)."""
+    """Build a TensorElement from patterns; one pattern gives a one-factor element."""
     return TensorElement(tuple(factors))
 
 

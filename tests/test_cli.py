@@ -158,11 +158,13 @@ def test_perfect_is_capped(capsys, monkeypatch):
 
 def test_perfect_past_the_square_cap(capsys):
     # the certificate decides connectivity, so no square walk is capped
-    code, out, _ = run(capsys, ["perfect", "--n", "6", "--r", "3", "--s", "2"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["perfect"] is True
-    assert data["cardinality"] == 490
+    for n, s, cardinality, level in ((6, 2, 490, 2), (7, 3, 14112, 3)):
+        code, out, _ = run(capsys, ["perfect", "--n", str(n), "--r", "3", "--s", str(s)])
+        assert code == 0
+        data = json.loads(out)
+        assert data["perfect"] is True
+        assert data["cardinality"] == cardinality
+        assert data["min_profile_level"] == level
 
 
 def test_rmatrix_subcommand(tmp_path, capsys):
@@ -466,6 +468,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
         (["gsp", "--weight", "1,-1,0", "--r", "1", "--len", "2"], 2),
         (["perfect", "--n", "2", "--r", "3", "--s", "1"], 2),
         (["graph", "--factor", "2,1,1", "--factor", "3,1,1", "--format", "json"], 2),
+        (["gsp", "--weight", "1,1,0", "--r", "1", "--len", "1000001"], 3),
     ],
 )
 def test_failing_commands_print_nothing(tmp_path, capsys, argv, code):

@@ -226,6 +226,56 @@ def test_oversized_square_is_refused_before_the_walk(monkeypatch):
         check_perfect(KRParams(2, 1, 2), max_size=35)
 
 
+def test_the_certificate_route_builds_no_crystal_graph(monkeypatch):
+    from krpoly.graph import CrystalGraph, closure
+    from krpoly.table import PairTable, product_table
+
+    class Built(Exception):
+        pass
+
+    def refuse(self, *args, **kwargs):
+        raise Built
+
+    complete = perfect.highest_weight_elements
+    with monkeypatch.context() as patch:
+        patch.setattr(CrystalGraph, "__init__", refuse)
+        shapes = [p for n in range(1, 4) for p in all_params(n, 2)] + [KRParams(6, 3, 3)]
+        for params in shapes:
+            report = check_perfect(params)
+            assert report.ok and report.connectivity_route == "certificate", params
+        # a forced fallback does build the graphs of B (x) B
+        patch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[:-1])
+        with pytest.raises(Built):
+            check_perfect(KRParams(2, 1, 2))
+    # ...and walks their PairTable from the zero pair
+    tables, walks = [], []
+
+    def table(*args):
+        tables.append(product_table(*args))
+        return tables[-1]
+
+    def walk(seeds, colors, f, e, **kwargs):
+        walks.append((seeds, f, e))
+        return closure(seeds, colors, f, e, **kwargs)
+
+    monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[:-1])
+    monkeypatch.setattr(perfect, "product_table", table)
+    monkeypatch.setattr(perfect, "closure", walk)
+    report = check_perfect(KRParams(2, 1, 2))
+    assert report.ok and report.connectivity_route == "closure"
+    assert len(tables) == 1 and isinstance(tables[0], PairTable)
+    assert walks == [([(0, 0)], tables[0].f, tables[0].e)]
+
+
+def test_ground_state_path_longer_than_the_cap_is_refused_at_once(monkeypatch):
+    def build(*args):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(perfect, "b_upper", build)
+    with pytest.raises(SizeLimitExceeded):
+        ground_state_path(DominantWeight((1, 1, 0)), KRParams(2, 1, 2), 1_000_001)
+
+
 def test_weyl_dimension_counts_each_kr_crystal():
     # B^{r,s} is classically irreducible of highest weight s Lambda_r
     for params in all_params(4, 3):

@@ -170,7 +170,7 @@ def test_certificate_agrees_with_the_closure_on_the_desk_sweep():
                 continue
             zero = square.left.index[zero_pattern(params)]
             walked = closure([(zero, zero)], range(n + 1), square.f, square.e, max_size=None)
-            assert perfect._certificate(square, params) == (len(walked) == len(square))
+            assert perfect._certificate(params, len(square)) == (len(walked) == len(square))
             checked += 1
     assert checked == 42
 
@@ -180,20 +180,20 @@ def test_a_failed_certificate_falls_back_to_the_closure(monkeypatch):
     for params in SWEEP:
         expected = check_perfect(params)
         assert expected.connectivity_route == "certificate"
-        square = product_table(params, params)
-        hw = [square.id_of(x) for x in complete(params, params)]
+        size = len(enumerate_crystal(params)) ** 2
+        hw = complete(params, params)
         assert len(hw) > 1
         truncated = hw[:-1]
-        dims = sum(perfect.weyl_dimension(square.classical_weight(x)) for x in truncated)
-        assert dims < len(square)
+        dims = sum(perfect.weyl_dimension(x.classical_weight()) for x in truncated)
+        assert dims < size
         with monkeypatch.context() as patch:
             patch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[:-1])
-            assert not perfect._certificate(square, params)
+            assert not perfect._certificate(params, size)
             missing = check_perfect(params)
         with monkeypatch.context() as patch:
             # no f_0/e_0 union edges: every element of H stays its own class
-            patch.setattr(perfect, "_affine_edges", lambda square, hw: iter(()))
-            assert not perfect._certificate(square, params)
+            patch.setattr(perfect, "_affine_edges", lambda hw: iter(()))
+            assert not perfect._certificate(params, size)
             unjoined = check_perfect(params)
         for report in (missing, unjoined):
             assert report.connectivity_route == "closure"
