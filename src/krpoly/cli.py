@@ -2,13 +2,15 @@
 
 Subcommands: enumerate, graph, rmatrix, energy, perfect, gsp, verify.
 Output is deterministic byte-for-byte for identical flags.  Exit codes:
-0 success, 1 failed verification, 2 usage or input errors, 3 size caps.
+0 success, 1 failed verification, 2 usage or input errors, 3 size caps,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .energy import global_energy, local_energy, local_energy_oracle
@@ -342,6 +344,13 @@ def main(argv=None):
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"size cap exceeded: {exc}\n")
         return 3
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null
+        # device, so the flush at interpreter shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (KRError, OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

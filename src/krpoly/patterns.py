@@ -26,6 +26,8 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 1_000_000
+# entries of the ``_string`` memo; each pattern keeps its own statistics
+_STRING_MEMO_SIZE = 1024
 
 
 def weyl_dimension(weight):
@@ -107,13 +109,15 @@ class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
 
     Patterns key every operator cache, so the hash of (params, rows) is
-    computed once and kept in ``_hash``, which takes no part in equality,
-    ``repr`` or ``to_dict``.
+    computed once and kept in ``_hash``.  The string statistics of each
+    color are kept in ``_strings`` after their first read.  Neither takes
+    part in equality, ``repr`` or ``to_dict``.
     """
 
     params: KRParams
     rows: tuple
     _hash: int = field(default=None, init=False, repr=False, compare=False)
+    _strings: list = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
         h = self._hash
@@ -168,13 +172,26 @@ class KRPattern:
 
     # -- string statistics and operators ----------------------------------
 
+    def _stats(self, l):
+        """(phi, eps, first, last) of color l, read once per object from ``_string``."""
+        strings = self._strings
+        if strings is None:
+            strings = [None] * (self.params.n + 1)
+            object.__setattr__(self, "_strings", strings)
+        if not 0 <= l < len(strings):
+            raise IndexOutOfRange(f"color {l} outside 0..{self.params.n}")
+        stats = strings[l]
+        if stats is None:
+            stats = strings[l] = _string(self, l)
+        return stats
+
     def phi(self, l):
         """Number of times f_l applies before hitting crystal zero."""
-        return _string(self, l)[0]
+        return self._stats(l)[0]
 
     def eps(self, l):
         """Number of times e_l applies before hitting crystal zero."""
-        return _string(self, l)[1]
+        return self._stats(l)[1]
 
     def f(self, l):
         """Lowering operator for color l; None at the end of the string."""
@@ -323,7 +340,7 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 # and r act on one cell each, (1, n) and (r, r).
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_STRING_MEMO_SIZE)
 def _string(A, l):
     """(phi, eps, first, last) of color l; first/last are extreme argmaxes."""
     pr = A.params
@@ -377,12 +394,12 @@ def pivot(A, l, sign):
     if sign == "plus":
         if not pr.r < l <= pr.n:
             raise IndexOutOfRange(f"plus pivot needs r < l <= n, got l={l}")
-        _, _, first, last = _string(A, l)
+        _, _, first, last = A._stats(l)
         return PivotIndices(p_plus=first + 1, q_plus=last + 1)
     if sign == "minus":
         if not 1 <= l < pr.r:
             raise IndexOutOfRange(f"minus pivot needs 1 <= l < r, got l={l}")
-        _, _, first, last = _string(A, l)
+        _, _, first, last = A._stats(l)
         return PivotIndices(p_minus=pr.n - first, q_minus=pr.n - last)
     raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
@@ -409,11 +426,11 @@ def _move(A, l, i, step):
 
 @lru_cache(maxsize=None)
 def _f(A, l):
-    phi, _, first, _ = _string(A, l)
+    phi, _, first, _ = A._stats(l)
     return _move(A, l, first, 1) if phi else None
 
 
 @lru_cache(maxsize=None)
 def _e(A, l):
-    _, eps, _, last = _string(A, l)
+    _, eps, _, last = A._stats(l)
     return _move(A, l, last, -1) if eps else None

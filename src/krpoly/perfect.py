@@ -299,19 +299,28 @@ def _affine_edges(hw):
 def _weight_cone(elements, params, report):
     # classical weight of the zero pattern dominates the whole crystal:
     # top - wt must be a non-negative integer combination of simple roots,
-    # read with the inverse Cartan matrix scaled by n+1 to stay in integers
+    # read with the inverse Cartan matrix scaled by n+1 to stay in integers;
+    # the test runs once per distinct weight
     n = params.n
     top = zero_pattern(params).classical_weight()
     inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+    def inside(wt):
+        diff = [top[t] - wt[t] for t in range(n)]
+        coords = [sum(row[t] * diff[t] for t in range(n)) for row in inverse]
+        return not any(c < 0 or c % (n + 1) for c in coords)
+
+    cone = {}
     dominated = True
     at_top = 0
     for b in elements:
         wt = b.classical_weight()
         if wt == top:
             at_top += 1
-        diff = [top[t] - wt[t] for t in range(n)]
-        coords = [sum(row[t] * diff[t] for t in range(n)) for row in inverse]
-        if any(c < 0 or c % (n + 1) for c in coords):
+        ok = cone.get(wt)
+        if ok is None:
+            ok = cone[wt] = inside(wt)
+        if not ok:
             dominated = False
             report.violations.append(f"weight of {b} escapes the dominance cone")
     if at_top != 1:

@@ -48,17 +48,18 @@ class TensorElement:
     # -- statistics --------------------------------------------------------
 
     def phi(self, l):
-        val = self.factors[0].phi(l)
-        ep = self.factors[0].eps(l)
+        val, ep, _, _ = self.factors[0]._stats(l)
         for b in self.factors[1:]:
-            val = max(val, val + b.phi(l) - ep)
-            ep = max(b.eps(l), ep + b.eps(l) - b.phi(l))
+            p, e, _, _ = b._stats(l)
+            val = max(val, val + p - ep)
+            ep = max(e, ep + e - p)
         return val
 
     def eps(self, l):
-        ep = self.factors[0].eps(l)
+        _, ep, _, _ = self.factors[0]._stats(l)
         for b in self.factors[1:]:
-            ep = max(b.eps(l), ep + b.eps(l) - b.phi(l))
+            p, e, _, _ = b._stats(l)
+            ep = max(e, ep + e - p)
         return ep
 
     def classical_weight(self):
@@ -81,10 +82,8 @@ class TensorElement:
         out = []
         ep = None
         for b in self.factors[:-1]:
-            if ep is None:
-                ep = b.eps(l)
-            else:
-                ep = max(b.eps(l), ep + b.eps(l) - b.phi(l))
+            p, e, _, _ = b._stats(l)
+            ep = e if ep is None else max(e, ep + e - p)
             out.append(ep)
         return out
 
@@ -133,7 +132,7 @@ class TensorElement:
             b = factors[m]
             left = 0
             if m:
-                gap = prefix[m - 1] - b.phi(l)
+                gap = prefix[m - 1] - b._stats(l)[0]
                 left = min(k, max(0, gap)) if raising else k - min(k, max(0, -gap))
             for _ in range(k - left):
                 b = b.e(l) if raising else b.f(l)

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -497,3 +501,24 @@ def test_oversized_crystals_exit_before_enumerating(capsys, monkeypatch):
         code, out, err = run(capsys, argv)
         assert (code, out) == (3, "")
         assert "size cap" in err
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    # the path prints about 236 kB, more than a pipe holds, so the writer
+    # meets the closed pipe; 141 is 128 + SIGPIPE, as a shell reports it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["gsp", "--weight", "1,1,0", "--r", "1", "--len", "2000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "krpoly.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -5,6 +5,7 @@ import pytest
 
 from krpoly import (
     DimensionMismatch,
+    IndexOutOfRange,
     KRParams,
     NegativeEntry,
     PathSumExceeded,
@@ -191,3 +192,68 @@ def test_hash_is_cached_and_hidden():
     assert "_hash" not in repr(b)
     assert "_hash" not in b.to_dict()
     assert b != pat(3, 2, 2, [[0, 1], [0, 1]])
+    # the string statistics kept on b change neither equality nor hash
+    before = repr(b)
+    assert [b.phi(l) for l in range(4)] == [c.phi(l) for l in range(4)]
+    assert b._strings is not None and c._strings is not None
+    assert c._strings is not b._strings
+    assert repr(b) == before and "_strings" not in repr(b)
+    assert "_strings" not in b.to_dict()
+    unread = pat(3, 2, 2, [[0, 1], [1, 0]])
+    assert unread._strings is None
+    assert b == unread and hash(b) == hash(unread) == hash((b.params, b.rows))
+
+
+def test_kept_string_statistics_match_a_fresh_walk():
+    # every read through the per-object slot agrees with the uncached walker
+    walk = patterns._string.__wrapped__
+    count = 0
+    for n in range(1, 5):
+        for params in all_params(n, 2):
+            for b in enumerate_crystal(params):
+                for l in range(n + 1):
+                    phi, eps, first, last = walk(b, l)
+                    for _ in range(2):
+                        assert (b.phi(l), b.eps(l)) == (phi, eps)
+                        assert (b.f(l) is None) == (phi == 0)
+                        assert (b.e(l) is None) == (eps == 0)
+                        if l > params.r:
+                            assert patterns.pivot(b, l, "plus") == patterns.PivotIndices(
+                                p_plus=first + 1, q_plus=last + 1
+                            )
+                        elif 1 <= l < params.r:
+                            assert patterns.pivot(b, l, "minus") == patterns.PivotIndices(
+                                p_minus=n - first, q_minus=n - last
+                            )
+                    if phi:
+                        assert b.f(l) == patterns._move(b, l, first, 1)
+                    if eps:
+                        assert b.e(l) == patterns._move(b, l, last, -1)
+                    count += 1
+    assert count == 1080
+
+
+def test_colors_outside_the_range_raise_before_and_after_the_slot_fills():
+    for params in all_params(3, 2):
+        b = zero_pattern(params)
+        for filled in (False, True):
+            if filled:
+                for l in range(params.n + 1):
+                    b.phi(l)
+                assert None not in b._strings
+            for l in (-1, params.n + 1):
+                for read in (b.phi, b.eps, b.f, b.e):
+                    with pytest.raises(IndexOutOfRange, match=f"color {l} outside 0..3"):
+                        read(l)
+
+
+def test_a_second_read_of_one_object_skips_the_memo():
+    assert isinstance(patterns._string.cache_info().maxsize, int)
+    b = validate_pattern([[1, 0], [0, 1]], KRParams(3, 2, 3))
+    for l in range(4):
+        b.phi(l)
+        info = patterns._string.cache_info()
+        assert (b.eps(l), b.phi(l)) == patterns._string.__wrapped__(b, l)[1::-1]
+        b.f(l)
+        b.e(l)
+        assert patterns._string.cache_info() == info

@@ -140,12 +140,19 @@ def test_weight_cone_rejects_a_second_top_and_escaping_weights():
     assert clean.violations == []
     top = elements[0].classical_weight()
     # (0, 0) lies under the top (1, 0) but off the root lattice; (2, 0) lies above it
-    stubs = [WeightStub("twin", top), WeightStub("off", (0, 0)), WeightStub("above", (2, 0))]
+    # a weight tested once still reports every element that carries it
+    stubs = [
+        WeightStub("twin", top),
+        WeightStub("off", (0, 0)),
+        WeightStub("above", (2, 0)),
+        WeightStub("off again", (0, 0)),
+    ]
     report = perfect.PerfectReport(params=params, level=1)
     assert perfect._weight_cone(elements + stubs, params, report) == (False, False)
     assert report.violations == [
         "weight of off escapes the dominance cone",
         "weight of above escapes the dominance cone",
+        "weight of off again escapes the dominance cone",
         "2 elements share the top classical weight",
     ]
 
