@@ -26,7 +26,9 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 1_000_000
-# entries of the ``_string`` memo; each pattern keeps its own statistics
+# entries of the ``_string`` memo; each pattern keeps its own statistics, so
+# the memo serves equal patterns built apart, and this many entries hold
+# most of their repeat walks
 _STRING_MEMO_SIZE = 1024
 
 
@@ -342,10 +344,8 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 
 @lru_cache(maxsize=_STRING_MEMO_SIZE)
 def _string(A, l):
-    """(phi, eps, first, last) of color l; first/last are extreme argmaxes."""
+    """(phi, eps, first, last) of color l in 0..n; first/last are extreme argmaxes."""
     pr = A.params
-    if not 0 <= l <= pr.n:
-        raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
     rows = A.rows
     if l == 0:
         eps = pr.s - sum(row[0] for row in rows) - sum(rows[-1][1:])
