@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InconsistentRecursion, NotHighestWeight
-from .patterns import ENUMERATION_CAP
 from .rmatrix import rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw
@@ -131,17 +130,17 @@ def local_energy(x):
     return -partial + sum(seq.corrections)
 
 
-def local_energy_oracle(params1, params2, max_size=ENUMERATION_CAP, sigma=None):
+def local_energy_oracle(params1, params2, sigma=None):
     """EnergyTable for B1 (x) B2 from the defining recursion.
 
     Propagates the 0-edge increments from 0 (x) 0 across the whole product
     and re-checks every edge afterwards; any conflict (which would mean
     the recursion is not well defined) raises InconsistentRecursion.  The
-    walk runs on id pairs (``table.product_table``); ``sigma``, the
-    R-matrix as ``rmatrix_oracle`` returns it, is built on ids when not
-    given.  The result maps TensorElements.
+    walk runs on id pairs (``table.product_table``, under its default
+    cap); ``sigma``, the R-matrix as ``rmatrix_oracle`` returns it, is
+    built on ids when not given.  The result maps TensorElements.
     """
-    pair = product_table(params1, params2, max_size)
+    pair = product_table(params1, params2)
     image = pair.swapped()
     if sigma is None:
         sigma_ids = rmatrix_oracle_ids(pair)

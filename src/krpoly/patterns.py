@@ -216,7 +216,7 @@ class KRPattern:
 
 def zero_pattern(params):
     """The generator of B^{r,s}: all entries zero."""
-    return KRPattern(params, tuple((0,) * params.num_cols for _ in range(params.num_rows)))
+    return KRPattern(params, ((0,) * params.num_cols,) * params.num_rows)
 
 
 def pattern_from_dict(data):

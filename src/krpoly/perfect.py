@@ -220,29 +220,33 @@ def check_perfect(params, max_size=200_000):
         elements, params, report
     )
 
-    profiles_e = [eps_profile(b) for b in elements]
-    profiles_f = [phi_profile(b) for b in elements]
-    report.min_profile_level = min(sum(p) for p in profiles_e)
-    report.profile_level_ok = report.min_profile_level >= params.s
+    # one pass: the minimum epsilon-level and the level-exact profiles
+    min_level = None
+    exact_e, exact_f = [], []
+    for b in elements:
+        prof_e, prof_f = eps_profile(b), phi_profile(b)
+        level = sum(prof_e)
+        min_level = level if min_level is None else min(min_level, level)
+        if level == params.s:
+            exact_e.append((b, prof_e))
+        if sum(prof_f) == params.s:
+            exact_f.append((b, prof_f))
+    report.min_profile_level = min_level
+    report.profile_level_ok = min_level >= params.s
     if not report.profile_level_ok:
-        report.violations.append(
-            f"some epsilon-profile has level {report.min_profile_level} < {params.s}"
-        )
+        report.violations.append(f"some epsilon-profile has level {min_level} < {params.s}")
 
     targets = dominant_weights(params.n, params.s)
-    report.eps_profiles_bijective = _profiles_bijective(
-        elements, profiles_e, targets, report, "epsilon"
-    )
-    report.phi_profiles_bijective = _profiles_bijective(
-        elements, profiles_f, targets, report, "phi"
-    )
+    hits_e = profile_uniqueness_table(exact_e, params.s)
+    hits_f = profile_uniqueness_table(exact_f, params.s)
+    report.eps_profiles_bijective = _profiles_bijective(hits_e, targets, report, "epsilon")
+    report.phi_profiles_bijective = _profiles_bijective(hits_f, targets, report, "phi")
 
     formula_ok = True
-    by_eps = {prof: b for prof, b in zip(profiles_e, elements) if sum(prof) == params.s}
-    by_phi = {prof: b for prof, b in zip(profiles_f, elements) if sum(prof) == params.s}
     for weight in targets:
-        found_low = by_eps.get(weight.coeffs)
-        found_up = by_phi.get(weight.coeffs)
+        # of several hits (already a bijection violation), the last one is compared
+        found_low = hits_e.get(weight.coeffs, [None])[-1]
+        found_up = hits_f.get(weight.coeffs, [None])[-1]
         if found_low != b_lower(weight, params):
             formula_ok = False
             report.violations.append(f"search and formula disagree on b_({weight.coeffs})")
@@ -328,8 +332,7 @@ def _weight_cone(elements, params, report):
     return dominated, at_top == 1
 
 
-def _profiles_bijective(elements, profiles, targets, report, tag):
-    hits = profile_uniqueness_table(dict(zip(elements, profiles)), sum(targets[0].coeffs))
+def _profiles_bijective(hits, targets, report, tag):
     ok = True
     for weight in targets:
         found = hits.get(weight.coeffs, [])
@@ -345,14 +348,15 @@ def _profiles_bijective(elements, profiles, targets, report, tag):
     return ok
 
 
-def profile_uniqueness_table(profiles, level):
-    """Map level-exact profiles to the elements attaining them.
+def profile_uniqueness_table(pairs, level):
+    """Map level-exact profiles to the elements attaining them, in order.
 
-    Generic helper for the uniqueness condition so that hand-built
-    negative controls can reuse the same bookkeeping.
+    ``pairs`` yields (element, profile).  Generic helper for the
+    uniqueness condition so that hand-built negative controls can reuse
+    the same bookkeeping.
     """
     hits = {}
-    for element, prof in profiles.items():
+    for element, prof in pairs:
         if sum(prof) == level:
             hits.setdefault(prof, []).append(element)
     return hits

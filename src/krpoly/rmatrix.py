@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotHighestWeight, OracleFailure
-from .patterns import ENUMERATION_CAP, KRParams, KRPattern, zero_pattern
+from .patterns import KRParams, KRPattern, zero_pattern
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw
 
@@ -44,7 +44,8 @@ class HighestWeightDatum:
         for (p, q), value in zip(cells, self.entries):
             rows[q - self.params1.r][p - 1] = value
         first = KRPattern(self.params1, tuple(tuple(row) for row in rows))
-        return TensorElement((first, zero_pattern(self.params2)))
+        # __post_init__ checked through hw_support that both shapes share n
+        return TensorElement._trusted((first, zero_pattern(self.params2)))
 
 
 def hw_support(params1, params2):
@@ -86,20 +87,12 @@ def rmatrix_on_hw(x):
     if second.total() != 0:
         raise NotHighestWeight("second factor of a highest weight element must be zero")
     cells, _ = hw_support(first.params, second.params)
-    support = dict.fromkeys(cells, 0)
-    for q in range(first.params.r, first.params.n + 1):
-        for p in range(1, first.params.r + 1):
-            v = first.a(p, q)
-            if v == 0:
-                continue
-            if (p, q) not in support:
+    for q, row in enumerate(first.rows, first.params.r):
+        for p, v in enumerate(row, 1):
+            if v and (p, q) not in cells:
                 raise NotHighestWeight(f"entry off the anti-diagonal at {(p, q)}")
-            support[(p, q)] = v
-    rows = [[0] * second.params.num_cols for _ in range(second.params.num_rows)]
-    for (p, q), v in support.items():
-        rows[q - second.params.r][p - 1] = v
-    image_first = KRPattern(second.params, tuple(tuple(row) for row in rows))
-    return TensorElement((image_first, zero_pattern(first.params)))
+    entries = tuple(first.a(p, q) for p, q in cells)
+    return HighestWeightDatum(second.params, first.params, entries).to_element()
 
 
 def to_highest_weight(x):
@@ -145,17 +138,17 @@ def rmatrix(x):
     return rmatrix_from_hw(*to_highest_weight(x))
 
 
-def rmatrix_oracle(params1, params2, max_size=ENUMERATION_CAP):
+def rmatrix_oracle(params1, params2):
     """The unique classical isomorphism, built without the shape law.
 
     Highest weight elements found by brute raising-operator scan are
     matched across the two product orders by classical weight, then the
     matching is propagated along lowering edges.  Conflicts, non-bijective
     weight matching, or a failure to intertwine the affine operators raise
-    OracleFailure.  The walk runs on id pairs (``table.product_table``);
-    the result maps TensorElements.
+    OracleFailure.  The walk runs on id pairs (``table.product_table``,
+    under its default cap); the result maps TensorElements.
     """
-    left = product_table(params1, params2, max_size)
+    left = product_table(params1, params2)
     right = left.swapped()
     return {
         left.element(x): right.element(y) for x, y in rmatrix_oracle_ids(left).items()

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import SizeLimitExceeded
+from .errors import KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP, crystal_size, enumerate_crystal, pattern_from_dict
 
 
@@ -154,12 +154,18 @@ def tensor(*factors):
 
 
 def tensor_from_dict(data):
-    return TensorElement(tuple(pattern_from_dict(d) for d in data["factors"]))
+    """Validated TensorElement from ``{"factors": [pattern, ...]}``, e.g. parsed JSON."""
+    if not isinstance(data, dict) or data.keys() != {"factors"}:
+        raise KRError("a tensor element must be an object with exactly the key factors")
+    factors = data["factors"]
+    if not isinstance(factors, list) or not factors:
+        raise KRError(f"factors must be a non-empty list of patterns, got {factors!r}")
+    return TensorElement(tuple(pattern_from_dict(d) for d in factors))
 
 
 def is_classical_hw(x):
     """True when every classical raising operator kills x."""
-    return all(x.eps(l) == 0 for l in range(1, x.n + 1))
+    return not any(map(x.eps, range(1, x.n + 1)))
 
 
 def factor_crystals(params_list, max_size=ENUMERATION_CAP):

@@ -1,6 +1,11 @@
 """Exhaustive verification suites, each pairing a construction with an
 independent oracle.  The CLI `verify` subcommand and the acceptance tests
-run these; every check returns a Check record rather than raising.
+run these through ``run_suite``.
+
+A suite is one ``SUITES`` row: a shape generator, which lists the crystals
+or pairs of crystals it covers, and the (check kind, failures function)
+pairs run on each shape.  A failures function takes the crystals of one
+shape and lists what broke; ``run_suite`` records each call as a Check.
 """
 
 from __future__ import annotations
@@ -145,37 +150,23 @@ def brute_pivot(A, l, sign):
 # -- suites -------------------------------------------------------------------
 
 
-def _all_params(n, max_s):
-    return [KRParams(n, r, s) for r in range(1, n + 1) for s in range(1, max_s + 1)]
+def _crystals(n, max_s):
+    """One B^{r,s} per check: r outer, s inner."""
+    return [(KRParams(n, r, s),) for r in range(1, n + 1) for s in range(1, max_s + 1)]
 
 
-def _check(name, failures):
-    """The Check of one product or crystal; ``failures()`` lists what broke.
+def _pairs(n, max_s):
+    """Every ordered pair of the crystals of ``_crystals``."""
+    return [p + q for p, q in itertools.product(_crystals(n, max_s), repeat=2)]
 
-    A KRError from ``failures`` (an oracle or a construction finding an
-    inconsistency) fails this check instead of ending the suite.  A size
-    cap still propagates: the check was refused, not failed.
-    """
-    try:
-        bad = failures()
-    except SizeLimitExceeded:
-        raise
-    except KRError as exc:
-        return Check(name, False, f"{type(exc).__name__}: {exc}")
-    return Check(name, not bad, "; ".join(bad[:3]))
+
+def _levels(n, max_level):
+    """One B^{r,s} per check: level s outer, r inner."""
+    return [(KRParams(n, r, s),) for s in range(1, max_level + 1) for r in range(1, n + 1)]
 
 
 def _name(kind, n, *factors):
     return f"{kind} " + "x".join(f"B^({p.r},{p.s})" for p in factors) + f" n={n}"
-
-
-def _pairs(n, max_s):
-    return itertools.product(_all_params(n, max_s), repeat=2)
-
-
-def suite_ops(n, max_s):
-    """Single-crystal structure: strings, weights, pivots, commutation."""
-    return [_check(_name("ops", n, p), lambda: _ops_failures(p)) for p in _all_params(n, max_s)]
 
 
 def _ops_failures(params):
@@ -228,14 +219,6 @@ def _compose(b, steps):
     return b
 
 
-def suite_tensor(n, max_s):
-    """Recursive tensor rule against the signature-cancellation rule."""
-    return [
-        _check(_name("tensor", n, p1, p2), lambda: _tensor_failures(p1, p2))
-        for p1, p2 in _pairs(n, max_s)
-    ]
-
-
 def _tensor_failures(params1, params2):
     bad = []
     for x in product_elements((params1, params2)):
@@ -257,14 +240,6 @@ def _tensor_failures(params1, params2):
     return bad
 
 
-def suite_rmatrix(n, max_s):
-    """Transported R-matrix against the weight-matching oracle."""
-    return [
-        _check(_name("rmatrix", n, p1, p2), lambda: _rmatrix_failures(p1, p2))
-        for p1, p2 in _pairs(n, max_s)
-    ]
-
-
 def _rmatrix_failures(params1, params2):
     bad = []
     oracle = rmatrix_oracle(params1, params2)
@@ -277,14 +252,6 @@ def _rmatrix_failures(params1, params2):
         if x.affine_weight() != y.affine_weight():
             bad.append(f"weight not preserved at {x}")
     return bad
-
-
-def suite_energy(n, max_s):
-    """Closed-form energy against the recursion oracle, plus the hw law."""
-    return [
-        _check(_name("energy", n, p1, p2), lambda: _energy_failures(p1, p2))
-        for p1, p2 in _pairs(n, max_s)
-    ]
 
 
 def _energy_failures(params1, params2):
@@ -305,14 +272,6 @@ def _energy_failures(params1, params2):
     return bad
 
 
-def suite_regular(n, max_s):
-    """Rank-2 string axioms for every color pair on every B^{r,s}."""
-    return [
-        _check(_name("regular", n, p), lambda: _regular_failures(p))
-        for p in _all_params(n, max_s)
-    ]
-
-
 def _regular_failures(params):
     colors = range(params.n + 1)
     graph = build_graph(enumerate_crystal(params), colors)
@@ -324,16 +283,8 @@ def _regular_failures(params):
     return bad
 
 
-def suite_nakajima(n, max_s):
-    """Corner embedding: statistics, operator intertwining, pivots."""
+def _nakajima_failures(params):
     crystal2 = psi_crystal()
-    return [
-        _check(_name("nakajima", n, p), lambda: _nakajima_failures(crystal2, p))
-        for p in _all_params(n, max_s)
-    ]
-
-
-def _nakajima_failures(crystal2, params):
     bad = []
     for b in enumerate_crystal(params):
         m = psi_embedding(b)
@@ -373,21 +324,6 @@ def _psi_commutes(crystal2, b, m, pattern_color, monomial_color):
     return True
 
 
-def suite_perfect(n, max_level):
-    """Perfectness reports plus ground-state path recursion."""
-    checks = []
-    for level in range(1, max_level + 1):
-        for r in range(1, n + 1):
-            params = KRParams(n, r, level)
-            checks.append(
-                _check(_name("perfect", n, params), lambda: check_perfect(params).violations)
-            )
-            checks.append(
-                _check(_name("ground-state path", n, params), lambda: _path_failures(params))
-            )
-    return checks
-
-
 def _path_failures(params):
     n, r = params.n, params.r
     weight = dominant_weights(n, params.s)[0]
@@ -402,14 +338,6 @@ def _path_failures(params):
     return [] if rotated and recursion else ["rotation or recursion failed"]
 
 
-def suite_cardinality(n, max_s):
-    """Crystal sizes against the semistandard-tableau count and the Weyl dimension."""
-    return [
-        _check(_name("cardinality", n, p), lambda: _cardinality_failures(p))
-        for p in _all_params(n, max_s)
-    ]
-
-
 def _cardinality_failures(params):
     got = len(enumerate_crystal(params))
     want = count_rect_ssyt(params.r, params.s, params.n + 1)
@@ -420,23 +348,46 @@ def _cardinality_failures(params):
 
 
 SUITES = {
-    "ops": suite_ops,
-    "tensor": suite_tensor,
-    "rmatrix": suite_rmatrix,
-    "energy": suite_energy,
-    "regular": suite_regular,
-    "nakajima": suite_nakajima,
-    "perfect": suite_perfect,
-    "cardinality": suite_cardinality,
+    "ops": (_crystals, [("ops", _ops_failures)]),  # strings, weights, pivots, commutation
+    "tensor": (_pairs, [("tensor", _tensor_failures)]),  # tensor rule vs signature rule
+    "rmatrix": (_pairs, [("rmatrix", _rmatrix_failures)]),  # transport vs weight matching
+    "energy": (_pairs, [("energy", _energy_failures)]),  # closed form vs recursion, hw law
+    "regular": (_crystals, [("regular", _regular_failures)]),  # rank-2 axioms, all color pairs
+    "nakajima": (_crystals, [("nakajima", _nakajima_failures)]),  # corner embedding
+    # perfectness reports, each followed by its ground-state path recursion
+    "perfect": (
+        _levels,
+        [
+            ("perfect", lambda params: check_perfect(params).violations),
+            ("ground-state path", _path_failures),
+        ],
+    ),
+    "cardinality": (_crystals, [("cardinality", _cardinality_failures)]),  # tableaux, Weyl dim
 }
 
 
 def run_suite(name, n, max_s):
+    """The Checks of one suite, or of every suite in name order for "all".
+
+    "all" leaves out ``regular`` below n = 2.  A KRError from a failures
+    function (an oracle or a construction finding an inconsistency) fails
+    that check instead of ending the suite.  A size cap still propagates:
+    the check was refused, not failed.
+    """
     if name == "all":
-        checks = []
-        for key in sorted(SUITES):
-            if key == "regular" and n < 2:
+        keys = [key for key in sorted(SUITES) if key != "regular" or n >= 2]
+        return [check for key in keys for check in run_suite(key, n, max_s)]
+    shapes, kinds = SUITES[name]
+    checks = []
+    for shape in shapes(n, max_s):
+        for kind, failures in kinds:
+            label = _name(kind, n, *shape)
+            try:
+                bad = failures(*shape)
+            except SizeLimitExceeded:
+                raise
+            except KRError as exc:
+                checks.append(Check(label, False, f"{type(exc).__name__}: {exc}"))
                 continue
-            checks.extend(SUITES[key](n, max_s))
-        return checks
-    return SUITES[name](n, max_s)
+            checks.append(Check(label, not bad, "; ".join(bad[:3])))
+    return checks

@@ -283,7 +283,7 @@ def test_a_failing_oracle_fails_its_check(capsys, monkeypatch):
         raise InconsistentRecursion("forced")
 
     monkeypatch.setattr(verify, "local_energy_oracle", forced)
-    (check,) = verify.suite_energy(1, 1)
+    (check,) = verify.run_suite("energy", 1, 1)
     assert check.name == "energy B^(1,1)xB^(1,1) n=1"
     assert not check.ok
     assert check.detail == "InconsistentRecursion: forced"

@@ -74,12 +74,8 @@ def test_b_upper_last_row_reads_initial_coefficients():
 def test_profiles_match_exhaustive_uniqueness_search():
     for params in all_params(3, 2):
         crystal = enumerate_crystal(params)
-        eps_hits = profile_uniqueness_table(
-            {b: eps_profile(b) for b in crystal}, params.s
-        )
-        phi_hits = profile_uniqueness_table(
-            {b: phi_profile(b) for b in crystal}, params.s
-        )
+        eps_hits = profile_uniqueness_table(((b, eps_profile(b)) for b in crystal), params.s)
+        phi_hits = profile_uniqueness_table(((b, phi_profile(b)) for b in crystal), params.s)
         for weight in dominant_weights(params.n, params.s):
             assert eps_hits[weight.coeffs] == [b_lower(weight, params)]
             assert phi_hits[weight.coeffs] == [b_upper(weight, params)]
@@ -115,7 +111,7 @@ def test_four_cycle_mimic_fails_uniqueness():
         "C": (0, 0, 1),
         "D": (0, 1, 0),
     }
-    hits = profile_uniqueness_table(profiles, 1)
+    hits = profile_uniqueness_table(profiles.items(), 1)
     assert sorted(hits[(0, 1, 0)]) == ["B", "D"]
 
 

@@ -21,7 +21,7 @@ from krpoly import (
 )
 from krpoly.rmatrix import HighestWeightDatum, hw_support
 
-from conftest import all_params, cell, pair, product_elements, random_element, swap_at
+from conftest import all_params, cell, pair, pat, product_elements, random_element, swap_at
 
 
 def test_hw_elements_rank_one_example():
@@ -76,6 +76,25 @@ def test_rmatrix_on_hw_keeps_entries_and_swaps_shapes():
 def test_rmatrix_on_hw_rejects_non_hw():
     x = pair(cell(1, 1, 0), cell(1, 3, 1))
     with pytest.raises(NotHighestWeight):
+        rmatrix_on_hw(x)
+
+
+OFF_DIAGONAL = pair(pat(3, 2, 2, [[1, 0], [0, 0]]), pat(3, 2, 1, [[0, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (pair(cell(1, 1, 0), cell(1, 3, 1)), "second factor of a highest weight element"),
+        (OFF_DIAGONAL, r"entry off the anti-diagonal at \(1, 2\)"),
+    ],
+)
+def test_rmatrix_on_hw_rejects_forged_hw(monkeypatch, x, message):
+    # no real element reaches these checks: a classical highest weight
+    # element has a zero second factor and lives on the anti-diagonal
+    module = importlib.import_module("krpoly.rmatrix")
+    monkeypatch.setattr(module, "is_classical_hw", lambda x: True)
+    with pytest.raises(NotHighestWeight, match=message):
         rmatrix_on_hw(x)
 
 

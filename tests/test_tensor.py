@@ -5,6 +5,7 @@ import random
 import pytest
 
 from krpoly import (
+    KRError,
     KRParams,
     SizeLimitExceeded,
     TensorElement,
@@ -34,6 +35,20 @@ def test_mixed_rank_rejected():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], {"factors": 5}, {"factors": []}, {"factors": [cell(1, 1, 0).to_dict()], "extra": 0}],
+)
+def test_tensor_from_dict_rejects_malformed_input(data):
+    with pytest.raises(KRError):
+        tensor_from_dict(data)
+
+
+def test_tensor_from_dict_round_trips():
+    x = pair(cell(1, 1, 1), cell(1, 3, 2))
+    assert tensor_from_dict(x.to_dict()) == x
 
 
 def test_lowering_examples_from_the_eight_element_product():

@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from krpoly import KRParams, highest_weight_elements, verify
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
@@ -36,12 +40,29 @@ def test_run_all_suites_at_rank_one_skips_rank_two_axioms():
     assert not any("regular" in c.name for c in checks)
 
 
+@pytest.mark.parametrize(
+    "suite, n, max_s, count, digest",
+    [
+        ("all", 1, 2, 22, "c5851d34dc6e1722e93f213ef28a1964d35aee8aff7afb35144e785e9e44f70f"),
+        ("all", 2, 2, 72, "ff197d542e85ced1e2bc2a01688ac9be1a4a77426ce21fa59141424dba4d4e97"),
+        ("all", 3, 2, 144, "9d8c6e8da0b3db2c39e19ef9633c00363e0c4a498f211472733dc4ef28fcfb8b"),
+        ("perfect", 3, 3, 18, "74efc1bfa3fb7b0c1ff976984238b0487d3448ae1f40bde0d6ac194b61baccc0"),
+    ],
+)
+def test_check_names_keep_their_order(suite, n, max_s, count, digest):
+    # sha256 of the newline-joined Check names: the order `krpoly verify` prints
+    checks = run_suite(suite, n, max_s)
+    assert len(checks) == count and all(check.ok for check in checks)
+    names = "\n".join(check.name for check in checks)
+    assert hashlib.sha256(names.encode()).hexdigest() == digest
+
+
 def test_energy_check_fails_on_a_formula_element_that_is_not_highest_weight(monkeypatch):
     params = KRParams(1, 1, 1)
     lowered = highest_weight_elements(params, params)[0].f(1)
     assert lowered is not None
     monkeypatch.setattr(verify, "highest_weight_elements", lambda p1, p2: iter([lowered]))
-    (check,) = verify.suite_energy(1, 1)
+    (check,) = verify.run_suite("energy", 1, 1)
     assert not check.ok
     assert check.detail == f"formula element is not highest weight at {lowered}"
 
