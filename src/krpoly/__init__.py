@@ -36,6 +36,7 @@ from .patterns import (
     KRPattern,
     PivotIndices,
     enumerate_crystal,
+    pattern_from_cells,
     pattern_from_dict,
     pivot,
     validate_pattern,
@@ -55,7 +56,6 @@ from .perfect import (
 )
 from .regularity import RegularityReport, is_regular_rank2
 from .rmatrix import (
-    HighestWeightDatum,
     highest_weight_elements,
     rmatrix,
     rmatrix_from_hw,

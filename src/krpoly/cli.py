@@ -16,7 +16,14 @@ import sys
 from .energy import global_energy, local_energy, local_energy_oracle
 from .errors import KRError, SizeLimitExceeded
 from .graph import build_graph
-from .patterns import ENUMERATION_CAP, KRParams, KRPattern, enumerate_crystal, pattern_from_dict
+from .patterns import (
+    ENUMERATION_CAP,
+    KRParams,
+    KRPattern,
+    enumerate_crystal,
+    pattern_from_cells,
+    pattern_from_dict,
+)
 from .perfect import DominantWeight, check_perfect, ground_state_path
 from .rmatrix import rmatrix
 from .tensor import TensorElement, product_elements
@@ -191,7 +198,7 @@ def _json_chunks(payload):
 def _hollow(value):
     """``value`` with the placeholder "\\0" in place of every entry."""
     if isinstance(value, KRPattern):
-        return KRPattern(value.params, tuple(("\0",) * len(row) for row in value.rows))
+        return pattern_from_cells(value.params, lambda p, q: "\0")
     if isinstance(value, TensorElement):
         return TensorElement(tuple(map(_hollow, value.factors)))
     return ("\0",) * len(value)

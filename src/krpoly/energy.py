@@ -38,15 +38,13 @@ class IntermediateSeq:
     """The raising schedule applied to A (x) B, stage by stage.
 
     stages[s][r] is the pair (A, B) after step r of pass s; colors[s][r]
-    and the applied exponents are recorded alongside.  corrections[s] is
+    and the exponent applied to B are recorded alongside.  corrections[s] is
     the truncated exponent of the final color-r2 application of pass s,
     the only move that can lower the tracked entry sum.
     """
 
-    start: TensorElement
     stages: tuple
     colors: tuple
-    exponents_a: tuple
     exponents_b: tuple
     corrections: tuple
 
@@ -70,13 +68,11 @@ def intermediate_sequence(x):
     r2 = b.params.r
     stages = []
     colors_all = []
-    exps_a = []
     exps_b = []
     corrections = []
     for s in range(n - r2 + 1):
         stage = [(a, b)]
         colors = _pass_colors(r2, s)
-        ea_pass = [0]
         eb_pass = [0]
         for step, color in enumerate(colors, start=1):
             ka = truncate(a.eps(color) - b.phi(color))
@@ -92,17 +88,13 @@ def intermediate_sequence(x):
                 if b is None:
                     raise InconsistentRecursion(f"e_{color} exponent exceeded the string")
             stage.append((a, b))
-            ea_pass.append(ka)
             eb_pass.append(kb)
         stages.append(tuple(stage))
         colors_all.append((None,) + colors)
-        exps_a.append(tuple(ea_pass))
         exps_b.append(tuple(eb_pass))
     seq = IntermediateSeq(
-        start=x,
         stages=tuple(stages),
         colors=tuple(colors_all),
-        exponents_a=tuple(exps_a),
         exponents_b=tuple(exps_b),
         corrections=tuple(corrections),
     )

@@ -219,17 +219,28 @@ def zero_pattern(params):
     return KRPattern(params, ((0,) * params.num_cols,) * params.num_rows)
 
 
+def pattern_from_cells(params, entry):
+    """Unvalidated pattern of shape ``params`` whose cell (p, q) holds ``entry(p, q)``."""
+    cols = range(1, params.r + 1)
+    rows = tuple(tuple(entry(p, q) for p in cols) for q in range(params.r, params.n + 1))
+    return KRPattern(params, rows)
+
+
 def pattern_from_dict(data):
     """Validated KRPattern from its ``to_dict`` form, e.g. parsed JSON."""
     if not isinstance(data, dict) or data.keys() != {"n", "r", "s", "rows"}:
         raise KRError("a pattern must be an object with exactly the keys n, r, s and rows")
     values = [data[key] for key in ("n", "r", "s")]
     if not all(_is_int(v) for v in values):
-        raise ValueError(f"n, r and s must be integers, got {values}")
+        raise KRError(f"n, r and s must be integers, got {values}")
     rows = data["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise DimensionMismatch(f"rows must be a list of lists, got {rows!r}")
-    return validate_pattern(rows, KRParams(*values))
+    try:
+        params = KRParams(*values)
+    except ValueError as exc:
+        raise KRError(str(exc)) from None
+    return validate_pattern(rows, params)
 
 
 def _is_int(x):

@@ -19,9 +19,9 @@ from .errors import InconsistentRecursion, LevelMismatch, OracleFailure, SizeLim
 from .graph import closure
 from .patterns import (
     ENUMERATION_CAP,
-    KRPattern,
     KRParams,
     enumerate_crystal,
+    pattern_from_cells,
     weyl_dimension,
     zero_pattern,
 )
@@ -85,11 +85,7 @@ def b_lower(weight, params):
     """
     _check_level(weight, params)
     a = weight.coeffs
-    rows = tuple(
-        tuple(a[p + q - params.r] for p in range(1, params.r + 1))
-        for q in range(params.r, params.n + 1)
-    )
-    out = KRPattern(params, rows)
+    out = pattern_from_cells(params, lambda p, q: a[p + q - params.r])
     if eps_profile(out) != weight.coeffs:
         raise OracleFailure("epsilon-profile of b_lower does not match the weight")
     return out
@@ -102,11 +98,7 @@ def b_upper(weight, params):
     """
     _check_level(weight, params)
     a = weight.coeffs
-    rows = tuple(
-        tuple(a[(p + q) % (params.n + 1)] for p in range(1, params.r + 1))
-        for q in range(params.r, params.n + 1)
-    )
-    out = KRPattern(params, rows)
+    out = pattern_from_cells(params, lambda p, q: a[(p + q) % (params.n + 1)])
     if phi_profile(out) != weight.coeffs:
         raise OracleFailure("phi-profile of b_upper does not match the weight")
     return out

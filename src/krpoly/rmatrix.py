@@ -4,48 +4,21 @@ Classical highest weight elements of B^{r1,s1} (x) B^{r2,s2} carry the
 zero pattern in the second slot and are supported on the anti-diagonal
 cells (r-j, rt+j), j = 0..k, of the first, where r = min(r1,r2),
 rt = max(r1,r2) and k = min(r-1, n-rt); the entries along that diagonal
-weakly decrease and are bounded by min(s1,s2).  The R-matrix keeps those
-entries and only swaps the carrying shapes; arbitrary elements are handled
-by transport to the highest weight representative.
+weakly decrease and are bounded by min(s1,s2).  Both the elements and
+their images are read and built through the cells: the R-matrix keeps
+those entries and only swaps the carrying shapes, reading the first factor
+cell by cell on the swapped grid.  Arbitrary elements are handled by
+transport to the highest weight representative.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotHighestWeight, OracleFailure
-from .patterns import KRParams, KRPattern, zero_pattern
+from .patterns import pattern_from_cells, zero_pattern
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw
-
-
-@dataclass(frozen=True)
-class HighestWeightDatum:
-    """Anti-diagonal entries (weakly decreasing, bounded by min(s1,s2))."""
-
-    params1: KRParams
-    params2: KRParams
-    entries: tuple
-
-    def __post_init__(self):
-        cells, bound = hw_support(self.params1, self.params2)
-        if len(self.entries) != len(cells):
-            raise ValueError(f"expected {len(cells)} entries, got {len(self.entries)}")
-        if any(self.entries[i] < self.entries[i + 1] for i in range(len(self.entries) - 1)):
-            raise ValueError("entries must weakly decrease")
-        if self.entries and (self.entries[-1] < 0 or self.entries[0] > bound):
-            raise ValueError(f"entries must lie in 0..{bound}")
-
-    def to_element(self):
-        """The highest weight element A (x) 0 carrying these entries."""
-        cells, _ = hw_support(self.params1, self.params2)
-        rows = [[0] * self.params1.num_cols for _ in range(self.params1.num_rows)]
-        for (p, q), value in zip(cells, self.entries):
-            rows[q - self.params1.r][p - 1] = value
-        first = KRPattern(self.params1, tuple(tuple(row) for row in rows))
-        # __post_init__ checked through hw_support that both shapes share n
-        return TensorElement._trusted((first, zero_pattern(self.params2)))
 
 
 def hw_support(params1, params2):
@@ -63,17 +36,14 @@ def hw_support(params1, params2):
 def highest_weight_elements(params1, params2):
     """All classical highest weight elements, lexicographic in the tuple."""
     cells, bound = hw_support(params1, params2)
+    zero = zero_pattern(params2)
     out = []
-
-    def extend(prefix):
-        if len(prefix) == len(cells):
-            out.append(HighestWeightDatum(params1, params2, tuple(prefix)).to_element())
-            return
-        cap = bound if not prefix else prefix[-1]
-        for v in range(cap + 1):
-            extend(prefix + [v])
-
-    extend([])
+    # weakly decreasing tuples come out in reverse lexicographic order
+    for entries in itertools.combinations_with_replacement(range(bound, -1, -1), len(cells)):
+        at = dict(zip(cells, entries))
+        first = pattern_from_cells(params1, lambda p, q: at.get((p, q), 0))
+        out.append(TensorElement._trusted((first, zero)))
+    out.reverse()
     return out
 
 
@@ -87,12 +57,16 @@ def rmatrix_on_hw(x):
     if second.total() != 0:
         raise NotHighestWeight("second factor of a highest weight element must be zero")
     cells, _ = hw_support(first.params, second.params)
-    for q, row in enumerate(first.rows, first.params.r):
-        for p, v in enumerate(row, 1):
-            if v and (p, q) not in cells:
+    pr = first.params
+    for q in range(pr.r, pr.n + 1):
+        for p in range(1, pr.r + 1):
+            if first.a(p, q) and (p, q) not in cells:
                 raise NotHighestWeight(f"entry off the anti-diagonal at {(p, q)}")
-    entries = tuple(first.a(p, q) for p, q in cells)
-    return HighestWeightDatum(second.params, first.params, entries).to_element()
+    # the support cells lie on both grids, so the first factor read on the
+    # swapped grid keeps the anti-diagonal and is zero elsewhere
+    return TensorElement._trusted(
+        (pattern_from_cells(second.params, first.a), zero_pattern(first.params))
+    )
 
 
 def to_highest_weight(x):

@@ -1,4 +1,12 @@
-from krpoly import KRParams, KRPattern, TensorElement, rmatrix, validate_pattern
+from krpoly import (
+    KRParams,
+    KRPattern,
+    TensorElement,
+    highest_weight_elements,
+    rmatrix,
+    validate_pattern,
+)
+from krpoly.rmatrix import hw_support
 from krpoly.tensor import product_elements as product_of
 
 
@@ -14,6 +22,17 @@ def cell(n, s, value):
 
 def pair(a, b):
     return TensorElement((a, b))
+
+
+def hw_element(params1, params2, entries):
+    """The highest weight element of B1 (x) B2 with these anti-diagonal entries."""
+    cells, _ = hw_support(params1, params2)
+    (x,) = [
+        x
+        for x in highest_weight_elements(params1, params2)
+        if tuple(x.factors[0].a(p, q) for p, q in cells) == entries
+    ]
+    return x
 
 
 def staircases(params):

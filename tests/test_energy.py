@@ -22,9 +22,17 @@ from krpoly import (
 )
 from krpoly.energy import truncate
 from krpoly.graph import build_graph
-from krpoly.rmatrix import HighestWeightDatum, hw_support, rmatrix
+from krpoly.rmatrix import hw_support, rmatrix
 
-from conftest import all_params, cell, pair, product_elements, random_element, swap_at
+from conftest import (
+    all_params,
+    cell,
+    hw_element,
+    pair,
+    product_elements,
+    random_element,
+    swap_at,
+)
 
 
 P11 = KRParams(1, 1, 1)
@@ -52,14 +60,14 @@ def test_hw_law_requires_hw():
 
 def test_hw_law_is_negative_entry_sum():
     p1, p2 = KRParams(7, 4, 2), KRParams(7, 5, 3)
-    x = HighestWeightDatum(p1, p2, (2, 1, 1)).to_element()
+    x = hw_element(p1, p2, (2, 1, 1))
     assert local_energy_hw(x) == -4
     assert local_energy(x) == -4
 
 
 def test_intermediate_sequence_on_hw_input():
     p1, p2 = KRParams(3, 1, 2), KRParams(3, 2, 2)
-    x = HighestWeightDatum(p1, p2, (1,)).to_element()
+    x = hw_element(p1, p2, (1,))
     seq = intermediate_sequence(x)
     # the second factor starts at zero, so its exponents all vanish
     assert all(k == 0 for stage in seq.exponents_b for k in stage)

@@ -6,12 +6,15 @@ import pytest
 from krpoly import (
     DimensionMismatch,
     IndexOutOfRange,
+    KRError,
     KRParams,
     NegativeEntry,
     PathSumExceeded,
     SizeLimitExceeded,
     enumerate_crystal,
+    pattern_from_cells,
     pattern_from_dict,
+    tensor_from_dict,
     validate_pattern,
     zero_pattern,
 )
@@ -53,8 +56,18 @@ def test_shape_and_sign_errors():
             validate_pattern([[0], [bad]], KRParams(2, 1, 1))
     with pytest.raises(NegativeEntry):
         pattern_from_dict({"n": 2, "r": 1, "s": 1, "rows": [[0.7], [True]]})
-    with pytest.raises(ValueError):
-        pattern_from_dict({"n": 2.0, "r": True, "s": 1, "rows": [[0], [0]]})
+    # bad n, r or s is a KRError too, alone and as a tensor factor
+    for data, message in (
+        ({"n": 2.0, "r": True, "s": 1, "rows": [[0], [0]]}, "must be integers"),
+        ({"n": "3", "r": 1, "s": 1, "rows": [[0]]}, "must be integers"),
+        ({"n": 0, "r": 1, "s": 1, "rows": [[0]]}, "rank must be positive"),
+        ({"n": 1, "r": 2, "s": 1, "rows": [[0]]}, "need 1 <= r <= n"),
+        ({"n": 1, "r": 1, "s": 0, "rows": [[0]]}, "level must be positive"),
+    ):
+        with pytest.raises(KRError, match=message):
+            pattern_from_dict(data)
+        with pytest.raises(KRError, match=message):
+            tensor_from_dict({"factors": [data]})
 
 
 def test_dp_agrees_with_explicit_staircases():
@@ -180,6 +193,11 @@ def test_json_round_trip():
     data = json.loads(json.dumps(b.to_dict()))
     assert pattern_from_dict(data) == b
     assert data["rows"][0] == [0, 1]
+    # the cell builder gives every pattern back from its entries
+    for n in range(1, 5):
+        for params in all_params(n, 2):
+            for b in enumerate_crystal(params):
+                assert pattern_from_cells(params, b.a) == b
 
 
 def test_hash_is_cached_and_hidden():

@@ -19,9 +19,18 @@ from krpoly import (
     rmatrix_oracle,
     to_highest_weight,
 )
-from krpoly.rmatrix import HighestWeightDatum, hw_support
+from krpoly.rmatrix import hw_support
 
-from conftest import all_params, cell, pair, pat, product_elements, random_element, swap_at
+from conftest import (
+    all_params,
+    cell,
+    hw_element,
+    pair,
+    pat,
+    product_elements,
+    random_element,
+    swap_at,
+)
 
 
 def test_hw_elements_rank_one_example():
@@ -51,17 +60,9 @@ def test_hw_census_matches_binomial_and_scan():
             assert sorted(hw, key=lambda x: x.sort_key()) == scanned
 
 
-def test_hw_datum_validation():
-    p1, p2 = KRParams(3, 2, 2), KRParams(3, 2, 2)
-    with pytest.raises(ValueError):
-        HighestWeightDatum(p1, p2, (1, 2))  # not weakly decreasing
-    with pytest.raises(ValueError):
-        HighestWeightDatum(p1, p2, (3, 0))  # exceeds the bound
-
-
 def test_rmatrix_on_hw_keeps_entries_and_swaps_shapes():
     p1, p2 = KRParams(7, 4, 2), KRParams(7, 5, 3)
-    x = HighestWeightDatum(p1, p2, (2, 1, 1)).to_element()
+    x = hw_element(p1, p2, (2, 1, 1))
     y = rmatrix_on_hw(x)
     assert y.factors[0].params == p2
     assert y.factors[1].params == p1

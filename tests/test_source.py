@@ -90,3 +90,26 @@ def test_indented_json_is_written_only_by_the_cli_writer():
                 (inside if id(node) in writer else outside).append(f"{path.name}:{node.lineno}")
     assert inside, "cli._json_chunks no longer indents through json.dumps"
     assert not outside, f"indented JSON written outside the writer: {', '.join(outside)}"
+
+
+
+def test_patterns_are_built_only_in_patterns():
+    # the cell layout rows[q-r][p-1] = a[p,q] is known to patterns.py alone:
+    # every KRPattern(...) call sits there, and other modules build through
+    # pattern_from_cells and its kin
+    def is_constructor(node):
+        target = node.func
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        return name == "KRPattern"
+
+    inside, outside = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_constructor(node)
+        ]
+        (inside if path.name == "patterns.py" else outside).extend(calls)
+    assert inside, "patterns.py no longer calls KRPattern"
+    assert not outside, f"KRPattern built outside patterns.py: {', '.join(outside)}"
