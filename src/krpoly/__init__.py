@@ -9,9 +9,7 @@ pit each closed construction against an independent brute-force oracle.
 """
 
 from .energy import (
-    IntermediateSeq,
     global_energy,
-    intermediate_sequence,
     local_energy,
     local_energy_hw,
     local_energy_oracle,
@@ -34,7 +32,6 @@ from .patterns import (
     AffineWeight,
     KRParams,
     KRPattern,
-    PivotIndices,
     enumerate_crystal,
     pattern_from_cells,
     pattern_from_dict,
@@ -57,12 +54,11 @@ from .perfect import (
 from .regularity import RegularityReport, is_regular_rank2
 from .rmatrix import (
     highest_weight_elements,
-    rmatrix,
     rmatrix_from_hw,
     rmatrix_on_hw,
     rmatrix_oracle,
     to_highest_weight,
 )
-from .tensor import TensorElement, is_classical_hw, product_elements, tensor, tensor_from_dict
+from .tensor import TensorElement, is_classical_hw, product_elements, tensor_from_dict
 
 __version__ = "0.1.0"

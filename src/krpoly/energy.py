@@ -11,17 +11,10 @@ element produced by a fixed schedule of maximal raising moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistentRecursion, NotHighestWeight
 from .rmatrix import rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw
-
-
-def truncate(x):
-    """Truncated subtraction target: max(x, 0)."""
-    return x if x > 0 else 0
 
 
 def local_energy_hw(x):
@@ -33,52 +26,29 @@ def local_energy_hw(x):
     return -x.factors[0].total()
 
 
-@dataclass(frozen=True)
-class IntermediateSeq:
-    """The raising schedule applied to A (x) B, stage by stage.
-
-    stages[s][r] is the pair (A, B) after step r of pass s; colors[s][r]
-    and the exponent applied to B are recorded alongside.  corrections[s] is
-    the truncated exponent of the final color-r2 application of pass s,
-    the only move that can lower the tracked entry sum.
-    """
-
-    stages: tuple
-    colors: tuple
-    exponents_b: tuple
-    corrections: tuple
-
-    @property
-    def final_pair(self):
-        return self.stages[-1][-1]
-
-
 def _pass_colors(r2, s):
     if s == 0:
         return tuple(range(1, r2 + 1))
     return tuple(range(1, r2)) + tuple(2 * r2 + s - r for r in range(r2, r2 + s + 1))
 
 
-def intermediate_sequence(x):
-    """Materialize the full raising schedule for a two-fold product."""
-    if len(x.factors) != 2:
-        raise ValueError("intermediate sequence lives on two-fold products")
+def _schedule_correction(x):
+    """Summed corrections of the raising schedule on A (x) B.
+
+    Pass s = 0..n-r2 runs through ``_pass_colors(r2, s)``; at each color A
+    is raised max(0, eps(A) - phi(B)) times and B eps(B) times.  Every pass
+    ends on color r2, and A's share of that last move, the only one that
+    can lower the tracked entry sum, is the pass's correction.  A raise
+    past the end of its string, or a second factor not zero at the end,
+    raises InconsistentRecursion.
+    """
     a, b = x.factors
-    n = x.n
     r2 = b.params.r
-    stages = []
-    colors_all = []
-    exps_b = []
-    corrections = []
-    for s in range(n - r2 + 1):
-        stage = [(a, b)]
-        colors = _pass_colors(r2, s)
-        eb_pass = [0]
-        for step, color in enumerate(colors, start=1):
-            ka = truncate(a.eps(color) - b.phi(color))
+    total = 0
+    for s in range(x.n - r2 + 1):
+        for color in _pass_colors(r2, s):
+            ka = max(0, a.eps(color) - b.phi(color))
             kb = b.eps(color)
-            if color == r2 and step == len(colors):
-                corrections.append(ka)
             for _ in range(ka):
                 a = a.e(color)
                 if a is None:
@@ -87,20 +57,10 @@ def intermediate_sequence(x):
                 b = b.e(color)
                 if b is None:
                     raise InconsistentRecursion(f"e_{color} exponent exceeded the string")
-            stage.append((a, b))
-            eb_pass.append(kb)
-        stages.append(tuple(stage))
-        colors_all.append((None,) + colors)
-        exps_b.append(tuple(eb_pass))
-    seq = IntermediateSeq(
-        stages=tuple(stages),
-        colors=tuple(colors_all),
-        exponents_b=tuple(exps_b),
-        corrections=tuple(corrections),
-    )
-    if seq.final_pair[1].total() != 0:
+        total += ka
+    if b.total() != 0:
         raise InconsistentRecursion("schedule did not raise the second factor to zero")
-    return seq
+    return total
 
 
 def local_energy(x):
@@ -118,8 +78,7 @@ def local_energy(x):
     r = min(a.params.r, b.params.r)
     rt = max(a.params.r, b.params.r)
     partial = sum(a.a(p, q) for p in range(1, r + 1) for q in range(rt, a.params.n + 1))
-    seq = intermediate_sequence(x)
-    return -partial + sum(seq.corrections)
+    return -partial + _schedule_correction(x)
 
 
 def local_energy_oracle(params1, params2, sigma=None):

@@ -30,7 +30,11 @@ class SizeLimitExceeded(KRError):
 
 
 class IndexOutOfRange(KRError):
-    """Color index outside the range where the requested pivot exists."""
+    """Color index outside its range.
+
+    Raised for a color outside 0..n in the string statistics
+    (``KRPattern._stats``) and for a pivot at l = r or outside 1..n.
+    """
 
 
 class NotHighestWeight(KRError):

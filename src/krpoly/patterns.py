@@ -383,36 +383,21 @@ def _string(A, l):
     return best - sum(lo), best - sum(hi), first, last
 
 
-@dataclass(frozen=True)
-class PivotIndices:
-    """Extreme argmax positions of the pivot objective for one color.
+def pivot(A, l):
+    """Extreme argmax positions (lo, hi) of the pivot objective of color l.
 
-    For l > r the plus pair (p_plus <= q_plus) indexes columns; for l < r
-    the minus pair (q_minus <= p_minus) indexes rows.
+    For r < l <= n they are the columns (p_+, q_+); for 1 <= l < r the
+    rows (q_-, p_-).  f_l moves a unit at p_+ or p_-, e_l at q_+ or q_-.
     """
-
-    p_plus: int = None
-    q_plus: int = None
-    p_minus: int = None
-    q_minus: int = None
-
-
-def pivot(A, l, sign):
-    """Pivot indices for color l; sign 'plus' needs l > r, 'minus' l < r."""
     pr = A.params
     if l == pr.r:
         raise IndexOutOfRange(f"color {l} equals r: no pivot needed")
-    if sign == "plus":
-        if not pr.r < l <= pr.n:
-            raise IndexOutOfRange(f"plus pivot needs r < l <= n, got l={l}")
-        _, _, first, last = A._stats(l)
-        return PivotIndices(p_plus=first + 1, q_plus=last + 1)
-    if sign == "minus":
-        if not 1 <= l < pr.r:
-            raise IndexOutOfRange(f"minus pivot needs 1 <= l < r, got l={l}")
-        _, _, first, last = A._stats(l)
-        return PivotIndices(p_minus=pr.n - first, q_minus=pr.n - last)
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    if not 1 <= l <= pr.n:
+        raise IndexOutOfRange(f"pivot needs 1 <= l <= n, got l={l}")
+    _, _, first, last = A._stats(l)
+    if l > pr.r:
+        return first + 1, last + 1
+    return pr.n - last, pr.n - first
 
 
 def _move(A, l, i, step):

@@ -29,6 +29,10 @@ from .rmatrix import highest_weight_elements, to_highest_weight
 from .table import product_table
 from .tensor import is_classical_hw
 
+# largest tensor square B (x) B that check_perfect walks when the highest
+# weight certificate does not decide its connectivity
+SQUARE_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class DominantWeight:
@@ -178,13 +182,13 @@ class PerfectReport:
         return not self.violations
 
 
-def check_perfect(params, max_size=200_000):
+def check_perfect(params):
     """Verify the five perfectness conditions for B^{r,s} at level s.
 
     B is enumerated under ``ENUMERATION_CAP``.  The tensor square is
     connected when the highest weight certificate (``_certificate``) shows
     it; otherwise it is walked on id pairs from 0 (x) 0, and a square of
-    more than ``max_size`` elements raises SizeLimitExceeded before that
+    more than ``SQUARE_CAP`` elements raises SizeLimitExceeded before that
     walk.  A disconnected verdict thus always comes from the walk.
     """
     report = PerfectReport(params=params, level=params.s)
@@ -198,12 +202,11 @@ def check_perfect(params, max_size=200_000):
         reached = size
     else:
         report.connectivity_route = "closure"
-        if max_size is not None and size > max_size:
-            raise SizeLimitExceeded(f"tensor square has {size} > {max_size} elements")
+        if size > SQUARE_CAP:
+            raise SizeLimitExceeded(f"tensor square has {size} > {SQUARE_CAP} elements")
         # id 0 is the zero pattern, the first in lexicographic order
-        square = product_table(params, params, max_size)
-        colors = range(params.n + 1)
-        reached = len(closure([(0, 0)], colors, square.f, square.e, max_size=max_size))
+        square = product_table(params, params)
+        reached = len(closure([(0, 0)], range(params.n + 1), square.f, square.e))
     report.tensor_square_connected = reached == size
     if not report.tensor_square_connected:
         report.violations.append(f"tensor square reaches {reached} of {size} elements")

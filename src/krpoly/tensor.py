@@ -148,11 +148,6 @@ class TensorElement:
         return {"factors": [b.to_dict() for b in self.factors]}
 
 
-def tensor(*factors):
-    """Build a TensorElement from patterns; one pattern gives a one-factor element."""
-    return TensorElement(tuple(factors))
-
-
 def tensor_from_dict(data):
     """Validated TensorElement from ``{"factors": [pattern, ...]}``, e.g. parsed JSON."""
     if not isinstance(data, dict) or data.keys() != {"factors"}:

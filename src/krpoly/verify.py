@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .energy import intermediate_sequence, local_energy, local_energy_hw, local_energy_oracle
+from .energy import _schedule_correction, local_energy, local_energy_hw, local_energy_oracle
 from .errors import KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import psi_crystal, psi_embedding
@@ -127,10 +127,10 @@ def string_phi(x, l):
         count += 1
 
 
-def brute_pivot(A, l, sign):
-    """Pivot positions by direct enumeration of the defining objective."""
+def brute_pivot(A, l):
+    """Pivot positions (lo, hi) by direct enumeration of the defining objective."""
     pr = A.params
-    if sign == "plus":
+    if l > pr.r:
         vals = {
             p: sum(A.a(j, l - 1) for j in range(1, p + 1))
             + sum(A.a(j, l) for j in range(p, pr.r + 1))
@@ -197,11 +197,7 @@ def _ops_failures(params):
         for l in range(1, n + 1):
             if l == params.r:
                 continue
-            sign = "plus" if l > params.r else "minus"
-            piv = pivot(b, l, sign)
-            lo, hi = brute_pivot(b, l, sign)
-            got = (piv.p_plus, piv.q_plus) if sign == "plus" else (piv.q_minus, piv.p_minus)
-            if got != (lo, hi):
+            if pivot(b, l) != brute_pivot(b, l):
                 bad.append(f"pivot mismatch at {b} color {l}")
     graph = build_graph(crystal, range(n + 1))
     if not graph.is_connected():
@@ -268,7 +264,7 @@ def _energy_failures(params1, params2):
         if not is_classical_hw(x):
             bad.append(f"formula element is not highest weight at {x}")
             continue
-        intermediate_sequence(x)  # raises if the schedule leaves the second factor nonzero
+        _schedule_correction(x)  # raises if the schedule leaves the second factor nonzero
     return bad
 
 
@@ -297,14 +293,11 @@ def _nakajima_failures(params):
                 bad.append(f"color-1 statistics differ at {b}")
             if not _psi_commutes(crystal2, b, m, 1, 2):
                 bad.append(f"color-1 operators differ at {b}")
-            if b.phi(1) > 0:
-                piv = pivot(b, 1, "minus")
-                if crystal2.nf(m, 2) != params.n - piv.p_minus:
-                    bad.append(f"nf pivot identity fails at {b}")
-            if b.eps(1) > 0:
-                piv = pivot(b, 1, "minus")
-                if crystal2.ne(m, 2) != params.n - piv.q_minus:
-                    bad.append(f"ne pivot identity fails at {b}")
+            lo, hi = pivot(b, 1)
+            if b.phi(1) > 0 and crystal2.nf(m, 2) != params.n - hi:
+                bad.append(f"nf pivot identity fails at {b}")
+            if b.eps(1) > 0 and crystal2.ne(m, 2) != params.n - lo:
+                bad.append(f"ne pivot identity fails at {b}")
     return bad
 
 

@@ -3,10 +3,9 @@ from krpoly import (
     KRPattern,
     TensorElement,
     highest_weight_elements,
-    rmatrix,
     validate_pattern,
 )
-from krpoly.rmatrix import hw_support
+from krpoly.rmatrix import hw_support, rmatrix
 from krpoly.tensor import product_elements as product_of
 
 

@@ -15,12 +15,11 @@ from krpoly import (
     eps_profile,
     highest_weight_elements,
     is_classical_hw,
-    rmatrix,
     rmatrix_on_hw,
 )
 from krpoly.graph import build_graph
 from krpoly.perfect import DominantWeight, ground_state_path
-from krpoly.rmatrix import hw_support
+from krpoly.rmatrix import hw_support, rmatrix
 from krpoly.verify import run_suite
 
 from conftest import all_params, product_elements

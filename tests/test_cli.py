@@ -21,9 +21,9 @@ from krpoly import (
     pattern_from_dict,
     perfect,
     product_elements,
-    rmatrix,
 )
 from krpoly.cli import main
+from krpoly.rmatrix import rmatrix
 
 from conftest import all_params, random_element, random_pattern
 

@@ -7,12 +7,13 @@ from collections import Counter
 import pytest
 
 from krpoly import (
+    InconsistentRecursion,
     KRParams,
+    KRPattern,
     NotHighestWeight,
     TensorElement,
     enumerate_crystal,
     global_energy,
-    intermediate_sequence,
     is_classical_hw,
     local_energy,
     local_energy_hw,
@@ -20,9 +21,8 @@ from krpoly import (
     rmatrix_oracle,
     zero_pattern,
 )
-from krpoly.energy import truncate
 from krpoly.graph import build_graph
-from krpoly.rmatrix import hw_support, rmatrix
+from krpoly.rmatrix import hw_support, rmatrix, to_highest_weight
 
 from conftest import (
     all_params,
@@ -31,6 +31,7 @@ from conftest import (
     pair,
     product_elements,
     random_element,
+    random_pattern,
     swap_at,
 )
 
@@ -65,31 +66,17 @@ def test_hw_law_is_negative_entry_sum():
     assert local_energy(x) == -4
 
 
-def test_intermediate_sequence_on_hw_input():
-    p1, p2 = KRParams(3, 1, 2), KRParams(3, 2, 2)
-    x = hw_element(p1, p2, (1,))
-    seq = intermediate_sequence(x)
-    # the second factor starts at zero, so its exponents all vanish
-    assert all(k == 0 for stage in seq.exponents_b for k in stage)
-    assert seq.final_pair[1].total() == 0
-
-
-def test_intermediate_sequence_matches_maximal_tensor_raising():
-    # every schedule step equals e_color applied as often as possible
-    for params1, params2 in [
-        (KRParams(2, 1, 2), KRParams(2, 1, 2)),
-        (KRParams(3, 2, 1), KRParams(3, 2, 2)),
-    ]:
-        for x in product_elements(params1, params2):
-            seq = intermediate_sequence(x)
-            walk = x
-            for stage, colors in zip(seq.stages, seq.colors):
-                assert walk.factors == stage[0]
-                for step, color in enumerate(colors[1:], start=1):
-                    for _ in range(walk.eps(color)):
-                        walk = walk.e(color)
-                    assert walk.factors == stage[step]
-            assert walk.factors[1].total() == 0
+def test_schedule_breaks_raise_typed_errors(monkeypatch):
+    # a raise that runs off its string, or a schedule that leaves the second
+    # factor nonzero, is an InconsistentRecursion, not an AttributeError
+    params = KRParams(2, 1, 1)
+    zero = zero_pattern(params)
+    monkeypatch.setattr(KRPattern, "e", lambda self, l: None)
+    with pytest.raises(InconsistentRecursion, match="e_1 exponent exceeded the string"):
+        local_energy(pair(zero.f(1), zero.f(1).f(2)))
+    monkeypatch.setattr(KRPattern, "eps", lambda self, l: 0)
+    with pytest.raises(InconsistentRecursion, match="second factor to zero"):
+        local_energy(pair(zero, zero.f(1)))
 
 
 def test_closed_form_equals_oracle_rank_two():
@@ -117,9 +104,9 @@ def test_single_row_nested_formula():
         pn1, pn2 = KRParams(n, n, s1), KRParams(n, n, s2)
         for x in product_elements(pn1, pn2):
             a, b = x.factors
-            inner = truncate(a.a(1, n) - b.phi(1))
+            inner = max(0, a.a(1, n) - b.phi(1))
             for j in range(2, n + 1):
-                inner = truncate(a.a(j, n) + inner - b.phi(j))
+                inner = max(0, a.a(j, n) + inner - b.phi(j))
             assert local_energy(x) == -sum(a.a(j, n) for j in range(1, n + 1)) + inner
 
 
@@ -143,6 +130,28 @@ def test_energy_changes_only_across_zero_edges():
             else:
                 want = h
             assert local_energy(ex) == want
+
+
+SPARSE_SHAPES_N8 = [KRParams(8, 4, 3), KRParams(8, 3, 2), KRParams(8, 2, 4), KRParams(8, 5, 2)]
+
+
+def test_closed_form_on_sampled_pairs_at_rank_eight():
+    # no oracle enumerates these products: the closed form must equal minus
+    # the first factor's entry sum at the classical highest weight element,
+    # and stay constant along every classical edge out of the sample
+    rng = random.Random(16)
+    edges = 0
+    for params1, params2 in itertools.product(SPARSE_SHAPES_N8, repeat=2):
+        for _ in range(10):
+            x = pair(random_pattern(rng, params1), random_pattern(rng, params2))
+            h = local_energy(x)
+            assert h == -to_highest_weight(x)[0].factors[0].total()
+            for l in range(1, 9):
+                fx = x.f(l)
+                if fx is not None:
+                    assert local_energy(fx) == h
+                    edges += 1
+    assert edges > 0
 
 
 def test_energy_lower_bound():
@@ -245,7 +254,7 @@ def test_default_global_energy_transports_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(module, "to_highest_weight", counting)
     monkeypatch.setattr(module, "local_energy", forbidden)
-    monkeypatch.setattr(module, "intermediate_sequence", forbidden)
+    monkeypatch.setattr(module, "_schedule_correction", forbidden)
     rng = random.Random(6)
     for size in range(2, 9):
         calls.clear()

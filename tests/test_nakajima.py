@@ -182,7 +182,8 @@ def test_psi_pivot_identities():
     for params in [KRParams(3, 2, 2), KRParams(4, 3, 2)]:
         for b in enumerate_crystal(params):
             m = psi_embedding(b)
+            q_minus, p_minus = pivot(b, 1)
             if b.phi(1) > 0:
-                assert crystal2.nf(m, 2) == params.n - pivot(b, 1, "minus").p_minus
+                assert crystal2.nf(m, 2) == params.n - p_minus
             if b.eps(1) > 0:
-                assert crystal2.ne(m, 2) == params.n - pivot(b, 1, "minus").q_minus
+                assert crystal2.ne(m, 2) == params.n - q_minus

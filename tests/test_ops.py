@@ -70,20 +70,15 @@ def test_string_length_is_phi_plus_eps():
 
 def test_pivot_requires_matching_side():
     b = zero_pattern(KRParams(3, 2, 1))
-    with pytest.raises(IndexOutOfRange):
-        pivot(b, 2, "plus")  # l == r
-    with pytest.raises(IndexOutOfRange):
-        pivot(b, 1, "plus")  # plus needs l > r
-    with pytest.raises(IndexOutOfRange):
-        pivot(b, 3, "minus")  # minus needs l < r
+    for l in (2, 0, 4):  # l == r, then outside 1..n
+        with pytest.raises(IndexOutOfRange):
+            pivot(b, l)
 
 
 def test_pivot_on_constant_objective_picks_extremes():
     zero = zero_pattern(KRParams(3, 2, 1))
-    plus = pivot(zero, 3, "plus")
-    assert (plus.p_plus, plus.q_plus) == (1, 2)
-    minus = pivot(zero, 1, "minus")
-    assert (minus.q_minus, minus.p_minus) == (2, 3)
+    assert pivot(zero, 3) == (1, 2)  # (p_+, q_+)
+    assert pivot(zero, 1) == (2, 3)  # (q_-, p_-)
 
 
 def test_pivot_matches_brute_force_exhaustively():
@@ -92,13 +87,7 @@ def test_pivot_matches_brute_force_exhaustively():
             for l in range(1, params.n + 1):
                 if l == params.r:
                     continue
-                sign = "plus" if l > params.r else "minus"
-                lo, hi = brute_pivot(b, l, sign)
-                piv = pivot(b, l, sign)
-                if sign == "plus":
-                    assert (piv.p_plus, piv.q_plus) == (lo, hi)
-                else:
-                    assert (piv.q_minus, piv.p_minus) == (lo, hi)
+                assert pivot(b, l) == brute_pivot(b, l)
 
 
 def test_pivot_order_on_random_patterns():
@@ -110,12 +99,8 @@ def test_pivot_order_on_random_patterns():
         for l in range(1, params.n + 1):
             if l == params.r:
                 continue
-            sign = "plus" if l > params.r else "minus"
-            piv = pivot(b, l, sign)
-            if sign == "plus":
-                assert piv.p_plus <= piv.q_plus
-            else:
-                assert piv.q_minus <= piv.p_minus
+            lo, hi = pivot(b, l)
+            assert lo <= hi
 
 
 def test_color_zero_commutes_away_from_the_corner_colors():

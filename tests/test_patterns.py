@@ -236,13 +236,9 @@ def test_kept_string_statistics_match_a_fresh_walk():
                         assert (b.f(l) is None) == (phi == 0)
                         assert (b.e(l) is None) == (eps == 0)
                         if l > params.r:
-                            assert patterns.pivot(b, l, "plus") == patterns.PivotIndices(
-                                p_plus=first + 1, q_plus=last + 1
-                            )
+                            assert patterns.pivot(b, l) == (first + 1, last + 1)
                         elif 1 <= l < params.r:
-                            assert patterns.pivot(b, l, "minus") == patterns.PivotIndices(
-                                p_minus=n - first, q_minus=n - last
-                            )
+                            assert patterns.pivot(b, l) == (n - last, n - first)
                     if phi:
                         assert b.f(l) == patterns._move(b, l, first, 1)
                     if eps:

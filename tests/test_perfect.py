@@ -225,8 +225,10 @@ def test_oversized_square_is_refused_before_the_walk(monkeypatch):
     monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[1:])
     with pytest.raises(SizeLimitExceeded):
         check_perfect(KRParams(6, 3, 2))
+    # |B^{1,2}| = 6 at n=2: a 36-element square passes a cap of 35
+    monkeypatch.setattr(perfect, "SQUARE_CAP", 35)
     with pytest.raises(SizeLimitExceeded):
-        check_perfect(KRParams(2, 1, 2), max_size=35)
+        check_perfect(KRParams(2, 1, 2))
 
 
 def test_the_certificate_route_builds_no_crystal_graph(monkeypatch):

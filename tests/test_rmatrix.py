@@ -14,12 +14,11 @@ from krpoly import (
     highest_weight_elements,
     is_classical_hw,
     local_energy_oracle,
-    rmatrix,
     rmatrix_on_hw,
     rmatrix_oracle,
     to_highest_weight,
 )
-from krpoly.rmatrix import hw_support
+from krpoly.rmatrix import hw_support, rmatrix
 
 from conftest import (
     all_params,

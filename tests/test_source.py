@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -113,3 +114,13 @@ def test_patterns_are_built_only_in_patterns():
         (inside if path.name == "patterns.py" else outside).extend(calls)
     assert inside, "patterns.py no longer calls KRPattern"
     assert not outside, f"KRPattern built outside patterns.py: {', '.join(outside)}"
+
+
+def test_package_attributes_are_the_submodules():
+    # a function re-exported under its module's name would shadow the module:
+    # ``import krpoly.rmatrix as rm`` would then bind the function
+    stems = [path.stem for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"]
+    assert "rmatrix" in stems and "tensor" in stems
+    for stem in stems:
+        importlib.import_module(f"krpoly.{stem}")
+        assert getattr(krpoly, stem) is sys.modules[f"krpoly.{stem}"], stem

@@ -11,7 +11,6 @@ from krpoly import (
     TensorElement,
     enumerate_crystal,
     is_classical_hw,
-    tensor,
     tensor_from_dict,
 )
 from krpoly.graph import build_graph, sort_key
@@ -29,7 +28,6 @@ def test_mixed_rank_rejected():
     # operator images skip the rank check; every public construction keeps it
     low, high = cell(1, 1, 0), enumerate_crystal(KRParams(2, 1, 1))[0]
     for build in (
-        lambda: tensor(low, high),
         lambda: TensorElement((low, high)),
         lambda: tensor_from_dict({"factors": [low.to_dict(), high.to_dict()]}),
     ):

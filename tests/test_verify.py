@@ -29,9 +29,9 @@ def test_signature_word_survivors():
 def test_brute_pivot_on_a_worked_grid():
     b = pat(3, 2, 2, [[1, 0], [0, 1]])
     # color 3 > r: S(1) = S(2) = 2, a tie, so the extremes are (1, 2)
-    assert brute_pivot(b, 3, "plus") == (1, 2)
+    assert brute_pivot(b, 3) == (1, 2)
     # color 1 < r: T(2) = T(3) = 2 likewise
-    assert brute_pivot(b, 1, "minus") == (2, 3)
+    assert brute_pivot(b, 1) == (2, 3)
 
 
 def test_run_all_suites_at_rank_one_skips_rank_two_axioms():
