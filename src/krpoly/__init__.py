@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InconsistentRecursion,
+    InvalidParams,
     KRError,
     LevelMismatch,
     NegativeEntry,

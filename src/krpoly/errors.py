@@ -5,6 +5,14 @@ class KRError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParams(KRError, ValueError):
+    """Crystal parameters out of range, or tensor factors of different ranks.
+
+    n, r and s must be ``int`` (not ``bool``) with 1 <= r <= n and s >= 1.
+    Also a ValueError, which these checks raised before they had a type.
+    """
+
+
 class DimensionMismatch(KRError):
     """Entry grid does not have shape r x (n-r+1)."""
 

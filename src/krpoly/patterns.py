@@ -19,6 +19,7 @@ from functools import lru_cache
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidParams,
     KRError,
     NegativeEntry,
     PathSumExceeded,
@@ -64,12 +65,15 @@ class KRParams:
     s: int
 
     def __post_init__(self):
+        values = [self.n, self.r, self.s]
+        if not all(map(_is_int, values)):
+            raise InvalidParams(f"n, r and s must be integers, got {values}")
         if self.n < 1:
-            raise ValueError(f"rank must be positive, got n={self.n}")
+            raise InvalidParams(f"rank must be positive, got n={self.n}")
         if not 1 <= self.r <= self.n:
-            raise ValueError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+            raise InvalidParams(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if self.s < 1:
-            raise ValueError(f"level must be positive, got s={self.s}")
+            raise InvalidParams(f"level must be positive, got s={self.s}")
 
     @property
     def num_rows(self):
@@ -90,15 +94,6 @@ class AffineWeight:
     """
 
     pairings: tuple
-
-    @property
-    def level(self):
-        return sum(self.pairings)
-
-    @property
-    def classical(self):
-        """Pairings with the classical coroots only (colors 1..n)."""
-        return self.pairings[1:]
 
     def __add__(self, other):
         if len(self.pairings) != len(other.pairings):
@@ -230,16 +225,10 @@ def pattern_from_dict(data):
     """Validated KRPattern from its ``to_dict`` form, e.g. parsed JSON."""
     if not isinstance(data, dict) or data.keys() != {"n", "r", "s", "rows"}:
         raise KRError("a pattern must be an object with exactly the keys n, r, s and rows")
-    values = [data[key] for key in ("n", "r", "s")]
-    if not all(_is_int(v) for v in values):
-        raise KRError(f"n, r and s must be integers, got {values}")
+    params = KRParams(data["n"], data["r"], data["s"])
     rows = data["rows"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise DimensionMismatch(f"rows must be a list of lists, got {rows!r}")
-    try:
-        params = KRParams(*values)
-    except ValueError as exc:
-        raise KRError(str(exc)) from None
     return validate_pattern(rows, params)
 
 

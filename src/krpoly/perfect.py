@@ -159,23 +159,37 @@ def ground_state_path(weight, params, length):
 
 @dataclass
 class PerfectReport:
-    """Outcome of the five perfectness conditions, with witnesses."""
+    """Outcome of the five perfectness conditions, with witnesses.
+
+    Only measured values are stored.  ``level`` is ``params.s``,
+    ``profile_level_ok`` is ``min_profile_level >= level`` and ``finite``
+    is True (B was enumerated); all three are derived properties.
+    """
 
     params: KRParams
-    level: int
     cardinality: int = 0
-    finite: bool = False
     tensor_square_connected: bool = False
     classical_weights_dominated: bool = False
     top_weight_unique: bool = False
     min_profile_level: int = None
-    profile_level_ok: bool = False
     eps_profiles_bijective: bool = False
     phi_profiles_bijective: bool = False
     formulas_match_search: bool = False
     violations: list = field(default_factory=list)
     # "certificate" or "closure": how tensor_square_connected was decided
     connectivity_route: str = None
+
+    @property
+    def level(self):
+        return self.params.s
+
+    @property
+    def finite(self):
+        return True
+
+    @property
+    def profile_level_ok(self):
+        return self.min_profile_level is not None and self.min_profile_level >= self.level
 
     @property
     def ok(self):
@@ -189,13 +203,14 @@ def check_perfect(params):
     connected when the highest weight certificate (``_certificate``) shows
     it; otherwise it is walked on id pairs from 0 (x) 0, and a square of
     more than ``SQUARE_CAP`` elements raises SizeLimitExceeded before that
-    walk.  A disconnected verdict thus always comes from the walk.
+    walk.  A disconnected verdict thus always comes from the walk.  B is
+    read in one pass, then each side once over the level-s dominant weights.
     """
-    report = PerfectReport(params=params, level=params.s)
+    report = PerfectReport(params=params)
+    violations = report.violations
     elements = enumerate_crystal(params)
     size = len(elements) ** 2
     report.cardinality = len(elements)
-    report.finite = True
 
     if _certificate(params, size):
         report.connectivity_route = "certificate"
@@ -209,46 +224,64 @@ def check_perfect(params):
         reached = len(closure([(0, 0)], range(params.n + 1), square.f, square.e))
     report.tensor_square_connected = reached == size
     if not report.tensor_square_connected:
-        report.violations.append(f"tensor square reaches {reached} of {size} elements")
+        violations.append(f"tensor square reaches {reached} of {size} elements")
 
-    report.classical_weights_dominated, report.top_weight_unique = _weight_cone(
-        elements, params, report
-    )
-
-    # one pass: the minimum epsilon-level and the level-exact profiles
-    min_level = None
-    exact_e, exact_f = [], []
+    # one pass over B.  The classical weight of the zero pattern dominates
+    # B: top - wt is a non-negative integer combination of simple roots, read
+    # with the inverse Cartan matrix scaled by n+1 to stay in integers, once
+    # per distinct weight.  Each side keeps its level-exact profiles in order.
+    n, s = params.n, params.s
+    top = zero_pattern(params).classical_weight()
+    inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
+    cone, hits_e, hits_f, at_top, min_level = {}, {}, {}, 0, None
     for b in elements:
+        wt = b.classical_weight()
+        at_top += wt == top
+        ok = cone.get(wt)
+        if ok is None:
+            diff = [top[t] - wt[t] for t in range(n)]
+            coords = [sum(row[t] * diff[t] for t in range(n)) for row in inverse]
+            ok = cone[wt] = not any(c < 0 or c % (n + 1) for c in coords)
+        if not ok:
+            violations.append(f"weight of {b} escapes the dominance cone")
         prof_e, prof_f = eps_profile(b), phi_profile(b)
         level = sum(prof_e)
-        min_level = level if min_level is None else min(min_level, level)
-        if level == params.s:
-            exact_e.append((b, prof_e))
-        if sum(prof_f) == params.s:
-            exact_f.append((b, prof_f))
+        if min_level is None or level < min_level:
+            min_level = level
+        if level == s:
+            hits_e.setdefault(prof_e, []).append(b)
+        if sum(prof_f) == s:
+            hits_f.setdefault(prof_f, []).append(b)
+    report.classical_weights_dominated = all(cone.values())
+    report.top_weight_unique = at_top == 1
+    if at_top != 1:
+        violations.append(f"{at_top} elements share the top classical weight")
     report.min_profile_level = min_level
-    report.profile_level_ok = min_level >= params.s
-    if not report.profile_level_ok:
-        report.violations.append(f"some epsilon-profile has level {min_level} < {params.s}")
+    if min_level < s:
+        violations.append(f"some epsilon-profile has level {min_level} < {s}")
 
-    targets = dominant_weights(params.n, params.s)
-    hits_e = profile_uniqueness_table(exact_e, params.s)
-    hits_f = profile_uniqueness_table(exact_f, params.s)
-    report.eps_profiles_bijective = _profiles_bijective(hits_e, targets, report, "epsilon")
-    report.phi_profiles_bijective = _profiles_bijective(hits_f, targets, report, "phi")
-
-    formula_ok = True
-    for weight in targets:
-        # of several hits (already a bijection violation), the last one is compared
-        found_low = hits_e.get(weight.coeffs, [None])[-1]
-        found_up = hits_f.get(weight.coeffs, [None])[-1]
-        if found_low != b_lower(weight, params):
-            formula_ok = False
-            report.violations.append(f"search and formula disagree on b_({weight.coeffs})")
-        if found_up != b_upper(weight, params):
-            formula_ok = False
-            report.violations.append(f"search and formula disagree on b^({weight.coeffs})")
-    report.formulas_match_search = formula_ok
+    # each side: every dominant weight of level s is hit exactly once, by
+    # the element its formula writes down (of several hits, already a
+    # violation, the last is compared); disagreements are listed per weight
+    targets = dominant_weights(n, s)
+    wanted = {w.coeffs for w in targets}
+    bijective, disagree = [], [[] for _ in targets]
+    sides = (("epsilon", "b_", hits_e, b_lower), ("phi", "b^", hits_f, b_upper))
+    for tag, mark, hits, formula in sides:
+        before = len(violations)
+        for weight, wrong in zip(targets, disagree):
+            found = hits.get(weight.coeffs, [])
+            if len(found) != 1:
+                violations.append(f"{tag}-profile {weight.coeffs} hit by {len(found)} elements")
+            if found[-1:] != [formula(weight, params)]:
+                wrong.append(f"search and formula disagree on {mark}({weight.coeffs})")
+        extra = sorted(hits.keys() - wanted)
+        if extra:
+            violations.append(f"unexpected level-exact {tag}-profiles: {extra}")
+        bijective.append(len(violations) == before)
+    report.eps_profiles_bijective, report.phi_profiles_bijective = bijective
+    report.formulas_match_search = not any(disagree)
+    violations.extend(message for wrong in disagree for message in wrong)
     return report
 
 
@@ -293,65 +326,3 @@ def _affine_edges(hw):
         for y in (x.f(0), x.e(0)):
             if y is not None:
                 yield x, to_highest_weight(y)[0]
-
-
-def _weight_cone(elements, params, report):
-    # classical weight of the zero pattern dominates the whole crystal:
-    # top - wt must be a non-negative integer combination of simple roots,
-    # read with the inverse Cartan matrix scaled by n+1 to stay in integers;
-    # the test runs once per distinct weight
-    n = params.n
-    top = zero_pattern(params).classical_weight()
-    inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-    def inside(wt):
-        diff = [top[t] - wt[t] for t in range(n)]
-        coords = [sum(row[t] * diff[t] for t in range(n)) for row in inverse]
-        return not any(c < 0 or c % (n + 1) for c in coords)
-
-    cone = {}
-    dominated = True
-    at_top = 0
-    for b in elements:
-        wt = b.classical_weight()
-        if wt == top:
-            at_top += 1
-        ok = cone.get(wt)
-        if ok is None:
-            ok = cone[wt] = inside(wt)
-        if not ok:
-            dominated = False
-            report.violations.append(f"weight of {b} escapes the dominance cone")
-    if at_top != 1:
-        report.violations.append(f"{at_top} elements share the top classical weight")
-    return dominated, at_top == 1
-
-
-def _profiles_bijective(hits, targets, report, tag):
-    ok = True
-    for weight in targets:
-        found = hits.get(weight.coeffs, [])
-        if len(found) != 1:
-            ok = False
-            report.violations.append(
-                f"{tag}-profile {weight.coeffs} hit by {len(found)} elements"
-            )
-    extra = set(hits) - {w.coeffs for w in targets}
-    if extra:
-        ok = False
-        report.violations.append(f"unexpected level-exact {tag}-profiles: {sorted(extra)}")
-    return ok
-
-
-def profile_uniqueness_table(pairs, level):
-    """Map level-exact profiles to the elements attaining them, in order.
-
-    ``pairs`` yields (element, profile).  Generic helper for the
-    uniqueness condition so that hand-built negative controls can reuse
-    the same bookkeeping.
-    """
-    hits = {}
-    for element, prof in pairs:
-        if sum(prof) == level:
-            hits.setdefault(prof, []).append(element)
-    return hits

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import KRError, SizeLimitExceeded
+from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP, crystal_size, enumerate_crystal, pattern_from_dict
 
 
@@ -29,7 +29,7 @@ class TensorElement:
             raise ValueError("tensor element needs at least one factor")
         n = self.factors[0].n
         if any(b.n != n for b in self.factors):
-            raise ValueError("all factors must share the same rank n")
+            raise InvalidParams("all factors must share the same rank n")
 
     @classmethod
     def _trusted(cls, factors):

@@ -6,6 +6,7 @@ import pytest
 from krpoly import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidParams,
     KRError,
     KRParams,
     NegativeEntry,
@@ -68,6 +69,16 @@ def test_shape_and_sign_errors():
             pattern_from_dict(data)
         with pytest.raises(KRError, match=message):
             tensor_from_dict({"factors": [data]})
+    # factors of different ranks are a KRError from the loader too
+    mixed = [zero_pattern(KRParams(3, 1, 1)).to_dict(), zero_pattern(KRParams(4, 1, 1)).to_dict()]
+    with pytest.raises(KRError, match="all factors must share the same rank n"):
+        tensor_from_dict({"factors": mixed})
+    # a bool or float is not an integer, however it compares; the error is
+    # a KRError and, for older callers, a ValueError
+    for values in ((True, 1, 1), (2.0, 1, 1)):
+        with pytest.raises(InvalidParams, match="n, r and s must be integers") as err:
+            KRParams(*values)
+        assert isinstance(err.value, KRError) and isinstance(err.value, ValueError)
 
 
 def test_dp_agrees_with_explicit_staircases():

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from krpoly import (
     DominantWeight,
     KRParams,
     LevelMismatch,
+    PerfectReport,
     SizeLimitExceeded,
     b_lower,
     b_upper,
@@ -15,7 +18,6 @@ from krpoly import (
     phi_profile,
 )
 from krpoly import perfect
-from krpoly.perfect import profile_uniqueness_table
 
 from conftest import all_params
 
@@ -73,10 +75,14 @@ def test_b_upper_last_row_reads_initial_coefficients():
 
 def test_profiles_match_exhaustive_uniqueness_search():
     for params in all_params(3, 2):
-        crystal = enumerate_crystal(params)
-        eps_hits = profile_uniqueness_table(((b, eps_profile(b)) for b in crystal), params.s)
-        phi_hits = profile_uniqueness_table(((b, phi_profile(b)) for b in crystal), params.s)
-        for weight in dominant_weights(params.n, params.s):
+        eps_hits, phi_hits = {}, {}
+        for b in enumerate_crystal(params):
+            for hits, prof in ((eps_hits, eps_profile(b)), (phi_hits, phi_profile(b))):
+                if sum(prof) == params.s:
+                    hits.setdefault(prof, []).append(b)
+        targets = dominant_weights(params.n, params.s)
+        assert eps_hits.keys() == phi_hits.keys() == {w.coeffs for w in targets}
+        for weight in targets:
             assert eps_hits[weight.coeffs] == [b_lower(weight, params)]
             assert phi_hits[weight.coeffs] == [b_upper(weight, params)]
 
@@ -103,38 +109,80 @@ def test_check_perfect_sweep_small():
         assert check_perfect(params).ok
 
 
-def test_four_cycle_mimic_fails_uniqueness():
-    # A ->1 B ->2 C ->1 D ->0 A: profiles of B and D coincide at level 1
-    profiles = {
-        "A": (0, 0, 0),
-        "B": (0, 1, 0),
-        "C": (0, 0, 1),
-        "D": (0, 1, 0),
-    }
-    hits = profile_uniqueness_table(profiles.items(), 1)
-    assert sorted(hits[(0, 1, 0)]) == ["B", "D"]
+def test_report_stores_only_what_it_measured():
+    stored = {f.name for f in dataclasses.fields(PerfectReport)}
+    assert not stored & {"level", "finite", "profile_level_ok"}
+    for params in all_params(3, 2):
+        report = check_perfect(params)
+        assert report.level == params.s and report.finite
+        assert report.profile_level_ok and report.min_profile_level == params.s
+
+
+def test_check_perfect_reads_b_once(monkeypatch):
+    reads = []
+
+    class Counted(list):
+        def __iter__(self):
+            reads.append("iterated")
+            return super().__iter__()
+
+    def enumerate_once(params):
+        reads.append("enumerated")
+        return Counted(enumerate_crystal(params))
+
+    monkeypatch.setattr(perfect, "enumerate_crystal", enumerate_once)
+    for params in (KRParams(2, 1, 1), KRParams(3, 2, 2)):
+        reads.clear()
+        assert check_perfect(params).ok
+        assert reads == ["enumerated", "iterated"]
+
+
+def test_a_duplicated_level_exact_element_breaks_uniqueness(monkeypatch):
+    # b_lower of a weight off Lambda_0 is level-exact on both sides and not
+    # the zero pattern, so only the profile and square conditions can fail
+    params = KRParams(2, 1, 1)
+    twin = b_lower(DominantWeight((0, 1, 0)), params)
+    monkeypatch.setattr(perfect, "enumerate_crystal", lambda p: enumerate_crystal(p) + [twin])
+    report = check_perfect(params)
+    assert report.eps_profiles_bijective is False
+    assert report.phi_profiles_bijective is False
+    assert report.top_weight_unique and report.classical_weights_dominated
+    assert report.formulas_match_search and report.profile_level_ok
+    assert report.violations == [
+        "tensor square reaches 9 of 16 elements",
+        "epsilon-profile (0, 1, 0) hit by 2 elements",
+        f"phi-profile {phi_profile(twin)} hit by 2 elements",
+    ]
 
 
 class WeightStub:
-    """Stands in for a crystal element; only its classical weight is read."""
+    """Stands in for a crystal element whose profiles all read 1.
+
+    At level 1 they are never level-exact, so only the classical weight
+    of the stub takes part in the conditions.
+    """
 
     def __init__(self, name, weight):
-        self.name, self.weight = name, weight
+        self.name, self.weight, self.n = name, weight, len(weight)
 
     def classical_weight(self):
         return self.weight
+
+    def eps(self, l):
+        return 1
+
+    phi = eps
 
     def __repr__(self):
         return self.name
 
 
-def test_weight_cone_rejects_a_second_top_and_escaping_weights():
+def test_weight_cone_rejects_a_second_top_and_escaping_weights(monkeypatch):
     params = KRParams(2, 1, 1)
-    elements = enumerate_crystal(params)
-    clean = perfect.PerfectReport(params=params, level=1)
-    assert perfect._weight_cone(elements, params, clean) == (True, True)
+    clean = check_perfect(params)
+    assert clean.classical_weights_dominated and clean.top_weight_unique
     assert clean.violations == []
-    top = elements[0].classical_weight()
+    top = enumerate_crystal(params)[0].classical_weight()
     # (0, 0) lies under the top (1, 0) but off the root lattice; (2, 0) lies above it
     # a weight tested once still reports every element that carries it
     stubs = [
@@ -143,9 +191,14 @@ def test_weight_cone_rejects_a_second_top_and_escaping_weights():
         WeightStub("above", (2, 0)),
         WeightStub("off again", (0, 0)),
     ]
-    report = perfect.PerfectReport(params=params, level=1)
-    assert perfect._weight_cone(elements + stubs, params, report) == (False, False)
+    monkeypatch.setattr(perfect, "enumerate_crystal", lambda p: enumerate_crystal(p) + stubs)
+    report = check_perfect(params)
+    assert not report.classical_weights_dominated and not report.top_weight_unique
+    assert report.eps_profiles_bijective and report.phi_profiles_bijective
+    assert report.min_profile_level == 1
+    # the stubs enlarge the square past what the walk from the zero pair reaches
     assert report.violations == [
+        "tensor square reaches 9 of 49 elements",
         "weight of off escapes the dominance cone",
         "weight of above escapes the dominance cone",
         "weight of off again escapes the dominance cone",
