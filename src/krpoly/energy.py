@@ -14,16 +14,15 @@ from __future__ import annotations
 from .errors import InconsistentRecursion, NotHighestWeight
 from .rmatrix import rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
-from .tensor import TensorElement, is_classical_hw
+from .tensor import TensorElement, is_classical_hw, two_factors
 
 
 def local_energy_hw(x):
     """H on a classical highest weight element: minus its entry sum."""
-    if len(x.factors) != 2:
-        raise ValueError("local energy lives on two-fold products")
+    first, _ = two_factors(x, "local energy lives on two-fold products")
     if not is_classical_hw(x):
         raise NotHighestWeight("element is not classical highest weight")
-    return -x.factors[0].total()
+    return -first.total()
 
 
 def _pass_colors(r2, s):
@@ -70,9 +69,7 @@ def local_energy(x):
     image, which lives on the swapped (sorted) pair and has the same
     energy.
     """
-    if len(x.factors) != 2:
-        raise ValueError("local energy lives on two-fold products")
-    a, b = x.factors
+    a, b = two_factors(x, "local energy lives on two-fold products")
     if a.params.s > b.params.s:
         return local_energy(rmatrix(x))
     r = min(a.params.r, b.params.r)

@@ -6,10 +6,12 @@ class KRError(Exception):
 
 
 class InvalidParams(KRError, ValueError):
-    """Crystal parameters out of range, or tensor factors of different ranks.
+    """Crystal parameters out of range, factors of different ranks, or the wrong arity.
 
     n, r and s must be ``int`` (not ``bool``) with 1 <= r <= n and s >= 1.
-    Also a ValueError, which these checks raised before they had a type.
+    A tensor element needs a factor, and the R-matrix, its transport and
+    the local energy need exactly two.  Also a ValueError, which these
+    checks raised before they had a type.
     """
 
 

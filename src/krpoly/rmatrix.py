@@ -8,23 +8,26 @@ weakly decrease and are bounded by min(s1,s2).  Both the elements and
 their images are read and built through the cells: the R-matrix keeps
 those entries and only swaps the carrying shapes, reading the first factor
 cell by cell on the swapped grid.  Arbitrary elements are handled by
-transport to the highest weight representative.
+transport to the highest weight representative and back.  Transport acts
+on the two factors of a two-fold element: it reads each factor's string
+statistics once per color and splits each whole string between them by
+the tensor rule.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import NotHighestWeight, OracleFailure
-from .patterns import pattern_from_cells, zero_pattern
+from .errors import InvalidParams, NotHighestWeight, OracleFailure
+from .patterns import KRPattern, pattern_from_cells, zero_pattern
 from .table import product_table
-from .tensor import TensorElement, is_classical_hw
+from .tensor import TensorElement, is_classical_hw, two_factors
 
 
 def hw_support(params1, params2):
     """Support cells (shared by both product orders) and the entry bound."""
     if params1.n != params2.n:
-        raise ValueError("factors must share the same rank n")
+        raise InvalidParams("factors must share the same rank n")
     n = params1.n
     r = min(params1.r, params2.r)
     rt = max(params1.r, params2.r)
@@ -49,18 +52,15 @@ def highest_weight_elements(params1, params2):
 
 def rmatrix_on_hw(x):
     """Image of a classical highest weight element under the R-matrix."""
-    if len(x.factors) != 2:
-        raise ValueError("the R-matrix acts on two-fold products")
+    first, second = two_factors(x, "the R-matrix acts on two-fold products")
     if not is_classical_hw(x):
         raise NotHighestWeight("element is not killed by all classical raising operators")
-    first, second = x.factors
     if second.total() != 0:
         raise NotHighestWeight("second factor of a highest weight element must be zero")
     cells, _ = hw_support(first.params, second.params)
-    pr = first.params
-    for q in range(pr.r, pr.n + 1):
-        for p in range(1, pr.r + 1):
-            if first.a(p, q) and (p, q) not in cells:
+    for q, row in enumerate(first.rows, first.params.r):
+        for p, entry in enumerate(row, 1):
+            if entry and (p, q) not in cells:
                 raise NotHighestWeight(f"entry off the anti-diagonal at {(p, q)}")
     # the support cells lie on both grids, so the first factor read on the
     # swapped grid keeps the anti-diagonal and is zero elsewhere
@@ -69,46 +69,63 @@ def rmatrix_on_hw(x):
     )
 
 
-def to_highest_weight(x):
-    """Raise x to its classical highest weight element; returns (hw, word).
+def _steps(b, l, k, op):
+    """b moved k single steps of color l by ``op``; OracleFailure past the string."""
+    for _ in range(k):
+        b = op(b, l)
+        if b is None:
+            raise OracleFailure(f"transport word failed at {op.__name__}_{l}")
+    return b
 
-    Each pass raises along whole strings, e_l^{eps_l} for l = 1..n in
-    turn, each string in one move; passes repeat until no classical e_l
-    applies.  The word lists the colors of the single steps in the order
-    applied.  Its length and color multiset are fixed by the weight
-    difference to hw, whatever the schedule.
+
+def to_highest_weight(x):
+    """Raise the two-fold element x = a (x) b to its classical highest weight element.
+
+    Returns (hw, word).  Each pass raises along whole strings, e_l^{eps_l}
+    for l = 1..n in turn, each string in one move; passes repeat until no
+    classical e_l applies.  Transport acts on the two factors and reads
+    the string statistics of a and b once per color: by the tensor rule a
+    takes max(0, eps_l(a) - phi_l(b)) of the steps and b takes eps_l(b).
+    The word lists the colors of the single steps in the order applied.
+    Its length and color multiset are fixed by the weight difference to
+    hw, whatever the schedule.
     """
+    a, b = two_factors(x, "transport acts on two-fold products")
     word = []
     raised = True
     while raised:
         raised = False
-        for l in range(1, x.n + 1):
-            k = x.eps(l)
-            if k:
-                x = x._string_move(l, k, raising=True)
-                word.extend([l] * k)
+        for l in range(1, a.n + 1):
+            phi_b, eps_b, _, _ = b._stats(l)
+            left = max(0, a._stats(l)[1] - phi_b)
+            if left or eps_b:
+                b = _steps(b, l, eps_b, KRPattern.e)
+                a = _steps(a, l, left, KRPattern.e)
+                word += [l] * (left + eps_b)
                 raised = True
-    return x, tuple(word)
+    return TensorElement._trusted((a, b)), tuple(word)
 
 
 def rmatrix_from_hw(hw, word):
     """R-matrix image of the element that ``to_highest_weight`` raised to hw.
 
-    Maps hw by ``rmatrix_on_hw`` and lowers the image back along the
-    reversed transport word, each run of one color in one move.
+    Maps hw by ``rmatrix_on_hw`` and lowers the image a (x) b back along
+    the reversed transport word.  A run of k steps of one color splits by
+    the tensor rule: b takes min(k, max(0, phi_l(b) - eps_l(a))) and a the
+    rest.
     """
-    y = rmatrix_on_hw(hw)
+    a, b = rmatrix_on_hw(hw).factors
     for l, run in itertools.groupby(reversed(word)):
-        y = y._string_move(l, sum(1 for _ in run), raising=False)
-        if y is None:
-            raise OracleFailure(f"transport word failed on the image side at f_{l}")
-    return y
+        k = sum(1 for _ in run)
+        right = min(k, max(0, b._stats(l)[0] - a._stats(l)[1]))
+        b = _steps(b, l, right, KRPattern.f)
+        a = _steps(a, l, k - right, KRPattern.f)
+    return TensorElement._trusted((a, b))
 
 
 def rmatrix(x):
     """R-matrix on an arbitrary element of a two-fold product."""
-    if len(x.factors) != 2:
-        raise ValueError("the R-matrix acts on two-fold products")
+    two_factors(x, "the R-matrix acts on two-fold products")
     return rmatrix_from_hw(*to_highest_weight(x))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import InvalidParams
 from .graph import CrystalGraph
 from .patterns import ENUMERATION_CAP
 from .tensor import TensorElement, factor_crystals
@@ -30,7 +31,7 @@ class PairTable:
 
     def __init__(self, left, right):
         if left.colors != right.colors:
-            raise ValueError("all factors must share the same rank n")
+            raise InvalidParams("all factors must share the same rank n")
         self.left = left
         self.right = right
 

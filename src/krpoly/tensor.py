@@ -26,7 +26,7 @@ class TensorElement:
 
     def __post_init__(self):
         if not self.factors:
-            raise ValueError("tensor element needs at least one factor")
+            raise InvalidParams("tensor element needs at least one factor")
         n = self.factors[0].n
         if any(b.n != n for b in self.factors):
             raise InvalidParams("all factors must share the same rank n")
@@ -117,33 +117,6 @@ class TensorElement:
             return None
         return TensorElement._trusted(self.factors[:m] + (y,) + self.factors[m + 1 :])
 
-    def _string_move(self, l, k, raising):
-        """e_l^k (``raising``) or f_l^k in one move; None past the l-string.
-
-        Walking right to left, factor m splits the k steps with its left
-        prefix P by the tensor rule: e_l acts on P while eps_l(P) >
-        phi_l(b_m), so the first max(0, eps_l(P) - phi_l(b_m)) raises go
-        left; f_l acts on b_m while phi_l(b_m) > eps_l(P), so the first
-        max(0, phi_l(b_m) - eps_l(P)) lowerings stay on b_m.
-        """
-        prefix = self._prefix_eps(l)
-        factors = list(self.factors)
-        for m in range(len(factors) - 1, -1, -1):
-            b = factors[m]
-            left = 0
-            if m:
-                gap = prefix[m - 1] - b._stats(l)[0]
-                left = min(k, max(0, gap)) if raising else k - min(k, max(0, -gap))
-            for _ in range(k - left):
-                b = b.e(l) if raising else b.f(l)
-                if b is None:
-                    return None
-            factors[m] = b
-            k = left
-            if not k:
-                break
-        return TensorElement._trusted(tuple(factors))
-
     def to_dict(self):
         return {"factors": [b.to_dict() for b in self.factors]}
 
@@ -156,6 +129,13 @@ def tensor_from_dict(data):
     if not isinstance(factors, list) or not factors:
         raise KRError(f"factors must be a non-empty list of patterns, got {factors!r}")
     return TensorElement(tuple(pattern_from_dict(d) for d in factors))
+
+
+def two_factors(x, message):
+    """The factors (a, b) of a two-fold element; InvalidParams(message) otherwise."""
+    if len(x.factors) != 2:
+        raise InvalidParams(message)
+    return x.factors
 
 
 def is_classical_hw(x):

@@ -6,19 +6,28 @@ from collections import Counter
 import pytest
 
 from krpoly import (
+    InvalidParams,
+    KRError,
     KRParams,
     NotHighestWeight,
     OracleFailure,
     SizeLimitExceeded,
+    TensorElement,
     enumerate_crystal,
     highest_weight_elements,
     is_classical_hw,
+    local_energy,
+    local_energy_hw,
     local_energy_oracle,
+    rmatrix_from_hw,
     rmatrix_on_hw,
     rmatrix_oracle,
     to_highest_weight,
 )
+from krpoly import patterns
+from krpoly.graph import build_graph
 from krpoly.rmatrix import hw_support, rmatrix
+from krpoly.table import PairTable
 
 from conftest import (
     all_params,
@@ -164,6 +173,27 @@ def single_step_raise(x):
             return x, tuple(word)
 
 
+def pass_schedule_walk(x):
+    """Reference: the transport pass schedule, one TensorElement.e at a time."""
+    word = []
+    raised = True
+    while raised:
+        raised = False
+        for l in range(1, x.n + 1):
+            while x.eps(l):
+                x = x.e(l)
+                word.append(l)
+                raised = True
+    return x, tuple(word)
+
+
+def seeded_pairs(seed, count):
+    """``count`` random two-fold elements with n = 2..6 and s <= 3."""
+    rng = random.Random(seed)
+    shapes = {n: all_params(n, 3) for n in range(2, 7)}
+    return [random_element(rng, shapes[rng.randint(2, 6)], 2) for _ in range(count)]
+
+
 def test_whole_string_raising_matches_single_steps():
     rng = random.Random(7)
     crystals = [enumerate_crystal(p) for p in all_params(4, 2)]
@@ -174,6 +204,34 @@ def test_whole_string_raising_matches_single_steps():
         assert hw == ref_hw
         assert len(word) == len(ref_word)
         assert Counter(word) == Counter(ref_word)
+    # exactly the single-step walk on the same schedule, there and back
+    for x in seeded_pairs(18, 400):
+        hw, word = to_highest_weight(x)
+        assert (hw, word) == pass_schedule_walk(x)
+        y = rmatrix_on_hw(hw)
+        for l in reversed(word):
+            y = y.f(l)
+        assert rmatrix_from_hw(hw, word) == y
+
+
+def test_each_single_step_is_applied_once(monkeypatch):
+    # TensorElement-free transport must not re-walk a string: every e_l of
+    # the word is one patterns._e call, every f_l back one patterns._f call
+    calls = Counter()
+    for name in ("_e", "_f"):
+
+        def counting(A, l, op=getattr(patterns, name), name=name):
+            calls[name] += 1
+            return op(A, l)
+
+        monkeypatch.setattr(patterns, name, counting)
+    for x in seeded_pairs(19, 150):
+        calls.clear()
+        hw, word = to_highest_weight(x)
+        assert (calls["_e"], calls["_f"]) == (len(word), 0)
+        calls.clear()
+        rmatrix_from_hw(hw, word)
+        assert (calls["_e"], calls["_f"]) == (0, len(word))
 
 
 def test_yang_baxter_on_triples():
@@ -194,6 +252,48 @@ def test_failed_transport_replay_raises_typed_error(monkeypatch):
     monkeypatch.setattr(module, "rmatrix_on_hw", lambda hw: trivial)
     with pytest.raises(OracleFailure, match="transport word"):
         rmatrix(pair(cell(1, 1, 1), cell(1, 1, 1)))
+
+
+def test_raising_past_a_string_raises_typed_error(monkeypatch):
+    # a raise that meets crystal zero is an OracleFailure, not an AttributeError
+    monkeypatch.setattr(patterns, "_e", lambda A, l: None)
+    with pytest.raises(OracleFailure, match="transport word failed at e_1"):
+        to_highest_weight(pair(cell(1, 1, 1), cell(1, 3, 3)))
+
+
+def full_graph(params):
+    return build_graph(enumerate_crystal(params), range(params.n + 1))
+
+
+ONE = TensorElement((cell(1, 1, 0),))
+THREE = TensorElement((cell(1, 1, 0),) * 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rmatrix(ONE), "the R-matrix acts on two-fold products"),
+        (lambda: rmatrix_on_hw(THREE), "the R-matrix acts on two-fold products"),
+        (lambda: rmatrix_from_hw(ONE, ()), "the R-matrix acts on two-fold products"),
+        (lambda: to_highest_weight(ONE), "transport acts on two-fold products"),
+        (lambda: to_highest_weight(THREE), "transport acts on two-fold products"),
+        (lambda: local_energy(THREE), "local energy lives on two-fold products"),
+        (lambda: local_energy_hw(ONE), "local energy lives on two-fold products"),
+        (
+            lambda: highest_weight_elements(KRParams(3, 1, 1), KRParams(4, 1, 1)),
+            "factors must share the same rank n",
+        ),
+        (
+            lambda: PairTable(full_graph(KRParams(2, 1, 1)), full_graph(KRParams(3, 1, 1))),
+            "all factors must share the same rank n",
+        ),
+        (lambda: TensorElement(()), "tensor element needs at least one factor"),
+    ],
+)
+def test_arity_and_rank_guards_raise_invalid_params(call, message):
+    with pytest.raises(InvalidParams, match=message) as err:
+        call()
+    assert isinstance(err.value, KRError) and isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("oracle", [rmatrix_oracle, local_energy_oracle])

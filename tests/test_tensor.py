@@ -17,7 +17,7 @@ from krpoly.graph import build_graph, sort_key
 from krpoly.tensor import product_elements as product_of
 from krpoly.verify import signature_e, signature_f, signature_word, string_eps, string_phi
 
-from conftest import all_params, cell, pair, product_elements, random_element
+from conftest import all_params, cell, pair, product_elements
 
 
 P11 = KRParams(1, 1, 1)
@@ -155,19 +155,3 @@ def test_product_cap_counts_the_product_not_the_factors():
     assert len(product_of(factors, max_size=size)) == size
     with pytest.raises(SizeLimitExceeded):
         product_of(factors, max_size=size - 1)
-
-
-def test_whole_strings_move_in_one_step():
-    # e_l^k and f_l^k split over the factors in closed form; past the end
-    # of the string the move is None, like the k-th single step
-    rng = random.Random(29)
-    shapes = all_params(4, 3)
-    for _ in range(150):
-        x = random_element(rng, shapes, rng.randint(2, 4))
-        for l in range(5):
-            for raising, length in ((True, x.eps(l)), (False, x.phi(l))):
-                step = (lambda y: y.e(l)) if raising else (lambda y: y.f(l))
-                y = x
-                for k in range(length + 2):
-                    assert x._string_move(l, k, raising) == y
-                    y = None if y is None else step(y)
