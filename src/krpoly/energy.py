@@ -151,12 +151,14 @@ def global_energy(x, energy=None):
     the entry sum of the first factor (``local_energy_hw``).  A callable
     ``energy`` (such as ``local_energy``, the closed form) is read on each
     pair instead; it sees the same pairs as a separate transport per pair.
+    The pairs are built unchecked: their factors come from x, whose
+    factors already share one rank.
     """
     total = 0
     for j in range(1, len(x.factors)):
         fs = list(x.factors)
         for pos in range(j, 0, -1):
-            pair = TensorElement((fs[pos - 1], fs[pos]))
+            pair = TensorElement._trusted((fs[pos - 1], fs[pos]))
             hw, word = to_highest_weight(pair)
             total += -hw.factors[0].total() if energy is None else energy(pair)
             if pos > 1:

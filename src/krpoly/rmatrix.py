@@ -11,12 +11,15 @@ cell by cell on the swapped grid.  Arbitrary elements are handled by
 transport to the highest weight representative and back.  Transport acts
 on the two factors of a two-fold element: it reads each factor's string
 statistics once per color and splits each whole string between them by
-the tensor rule.
+the tensor rule.  The image of a highest weight element is memoized in a
+bounded memo of 1024 entries (``rmatrix_on_hw``): transports land on few
+distinct highest weight elements, and a repeated one then costs a lookup.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import InvalidParams, NotHighestWeight, OracleFailure
 from .patterns import KRPattern, pattern_from_cells, zero_pattern
@@ -50,8 +53,21 @@ def highest_weight_elements(params1, params2):
     return out
 
 
+# Transports land on few distinct highest weight elements: global_energy on
+# the 216 seeded 8-fold paths at n=5 calls this 4,536 times on 246 of them,
+# rmatrix and local_energy on 2,000 seeded pairs at n=8 2,625 times on 103.
+# 1024 entries hold every distinct one seen there; the bound keeps a long
+# run over large crystals from growing the memo without end.
+@lru_cache(maxsize=1024)
 def rmatrix_on_hw(x):
-    """Image of a classical highest weight element under the R-matrix."""
+    """Image of a classical highest weight element under the R-matrix.
+
+    Memoized on x in a bounded memo of 1024 entries: a miss runs every
+    check below, and a call that raises is not cached, so a hit returns
+    the image of an equal element that passed them all; equal arguments
+    get back the same image object.  ``rmatrix_on_hw.cache_info()`` shows
+    the hits, misses and current size.
+    """
     first, second = two_factors(x, "the R-matrix acts on two-fold products")
     if not is_classical_hw(x):
         raise NotHighestWeight("element is not killed by all classical raising operators")

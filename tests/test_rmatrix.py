@@ -107,6 +107,38 @@ def test_rmatrix_on_hw_rejects_forged_hw(monkeypatch, x, message):
         rmatrix_on_hw(x)
 
 
+def test_memoized_image_matches_the_unmemoized_map():
+    for n in range(1, 5):
+        for params1 in all_params(n, 3):
+            for params2 in all_params(n, 3):
+                for hw in highest_weight_elements(params1, params2):
+                    assert rmatrix_on_hw(hw) == rmatrix_on_hw.__wrapped__(hw)
+
+
+def test_equal_hw_share_one_image():
+    p1, p2 = KRParams(7, 4, 2), KRParams(7, 5, 3)
+    x, y = hw_element(p1, p2, (2, 1, 1)), hw_element(p1, p2, (2, 1, 1))
+    assert x is not y
+    assert rmatrix_on_hw(x) is rmatrix_on_hw(y)
+
+
+def test_rejections_are_not_memoized():
+    # every call on a non-hw element runs the checks again and raises
+    x = pair(cell(1, 1, 0), cell(1, 3, 1))
+    before = rmatrix_on_hw.cache_info()
+    for _ in range(2):
+        with pytest.raises(NotHighestWeight):
+            rmatrix_on_hw(x)
+    after = rmatrix_on_hw.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 2
+    assert after.hits == before.hits
+
+
+def test_hw_memo_is_bounded():
+    assert rmatrix_on_hw.cache_info().maxsize == 1024
+
+
 def test_generator_is_fixed():
     x = pair(cell(1, 1, 0), cell(1, 3, 0))
     assert rmatrix(x) == pair(cell(1, 3, 0), cell(1, 1, 0))

@@ -44,8 +44,10 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_module_level_caches_are_the_operator_memos():
-    # the string walker and the two operators are the only memos that live
-    # as long as the process; any other cache belongs to an object a caller owns
+    # the string walker, the two operators and the R-matrix on highest weight
+    # elements are the only memos that live as long as the process; any other
+    # cache belongs to an object a caller owns.  Only the two operators, whose
+    # entries every crystal walk shares, may grow without a bound.
     def cache_name(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if isinstance(target, ast.Attribute):
@@ -61,7 +63,18 @@ def test_module_level_caches_are_the_operator_memos():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
         ]
-    assert sorted(found) == ["patterns._e", "patterns._f", "patterns._string"]
+    assert sorted(found) == [
+        "patterns._e",
+        "patterns._f",
+        "patterns._string",
+        "rmatrix.rmatrix_on_hw",
+    ]
+    for name in found:
+        if name in ("patterns._e", "patterns._f"):
+            continue
+        module, func = name.split(".")
+        maxsize = getattr(importlib.import_module(f"krpoly.{module}"), func).cache_info().maxsize
+        assert isinstance(maxsize, int), f"{name} memo has no integer maxsize"
 
 
 def test_indented_json_is_written_only_by_the_cli_writer():
