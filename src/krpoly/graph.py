@@ -4,17 +4,22 @@ A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
 of f_l of each vertex (None for crystal zero), its inverse ``e[l]`` and
 the string lengths ``eps[l]``/``phi[l]`` derived from them once;
 components, the rank-2 regularity check and ``table.PairTable`` all read
-these id lists.  ``build_graph`` sorts the vertices in lexicographic
-order of their flattened entries and the edges are the sorted (source id,
-color, target id) triples, so exports are byte-for-byte deterministic.
+these id lists.  Over KRPattern vertices the f lists are read on the rows:
+each string is walked once, the image rows come from the cell move that
+``KRPattern.f`` shares, and the id is looked up per shape, so no pattern
+is built and no operator memo is filled.  Other vertices (tensor
+products) and explicit operators are filled per element.  ``build_graph``
+sorts the vertices in lexicographic order of their flattened entries and
+the edges are the sorted (source id, color, target id) triples, so
+exports are byte-for-byte deterministic.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import KRError, SizeLimitExceeded
-from .patterns import ENUMERATION_CAP
+from .errors import IndexOutOfRange, KRError, SizeLimitExceeded
+from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
 
 
 def sort_key(x):
@@ -27,16 +32,23 @@ class CrystalGraph:
 
     ``f[l][i]``/``e[l][i]`` are the ids of f_l/e_l of vertex i (None for
     crystal zero) and ``index`` maps a vertex to its id.  ``f`` is given
-    either as those id lists or as an operator f(v, l) on vertices that
-    fills them.  A vertex with two incoming l-edges raises KRError.
+    as those id lists, as an operator f(v, l) on vertices that fills them,
+    or as None for the vertices' own f_l: read on rows (``_row_id_lists``)
+    when every vertex is a KRPattern, else through ``v.f(l)``.  A vertex
+    with two incoming l-edges raises KRError.
     ``eps[l][i]``/``phi[l][i]`` are the numbers of l-steps from vertex i
     to the head and to the end of its l-string, None on an l-cycle.
     """
 
-    def __init__(self, vertices, colors, f):
+    def __init__(self, vertices, colors, f=None):
         self.vertices = tuple(vertices)
         self.colors = tuple(colors)
         self.index = {v: i for i, v in enumerate(self.vertices)}
+        if f is None:
+            if all(isinstance(v, KRPattern) for v in self.vertices):
+                f = _row_id_lists(self.vertices, self.colors)
+            else:
+                f = lambda x, l: x.f(l)
         if callable(f):
             f = _id_lists(self.index, self.colors, f)
         self.f = {l: f[l] for l in self.colors}
@@ -153,16 +165,48 @@ def _id_lists(index, colors, f):
     return lists
 
 
+def _row_id_lists(vertices, colors):
+    """Per color, the id of f_l of every KRPattern vertex, read on its rows.
+
+    The string of each (vertex, color) is read by the unmemoized walker
+    ``_string.__wrapped__`` and the image rows are built by ``_move_rows``,
+    the move ``KRPattern.f`` makes, then looked up in a dict of the
+    vertex's shape keyed by rows.  No pattern is built and no operator
+    memo or ``_strings`` slot is filled.  A color outside 0..n and a set
+    not closed under a color raise, color by color, what ``_id_lists``
+    raises on ``v.f(l)``.
+    """
+    walk = _string.__wrapped__
+    shapes = {}
+    for i, v in enumerate(vertices):
+        ids, members = shapes.setdefault(v.params, ({}, []))
+        ids[v.rows] = i
+        members.append((i, v))
+    lists = {}
+    for l in colors:
+        for pr in shapes:  # in the order of each shape's first vertex
+            if not 0 <= l <= pr.n:
+                raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
+        targets = lists[l] = [None] * len(vertices)
+        for pr, (ids, members) in shapes.items():
+            for i, v in members:
+                phi, _, first, _ = walk(v, l)
+                if phi:
+                    targets[i] = ids.get(_move_rows(pr, v.rows, l, first, 1), -1)
+        if -1 in targets:
+            raise ValueError(f"element set not closed under color {l}")
+    return lists
+
+
 def build_graph(elements, colors, f=None, max_size=ENUMERATION_CAP):
     """Full colored digraph over the given elements.
 
-    ``f`` defaults to the elements' own lowering method.  The element set
-    must be closed under every requested color.
+    ``f`` defaults to the elements' own lowering, read on rows when they
+    are all KRPatterns (see ``CrystalGraph``).  The element set must be
+    closed under every requested color.
     """
     if max_size is not None and len(elements) > max_size:
         raise SizeLimitExceeded(f"{len(elements)} vertices exceed cap {max_size}")
-    if f is None:
-        f = lambda x, l: x.f(l)
     vertices = tuple(sorted(set(elements), key=sort_key))
     return CrystalGraph(vertices, colors, f)
 

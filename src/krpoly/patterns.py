@@ -389,24 +389,35 @@ def pivot(A, l):
     return pr.n - last, pr.n - first
 
 
-def _move(A, l, i, step):
-    """Copy of A with ``step`` units moved from hi to lo of color l at i.
+def _move_rows(params, rows, l, i, step):
+    """``rows`` with ``step`` units moved from hi to lo of color l at i.
 
-    Colors 0 and r change their single cell and ignore i.
+    Colors 0 and r change their single cell and ignore i.  Only the rows
+    that change are rebuilt; the others are shared with ``rows``.
     """
-    pr = A.params
-    rows = [list(row) for row in A.rows]
+    r = params.r
+    if l > r:
+        q = l - 1 - r
+        hi, lo = rows[q], rows[q + 1]
+        hi = (*hi[:i], hi[i] - step, *hi[i + 1:])
+        lo = (*lo[:i], lo[i] + step, *lo[i + 1:])
+        return (*rows[:q], hi, lo, *rows[q + 2:])
     if l == 0:
-        rows[-1][0] -= step
-    elif l == pr.r:
-        rows[0][-1] += step
-    elif l > pr.r:
-        rows[l - 1 - pr.r][i] -= step
-        rows[l - pr.r][i] += step
-    else:
-        rows[pr.n - pr.r - i][l] -= step
-        rows[pr.n - pr.r - i][l - 1] += step
-    return KRPattern(pr, tuple(tuple(row) for row in rows))
+        last = rows[-1]
+        return (*rows[:-1], (last[0] - step, *last[1:]))
+    if l == r:
+        top = rows[0]
+        return ((*top[:-1], top[-1] + step), *rows[1:])
+    q = params.n - r - i
+    row = list(rows[q])
+    row[l] -= step
+    row[l - 1] += step
+    return (*rows[:q], tuple(row), *rows[q + 1:])
+
+
+def _move(A, l, i, step):
+    """The pattern of ``_move_rows`` on A."""
+    return KRPattern(A.params, _move_rows(A.params, A.rows, l, i, step))
 
 
 @lru_cache(maxsize=None)

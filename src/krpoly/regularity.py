@@ -8,7 +8,8 @@ per-color id lists already give every vertex at most one incoming and one
 outgoing edge of each color, and whose string lengths eps/phi the graph
 derived once from those lists.  For each component it checks
 
-  * string structure (no monochrome cycles),
+  * string structure (no monochrome cycles; a color whose eps list holds
+    no None is free of them, so components are searched only otherwise),
   * the allowed one-step effects of e_i/f_i on the j-statistics,
   * commuting squares and the length-five braid relation, with their
     degree side conditions,
@@ -17,13 +18,16 @@ derived once from those lists.  For each component it checks
 
 The axioms are written once, for e: the lowering axioms are checked as the
 raising axioms on the dual crystal, whose e is f and whose eps is phi.
+Each direction binds its colors' id lists once per pair and walks a
+component once, collecting the sources (sinks) as it goes; a violation
+names its component by the least vertex, built only when it is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import KRError
+from .errors import InvalidParams, KRError
 
 
 @dataclass
@@ -41,14 +45,15 @@ class RegularityReport:
 def rank2_off_diagonal(j, k, n):
     """Cartan pairing of the two affine colors: -1 if adjacent, else 0."""
     if n < 2:
-        raise ValueError("rank-2 regularity check requires n >= 2")
+        raise InvalidParams("rank-2 regularity check requires n >= 2")
     return -1 if (j - k) % (n + 1) in (1, n) else 0
 
 
 def is_regular_rank2(graph, pair):
     """Check every {j,k}-component against the rank-2 string axioms.
 
-    The pair must name two distinct colors of the graph.
+    The pair must name two distinct colors of the graph.  Violations name
+    their component by its least vertex and come in component order.
     """
     j, k = pair
     if j == k or j not in graph.colors or k not in graph.colors:
@@ -58,8 +63,33 @@ def is_regular_rank2(graph, pair):
     report = RegularityReport(pair=(j, k), cartan_off_diagonal=a)
     comps = graph.component_indices(colors=pair)
     report.num_components = len(comps)
+    bad = report.violations.append
+    eps, phi = graph.eps, graph.phi
+    # a color whose eps list holds no None has no cycle or tangle anywhere
+    tangled = [c for c in (j, k) if None in eps[c]]
+    raising = _direction_check("e", graph.e, eps, phi, (j, k), a, bad)
+    lowering = _direction_check("f", graph.f, phi, eps, (j, k), a, bad)
+    phi_j, phi_k, eps_j, eps_k = phi[j], phi[k], eps[j], eps[k]
     for comp in comps:
-        _check_component(comp, graph, pair, a, report)
+        if tangled:
+            broken = next((c for c in tangled if any(eps[c][x] is None for x in comp)), None)
+            if broken is not None:
+                bad(f"component@{comp[0]}: color {broken} has a cyclic or tangled string")
+                continue
+        hi, lo = raising(comp), lowering(comp)
+        if hi is None or lo is None:
+            continue
+        wa, wb = phi_j[hi], phi_k[hi]
+        if a == 0:
+            expected = (wa + 1) * (wb + 1)
+            swap = (wa, wb)
+        else:
+            expected = (wa + 1) * (wb + 1) * (wa + wb + 2) // 2
+            swap = (wb, wa)
+        if len(comp) != expected:
+            bad(f"component@{comp[0]}: size {len(comp)} differs from predicted {expected}")
+        if (eps_j[lo], eps_k[lo]) != swap:
+            bad(f"component@{comp[0]}: sink profile is not the source profile dual")
     return report
 
 
@@ -69,79 +99,70 @@ def _graph_rank(graph):
     return graph.vertices[0].n
 
 
-def _check_component(comp, graph, pair, a, report):
-    label = f"component@{min(comp)}"
-    for c in pair:
-        if any(graph.eps[c][x] is None for x in comp):
-            report.violations.append(f"{label}: color {c} has a cyclic or tangled string")
-            return
-    hi = _check_direction(label, comp, pair, a, "e", graph.e, graph.eps, graph.phi, report)
-    lo = _check_direction(label, comp, pair, a, "f", graph.f, graph.phi, graph.eps, report)
-    if hi is None or lo is None:
-        return
-    i, j = pair
-    wa, wb = graph.phi[i][hi], graph.phi[j][hi]
-    if a == 0:
-        expected = (wa + 1) * (wb + 1)
-        swap = (wa, wb)
-    else:
-        expected = (wa + 1) * (wb + 1) * (wa + wb + 2) // 2
-        swap = (wb, wa)
-    if len(comp) != expected:
-        report.violations.append(f"{label}: size {len(comp)} differs from predicted {expected}")
-    if (graph.eps[i][lo], graph.eps[j][lo]) != swap:
-        report.violations.append(f"{label}: sink profile is not the source profile dual")
-
-
-def _check_direction(label, comp, pair, a, op, step, up, down, report):
+def _direction_check(op, step, up, down, pair, a, bad):
     """The raising axioms on one component, read through ``step``/``up``/``down``.
 
     With ``op`` "e" and (e, eps, phi) these are the raising axioms; with
     "f" and (f, phi, eps) they are the raising axioms of the dual crystal,
-    which are the lowering axioms.  Returns the unique vertex of the
-    component that both colors of ``step`` kill, or None if there is not
-    exactly one.
+    which are the lowering axioms.  Returns a check of one component
+    (a sorted tuple of ids) that reports through ``bad`` and returns the
+    unique vertex both colors of ``step`` kill, or None if there is not
+    exactly one.  Each color's lists are bound once, here.
     """
     name, ends = ("raising", "sources") if op == "e" else ("lowering", "sinks")
     allowed = {(0, 0)} if a == 0 else {(1, 0), (0, -1)}
-    bad = report.violations.append
     i, j = pair
-    for x in comp:
-        for c, d in ((i, j), (j, i)):
-            u = step[c][x]
-            if u is not None:
-                delta = (up[d][u] - up[d][x], down[d][u] - down[d][x])
+    step_i, step_j, up_i, up_j, down_i, down_j = step[i], step[j], up[i], up[j], down[i], down[j]
+
+    def moved(head, c, x, d, delta):
+        delta = delta if op == "e" else delta[::-1]  # messages read (eps, phi)
+        bad(f"component@{head}: {op}_{c} at {x} moves ({d})-stats by {delta}")
+
+    def check(comp):
+        head = comp[0]
+        found = []
+        for x in comp:
+            ui, uj = step_i[x], step_j[x]
+            ux_i, ux_j = up_i[x], up_j[x]
+            if ui is not None:
+                di = up_j[ui] - ux_j
+                delta = (di, down_j[ui] - down_j[x])
                 if delta not in allowed:
-                    delta = delta if op == "e" else delta[::-1]  # messages read (eps, phi)
-                    bad(f"{label}: {op}_{c} at {x} moves ({d})-stats by {delta}")
-        ui, uj = step[i][x], step[j][x]
-        if ui is None or uj is None:
-            continue
-        di = up[j][ui] - up[j][x]
-        dj = up[i][uj] - up[i][x]
-        if di == 0 or dj == 0:
-            y = step[j][ui]
-            if y is None or y != step[i][uj]:
-                bad(f"{label}: {name} square at {x} fails")
-            else:
-                for dc, c, v in ((di, i, ui), (dj, j, uj)):
-                    if dc == 0 and down[c][y] != down[c][v]:
-                        bad(f"{label}: {name} square at {x} fails degree condition")
-        elif di == 1 and dj == 1:
-            y = _walk(step, ui, (j, j, i))
-            if y is None or y != _walk(step, uj, (i, i, j)):
-                bad(f"{label}: {name} braid relation at {x} fails")
-    found = [x for x in comp if up[i][x] == 0 and up[j][x] == 0]
-    if len(found) != 1:
-        bad(f"{label}: {len(found)} {ends}, expected 1")
-        return None
-    return found[0]
+                    moved(head, i, x, j, delta)
+            if uj is not None:
+                dj = up_i[uj] - ux_i
+                delta = (dj, down_i[uj] - down_i[x])
+                if delta not in allowed:
+                    moved(head, j, x, i, delta)
+            if ux_i == 0 and ux_j == 0:
+                found.append(x)
+            if ui is None or uj is None:
+                continue
+            if di == 0 or dj == 0:
+                y = step_j[ui]
+                if y is None or y != step_i[uj]:
+                    bad(f"component@{head}: {name} square at {x} fails")
+                else:
+                    if di == 0 and down_i[y] != down_i[ui]:
+                        bad(f"component@{head}: {name} square at {x} fails degree condition")
+                    if dj == 0 and down_j[y] != down_j[uj]:
+                        bad(f"component@{head}: {name} square at {x} fails degree condition")
+            elif di == 1 and dj == 1:
+                y = _walk(ui, (step_j, step_j, step_i))
+                if y is None or y != _walk(uj, (step_i, step_i, step_j)):
+                    bad(f"component@{head}: {name} braid relation at {x} fails")
+        if len(found) != 1:
+            bad(f"component@{head}: {len(found)} {ends}, expected 1")
+            return None
+        return found[0]
+
+    return check
 
 
-def _walk(step, start, colors):
+def _walk(start, steps):
     v = start
-    for c in colors:
-        v = step[c][v]
+    for step in steps:
+        v = step[v]
         if v is None:
             return None
     return v

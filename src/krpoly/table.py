@@ -2,9 +2,10 @@
 
 Each factor B^{r,s} is the ``graph.CrystalGraph`` over all colors 0..n:
 the crystal is enumerated once, its elements are numbered in
-lexicographic order, and the per-color f/e id lists (None for crystal
-zero) are filled from the ``KRPattern`` operators, which stay the one
-definition of the crystal; the graph derives phi/eps from them.  A
+lexicographic order, and the per-color f id lists (None for crystal
+zero) are read on the rows through the cell move ``KRPattern.f`` makes,
+which stays the one definition of the crystal; no operator memo is
+filled.  The graph derives e and phi/eps from them.  A
 ``PairTable`` applies the two-factor tensor rule of ``tensor`` to id pairs
 (i, j) of two such graphs.  Id pairs sort in the same order as the
 TensorElements they stand for.
@@ -112,4 +113,4 @@ def product_table(params1, params2, max_size=ENUMERATION_CAP):
 
 
 def _fill(params, elements):
-    return CrystalGraph(elements, range(params.n + 1), lambda b, l: b.f(l))
+    return CrystalGraph(elements, range(params.n + 1))

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .energy import _schedule_correction, local_energy, local_energy_hw, local_energy_oracle
-from .errors import KRError, SizeLimitExceeded
+from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import psi_crystal, psi_embedding
 from .patterns import KRParams, crystal_size, enumerate_crystal, pivot
@@ -364,8 +364,9 @@ def run_suite(name, n, max_s):
 
     "all" leaves out ``regular`` below n = 2.  A KRError from a failures
     function (an oracle or a construction finding an inconsistency) fails
-    that check instead of ending the suite.  A size cap still propagates:
-    the check was refused, not failed.
+    that check instead of ending the suite.  A size cap or invalid
+    parameters (``regular`` below n = 2) still propagate: the check was
+    refused, not failed.
     """
     if name == "all":
         keys = [key for key in sorted(SUITES) if key != "regular" or n >= 2]
@@ -377,7 +378,7 @@ def run_suite(name, n, max_s):
             label = _name(kind, n, *shape)
             try:
                 bad = failures(*shape)
-            except SizeLimitExceeded:
+            except (SizeLimitExceeded, InvalidParams):
                 raise
             except KRError as exc:
                 checks.append(Check(label, False, f"{type(exc).__name__}: {exc}"))

@@ -140,6 +140,13 @@ def test_input_error_exit_code(tmp_path, capsys, argv, fragment):
     assert out == ""
 
 
+def test_regular_suite_below_rank_two_is_an_input_error(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "regular", "--n", "1", "--max-s", "1"])
+    assert code == 2
+    assert err == "error: rank-2 regularity check requires n >= 2\n"
+    assert out == ""
+
+
 def test_energy_oracle_is_capped(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"n": 6, "r": 3, "s": 3, "rows": [[0, 0, 0]] * 4}))

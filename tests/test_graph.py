@@ -5,7 +5,15 @@ import re
 
 import pytest
 
-from krpoly import KRError, KRParams, SizeLimitExceeded, enumerate_crystal, is_regular_rank2
+from krpoly import (
+    IndexOutOfRange,
+    KRError,
+    KRParams,
+    SizeLimitExceeded,
+    enumerate_crystal,
+    is_regular_rank2,
+    patterns,
+)
 from krpoly.graph import CrystalGraph, build_graph, closure, vertex_label
 from krpoly.regularity import rank2_off_diagonal
 
@@ -80,6 +88,64 @@ def test_element_set_must_be_closed():
         build_graph(crystal[:3], range(3))
 
 
+def per_element(vertices, colors):
+    """The graph of the same vertices filled through ``KRPattern.f``."""
+    return CrystalGraph(vertices, colors, lambda x, l: x.f(l))
+
+
+def test_rows_route_matches_the_pattern_operators():
+    for n in range(1, 5):
+        for params in all_params(n, 3):
+            graph = build_graph(enumerate_crystal(params), range(n + 1))
+            reference = per_element(graph.vertices, graph.colors)
+            for l in graph.colors:
+                assert graph.f[l] == reference.f[l], (params, l)
+
+
+def test_rows_route_on_mixed_shapes_is_the_disjoint_union():
+    # every B^{1,1} element has the rows of a B^{1,2} element
+    small, large = enumerate_crystal(KRParams(2, 1, 1)), enumerate_crystal(KRParams(2, 1, 2))
+    assert {b.rows for b in small} < {b.rows for b in large}
+    graph = build_graph(small + large, range(3))
+    assert len(graph) == len(small) + len(large)
+    reference = per_element(graph.vertices, graph.colors)
+    for l in graph.colors:
+        assert graph.f[l] == reference.f[l]
+    for i, l, j in graph.edges:
+        assert graph.vertices[i].params == graph.vertices[j].params
+    assert len(graph.edges) == len(build_graph(small, range(3)).edges) + len(
+        build_graph(large, range(3)).edges
+    )
+
+
+@pytest.mark.parametrize("color", [-1, 3])
+def test_rows_route_rejects_colors_outside_the_range(color):
+    vertices = enumerate_crystal(KRParams(2, 1, 2))
+    for make in (CrystalGraph, per_element):
+        with pytest.raises(IndexOutOfRange, match=rf"^color {color} outside 0\.\.2$"):
+            make(vertices, (0, color))
+
+
+def test_rows_route_rejects_a_subset_that_is_not_closed():
+    vertices = enumerate_crystal(KRParams(2, 1, 2))[:3]
+    messages = set()
+    for make in (CrystalGraph, per_element):
+        with pytest.raises(ValueError, match="not closed") as err:
+            make(vertices, range(3))
+        messages.add(str(err.value))
+    assert messages == {"element set not closed under color 1"}
+
+
+def test_rows_route_fills_no_operator_memo():
+    # hits and misses too: earlier tests may have filled the memos already
+    memos = (patterns._f, patterns._e, patterns._string)
+    before = [memo.cache_info() for memo in memos]
+    graph = build_graph(enumerate_crystal(KRParams(4, 2, 2)), range(5))
+    assert len(graph.edges) > 0
+    assert [memo.cache_info() for memo in memos] == before
+    assert all(v._strings is None for v in graph.vertices)
+
+
 def test_closure_recovers_whole_crystal():
     from krpoly import zero_pattern
 
@@ -97,6 +163,12 @@ def test_rank2_cartan_classification():
     assert rank2_off_diagonal(0, 4, 4) == -1
     with pytest.raises(ValueError):
         rank2_off_diagonal(0, 1, 1)
+
+
+def test_regularity_below_rank_two_raises_a_typed_error():
+    graph = build_graph(enumerate_crystal(KRParams(1, 1, 1)), range(2))
+    with pytest.raises(KRError, match="requires n >= 2"):
+        is_regular_rank2(graph, (0, 1))
 
 
 def test_adjacent_pair_on_vector_crystal_passes():
@@ -245,3 +317,16 @@ def test_violation_lists_of_seeded_corruptions_are_pinned():
     assert sum(not ok for ok, _, _ in records) == 941
     digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
     assert digest == "2b437b074fa62bc0"
+
+
+def test_violation_order_of_seeded_corruptions_is_pinned():
+    # ``verify`` prints violations[0], so the order of a report is output too
+    crystals = (KRParams(3, 2, 1), KRParams(3, 1, 2), KRParams(3, 2, 2), KRParams(4, 2, 1),
+                KRParams(4, 1, 1))
+    records = []
+    for broken in corrupted_graphs(crystals, 150, seed=3):
+        for pair_ in CORRUPTED_PAIRS:
+            records.append(is_regular_rank2(broken, pair_).violations)
+    assert sum(map(len, records)) == 7851
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+    assert digest == "9a2083014900ee8f"
