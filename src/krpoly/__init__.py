@@ -27,7 +27,7 @@ from .errors import (
     PathSumExceeded,
     SizeLimitExceeded,
 )
-from .graph import CrystalGraph, build_graph, closure
+from .graph import CrystalGraph, build_graph
 from .nakajima import Monomial, MonomialCrystal, SignConvention, psi_crystal, psi_embedding
 from .patterns import (
     AffineWeight,

@@ -84,8 +84,8 @@ def local_energy_oracle(params1, params2, sigma=None):
     Propagates the 0-edge increments from 0 (x) 0 across the whole product
     and re-checks every edge afterwards; any conflict (which would mean
     the recursion is not well defined) raises InconsistentRecursion.  The
-    walk runs on id pairs (``table.product_table``, under its default
-    cap); ``sigma``, the R-matrix as ``rmatrix_oracle`` returns it, is
+    walk runs on id pairs (``table.product_table``, under
+    ``ENUMERATION_CAP``); ``sigma``, the R-matrix as ``rmatrix_oracle`` returns it, is
     built on ids when not given.  The result maps TensorElements.
     """
     pair = product_table(params1, params2)

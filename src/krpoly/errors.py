@@ -6,12 +6,13 @@ class KRError(Exception):
 
 
 class InvalidParams(KRError, ValueError):
-    """Crystal parameters out of range, factors of different ranks, or the wrong arity.
+    """An argument out of range, of the wrong type, rank or arity.
 
-    n, r and s must be ``int`` (not ``bool``) with 1 <= r <= n and s >= 1.
-    A tensor element needs a factor, and the R-matrix, its transport and
-    the local energy need exactly two.  Also a ValueError, which these
-    checks raised before they had a type.
+    n, r, s and dominant weight coefficients must be ``int`` (not ``bool``),
+    with 1 <= r <= n, s >= 1 and coefficients >= 0.  A tensor element needs
+    a factor, and the R-matrix, its transport and the local energy need
+    exactly two.  Also a ValueError, which these checks raised before they
+    had a type.
     """
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import IndexOutOfRange, KRError, SizeLimitExceeded
+from .errors import IndexOutOfRange, InvalidParams, KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
 
 
@@ -35,7 +35,7 @@ class CrystalGraph:
     as those id lists, as an operator f(v, l) on vertices that fills them,
     or as None for the vertices' own f_l: read on rows (``_row_id_lists``)
     when every vertex is a KRPattern, else through ``v.f(l)``.  A vertex
-    with two incoming l-edges raises KRError.
+    given twice or with two incoming l-edges raises KRError.
     ``eps[l][i]``/``phi[l][i]`` are the numbers of l-steps from vertex i
     to the head and to the end of its l-string, None on an l-cycle.
     """
@@ -44,6 +44,8 @@ class CrystalGraph:
         self.vertices = tuple(vertices)
         self.colors = tuple(colors)
         self.index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.index) != len(self.vertices):
+            raise KRError(f"{len(self.vertices)} vertices hold {len(self.index)} distinct elements")
         if f is None:
             if all(isinstance(v, KRPattern) for v in self.vertices):
                 f = _row_id_lists(self.vertices, self.colors)
@@ -161,7 +163,7 @@ def _id_lists(index, colors, f):
     for l in colors:
         lists[l] = [None if (w := f(v, l)) is None else index.get(w, -1) for v in index]
         if -1 in lists[l]:
-            raise ValueError(f"element set not closed under color {l}")
+            raise InvalidParams(f"element set not closed under color {l}")
     return lists
 
 
@@ -194,35 +196,18 @@ def _row_id_lists(vertices, colors):
                 if phi:
                     targets[i] = ids.get(_move_rows(pr, v.rows, l, first, 1), -1)
         if -1 in targets:
-            raise ValueError(f"element set not closed under color {l}")
+            raise InvalidParams(f"element set not closed under color {l}")
     return lists
 
 
-def build_graph(elements, colors, f=None, max_size=ENUMERATION_CAP):
-    """Full colored digraph over the given elements.
+def build_graph(elements, colors, max_size=ENUMERATION_CAP):
+    """Full colored digraph over the given elements, repeats removed.
 
-    ``f`` defaults to the elements' own lowering, read on rows when they
-    are all KRPatterns (see ``CrystalGraph``).  The element set must be
-    closed under every requested color.
+    The edges are the elements' own lowering, read on rows when they are
+    all KRPatterns (see ``CrystalGraph``).  The element set must be closed
+    under every requested color.
     """
     if max_size is not None and len(elements) > max_size:
         raise SizeLimitExceeded(f"{len(elements)} vertices exceed cap {max_size}")
     vertices = tuple(sorted(set(elements), key=sort_key))
-    return CrystalGraph(vertices, colors, f)
-
-
-def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):
-    """All elements reachable from the seeds under the given operators."""
-    seen = set(seeds)
-    queue = list(seeds)
-    while queue:
-        x = queue.pop()
-        for l in colors:
-            for op in (f, e):
-                y = op(x, l)
-                if y is not None and y not in seen:
-                    if max_size is not None and len(seen) >= max_size:
-                        raise SizeLimitExceeded(f"closure exceeds cap {max_size}")
-                    seen.add(y)
-                    queue.append(y)
-    return sorted(seen, key=sort_key)
+    return CrystalGraph(vertices, colors)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidParams
 from .patterns import KRPattern
 
 
@@ -63,7 +64,7 @@ class SignConvention:
         table = dict(self.entries)
         for (i, j), v in self.entries:
             if v not in (0, 1) or table.get((j, i)) != 1 - v:
-                raise ValueError("convention must satisfy c_ij + c_ji = 1")
+                raise InvalidParams("convention must satisfy c_ij + c_ji = 1")
 
     def c(self, i, j):
         return dict(self.entries)[(i, j)]
@@ -171,7 +172,7 @@ def psi_embedding(pattern):
     color 2 tracks the classical color 1 (meaningful for r >= 2).
     """
     if not isinstance(pattern, KRPattern):
-        raise TypeError("psi_embedding expects a single KRPattern")
+        raise InvalidParams("psi_embedding expects a single KRPattern")
     pr = pattern.params
     items = [((1, 1), sum(pattern.a(j, pr.n) for j in range(1, pr.n + 1)) - pr.s)]
     for k in range(pr.n - pr.r + 1):

@@ -97,7 +97,7 @@ class AffineWeight:
 
     def __add__(self, other):
         if len(self.pairings) != len(other.pairings):
-            raise ValueError("cannot add weights of different ranks")
+            raise InvalidParams("cannot add weights of different ranks")
         return AffineWeight(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
 
 

@@ -8,41 +8,45 @@ the distinguished elements are written down directly: the element whose
 phi-profile equals a dominant weight reads the weight coefficients along
 anti-diagonals modulo n+1, the epsilon-side element reads them without
 wraparound.  Connectivity of the tensor square is read off its classical
-highest weight elements when they certify it, and walked otherwise.
+highest weight elements alone; when they do not certify it, that is a
+violation, and no square is walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InconsistentRecursion, LevelMismatch, OracleFailure, SizeLimitExceeded
-from .graph import closure
+from .errors import (
+    InconsistentRecursion,
+    InvalidParams,
+    LevelMismatch,
+    OracleFailure,
+    SizeLimitExceeded,
+)
 from .patterns import (
     ENUMERATION_CAP,
     KRParams,
+    _is_int,
     enumerate_crystal,
     pattern_from_cells,
     weyl_dimension,
     zero_pattern,
 )
 from .rmatrix import highest_weight_elements, to_highest_weight
-from .table import product_table
 from .tensor import is_classical_hw
-
-# largest tensor square B (x) B that check_perfect walks when the highest
-# weight certificate does not decide its connectivity
-SQUARE_CAP = 200_000
 
 
 @dataclass(frozen=True)
 class DominantWeight:
-    """Coefficient tuple (a_0, ..., a_n) on the affine fundamental weights."""
+    """Coefficient tuple (a_0, ..., a_n) of non-negative ints on the affine fundamental weights."""
 
     coeffs: tuple
 
     def __post_init__(self):
+        if not all(map(_is_int, self.coeffs)):
+            raise InvalidParams(f"coefficients must be integers, got {self.coeffs}")
         if not self.coeffs or any(c < 0 for c in self.coeffs):
-            raise ValueError("coefficients must be non-negative")
+            raise InvalidParams("coefficients must be non-negative")
 
     @property
     def n(self):
@@ -141,7 +145,7 @@ def ground_state_path(weight, params, length):
     SizeLimitExceeded before any element is built.
     """
     if length < 0:
-        raise ValueError(f"path length must be non-negative, got {length}")
+        raise InvalidParams(f"path length must be non-negative, got {length}")
     if length > ENUMERATION_CAP:
         raise SizeLimitExceeded(f"path length {length} exceeds cap {ENUMERATION_CAP}")
     _check_level(weight, params)
@@ -176,8 +180,6 @@ class PerfectReport:
     phi_profiles_bijective: bool = False
     formulas_match_search: bool = False
     violations: list = field(default_factory=list)
-    # "certificate" or "closure": how tensor_square_connected was decided
-    connectivity_route: str = None
 
     @property
     def level(self):
@@ -199,12 +201,12 @@ class PerfectReport:
 def check_perfect(params):
     """Verify the five perfectness conditions for B^{r,s} at level s.
 
-    B is enumerated under ``ENUMERATION_CAP``.  The tensor square is
-    connected when the highest weight certificate (``_certificate``) shows
-    it; otherwise it is walked on id pairs from 0 (x) 0, and a square of
-    more than ``SQUARE_CAP`` elements raises SizeLimitExceeded before that
-    walk.  A disconnected verdict thus always comes from the walk.  B is
-    read in one pass, then each side once over the level-s dominant weights.
+    B is enumerated under ``ENUMERATION_CAP``.  ``tensor_square_connected``
+    is the verdict of the highest weight certificate (``_certificate``)
+    alone: an undecided certificate is the first violation, and no square
+    is walked, so only the enumeration cap raises SizeLimitExceeded.  B is
+    read in one pass, then each side once over the level-s dominant
+    weights.
     """
     report = PerfectReport(params=params)
     violations = report.violations
@@ -212,19 +214,12 @@ def check_perfect(params):
     size = len(elements) ** 2
     report.cardinality = len(elements)
 
-    if _certificate(params, size):
-        report.connectivity_route = "certificate"
-        reached = size
-    else:
-        report.connectivity_route = "closure"
-        if size > SQUARE_CAP:
-            raise SizeLimitExceeded(f"tensor square has {size} > {SQUARE_CAP} elements")
-        # id 0 is the zero pattern, the first in lexicographic order
-        square = product_table(params, params)
-        reached = len(closure([(0, 0)], range(params.n + 1), square.f, square.e))
-    report.tensor_square_connected = reached == size
+    report.tensor_square_connected = _certificate(params, size)
     if not report.tensor_square_connected:
-        violations.append(f"tensor square reaches {reached} of {size} elements")
+        violations.append(
+            f"tensor square of {size} elements not certified connected"
+            " by its highest weight elements"
+        )
 
     # one pass over B.  The classical weight of the zero pattern dominates
     # B: top - wt is a non-negative integer combination of simple roots, read

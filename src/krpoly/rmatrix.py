@@ -153,7 +153,7 @@ def rmatrix_oracle(params1, params2):
     matching is propagated along lowering edges.  Conflicts, non-bijective
     weight matching, or a failure to intertwine the affine operators raise
     OracleFailure.  The walk runs on id pairs (``table.product_table``,
-    under its default cap); the result maps TensorElements.
+    under ``ENUMERATION_CAP``); the result maps TensorElements.
     """
     left = product_table(params1, params2)
     right = left.swapped()

@@ -1,4 +1,4 @@
-"""Integer-indexed crystal products for whole-product checks.
+"""Integer-indexed crystal products for the two whole-product oracles.
 
 Each factor B^{r,s} is the ``graph.CrystalGraph`` over all colors 0..n:
 the crystal is enumerated once, its elements are numbered in
@@ -17,7 +17,6 @@ import itertools
 
 from .errors import InvalidParams
 from .graph import CrystalGraph
-from .patterns import ENUMERATION_CAP
 from .tensor import TensorElement, factor_crystals
 
 
@@ -100,13 +99,13 @@ class PairTable:
         return self.left.index[first], self.right.index[second]
 
 
-def product_table(params1, params2, max_size=ENUMERATION_CAP):
+def product_table(params1, params2):
     """B1 (x) B2 as a PairTable; equal factors share one CrystalGraph.
 
-    A product larger than ``max_size`` raises SizeLimitExceeded before the
-    factors are enumerated.
+    A product larger than ``ENUMERATION_CAP`` raises SizeLimitExceeded
+    before the factors are enumerated.
     """
-    first, second = factor_crystals((params1, params2), max_size)
+    first, second = factor_crystals((params1, params2))
     left = _fill(params1, first)
     right = left if params2 == params1 else _fill(params2, second)
     return PairTable(left, right)

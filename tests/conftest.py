@@ -1,10 +1,13 @@
 from krpoly import (
     KRParams,
     KRPattern,
+    SizeLimitExceeded,
     TensorElement,
     highest_weight_elements,
     validate_pattern,
 )
+from krpoly.graph import sort_key
+from krpoly.patterns import ENUMERATION_CAP
 from krpoly.rmatrix import hw_support, rmatrix
 from krpoly.tensor import product_elements as product_of
 
@@ -84,3 +87,20 @@ def swap_at(x, k):
     """R-matrix on slots k, k+1 of a tensor element."""
     image = rmatrix(pair(*x.factors[k : k + 2]))
     return TensorElement(x.factors[:k] + image.factors + x.factors[k + 2 :])
+
+
+def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):
+    """All elements reachable from the seeds under the given operators."""
+    seen = set(seeds)
+    queue = list(seeds)
+    while queue:
+        x = queue.pop()
+        for l in colors:
+            for op in (f, e):
+                y = op(x, l)
+                if y is not None and y not in seen:
+                    if max_size is not None and len(seen) >= max_size:
+                        raise SizeLimitExceeded(f"closure exceeds cap {max_size}")
+                    seen.add(y)
+                    queue.append(y)
+    return sorted(seen, key=sort_key)

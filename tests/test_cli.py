@@ -156,19 +156,24 @@ def test_energy_oracle_is_capped(tmp_path, capsys):
     assert out == ""
 
 
-def test_perfect_is_capped(capsys, monkeypatch):
-    # without the highest weight certificate the square walk is capped:
-    # |B^{3,2}| = 490 at n=6, so the square has 240,100 > 200,000 elements
+def test_perfect_with_an_undecided_certificate_reports_a_violation(capsys, monkeypatch):
+    # |B^{3,2}| = 490 at n=6: with one highest weight element missing the
+    # certificate does not decide, and the 240,100-element square is not walked
     complete = perfect.highest_weight_elements
     monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[1:])
     code, out, err = run(capsys, ["perfect", "--n", "6", "--r", "3", "--s", "2"])
-    assert code == 3
-    assert "size cap" in err
-    assert out == ""
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert '"perfect": false' in out and data["perfect"] is False
+    assert data["conditions"]["tensor_square_connected"] is False
+    assert data["violations"] == [
+        "tensor square of 240100 elements not certified connected by its highest weight elements"
+    ]
 
 
 def test_perfect_past_the_square_cap(capsys):
-    # the certificate decides connectivity, so no square walk is capped
+    # the certificate decides connectivity, so neither square (240,100 and
+    # about 199 million elements) is walked
     for n, s, cardinality, level in ((6, 2, 490, 2), (7, 3, 14112, 3)):
         code, out, _ = run(capsys, ["perfect", "--n", str(n), "--r", "3", "--s", str(s)])
         assert code == 0

@@ -14,10 +14,10 @@ from krpoly import (
     is_regular_rank2,
     patterns,
 )
-from krpoly.graph import CrystalGraph, build_graph, closure, vertex_label
+from krpoly.graph import CrystalGraph, build_graph, vertex_label
 from krpoly.regularity import rank2_off_diagonal
 
-from conftest import all_params, product_elements
+from conftest import all_params, closure, product_elements
 
 DOT_NODE = re.compile(r'^  n\d+ \[label="[^"]*"\];$')
 DOT_EDGE = re.compile(r'^  n\d+ -> n\d+ \[label="\d+"\];$')
@@ -134,6 +134,22 @@ def test_rows_route_rejects_a_subset_that_is_not_closed():
             make(vertices, range(3))
         messages.add(str(err.value))
     assert messages == {"element set not closed under color 1"}
+
+
+def test_a_repeated_vertex_is_rejected_before_any_id_list_is_filled(monkeypatch):
+    from krpoly import graph as graph_module
+
+    c = enumerate_crystal(KRParams(2, 1, 1))
+    filled = []
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_row_id_lists", lambda *args: filled.append(args))
+        patch.setattr(graph_module, "_id_lists", lambda *args: filled.append(args))
+        for make in (CrystalGraph, per_element):
+            with pytest.raises(KRError, match="^4 vertices hold 3 distinct elements$"):
+                make(c + c[:1], range(3))
+    assert filled == []
+    # build_graph removes the repeat before it builds the graph
+    assert build_graph(c + c[:1], range(3)).vertices == build_graph(c, range(3)).vertices
 
 
 def test_rows_route_fills_no_operator_memo():

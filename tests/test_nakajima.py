@@ -12,9 +12,9 @@ from krpoly import (
     psi_embedding,
     zero_pattern,
 )
-from krpoly.graph import build_graph, closure
+from krpoly.graph import CrystalGraph, build_graph
 
-from conftest import all_params
+from conftest import all_params, closure
 
 
 A2 = MonomialCrystal.type_a(2)
@@ -140,7 +140,7 @@ def test_monomial_component_realizes_the_rectangular_crystal():
         comp = closure(
             [m], (1, 2), lambda x, l: full.f(x, l), lambda x, l: full.e(x, l)
         )
-        mono_graph = build_graph(comp, (1, 2), f=lambda x, l: full.f(x, l))
+        mono_graph = CrystalGraph(comp, (1, 2), lambda x, l: full.f(x, l))
         pat_graph = build_graph(enumerate_crystal(params), (1, 2))
         assert crystal_isomorphic(pat_graph, mono_graph, (1, 2))
 

@@ -4,6 +4,8 @@ import pytest
 
 from krpoly import (
     DominantWeight,
+    InvalidParams,
+    KRError,
     KRParams,
     LevelMismatch,
     PerfectReport,
@@ -36,6 +38,21 @@ def test_level_mismatch_errors():
         b_upper(DominantWeight((1, 0)), KRParams(2, 1, 1))
     with pytest.raises(LevelMismatch):
         ground_state_path(DominantWeight((2, 0, 0)), KRParams(2, 1, 1), 4)
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, 1.5, 0), (True, True, False), (1.0, 1, 0)])
+def test_dominant_weights_take_integer_coefficients_only(coeffs):
+    params = KRParams(2, 1, 2)
+    for use in (
+        lambda: b_upper(DominantWeight(coeffs), params),
+        lambda: b_lower(DominantWeight(coeffs), params),
+        lambda: ground_state_path(DominantWeight(coeffs), params, 3),
+    ):
+        with pytest.raises(KRError, match="must be integers") as err:
+            use()
+        assert isinstance(err.value, InvalidParams)
+    with pytest.raises(InvalidParams, match="non-negative"):
+        DominantWeight((3, -1, 0))
 
 
 def test_b_lower_reads_coefficients_without_wraparound():
@@ -149,7 +166,7 @@ def test_a_duplicated_level_exact_element_breaks_uniqueness(monkeypatch):
     assert report.top_weight_unique and report.classical_weights_dominated
     assert report.formulas_match_search and report.profile_level_ok
     assert report.violations == [
-        "tensor square reaches 9 of 16 elements",
+        "tensor square of 16 elements not certified connected by its highest weight elements",
         "epsilon-profile (0, 1, 0) hit by 2 elements",
         f"phi-profile {phi_profile(twin)} hit by 2 elements",
     ]
@@ -196,9 +213,10 @@ def test_weight_cone_rejects_a_second_top_and_escaping_weights(monkeypatch):
     assert not report.classical_weights_dominated and not report.top_weight_unique
     assert report.eps_profiles_bijective and report.phi_profiles_bijective
     assert report.min_profile_level == 1
-    # the stubs enlarge the square past what the walk from the zero pair reaches
+    # the stubs enlarge the square past the Weyl dimensions of its highest
+    # weight elements, so the certificate does not decide
     assert report.violations == [
-        "tensor square reaches 9 of 49 elements",
+        "tensor square of 49 elements not certified connected by its highest weight elements",
         "weight of off escapes the dominance cone",
         "weight of above escapes the dominance cone",
         "weight of off again escapes the dominance cone",
@@ -248,7 +266,7 @@ def test_ground_state_path_one_hot_weight():
 
 def test_ground_state_path_rejects_a_negative_length():
     weight = DominantWeight((1, 1, 0))
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(InvalidParams, match="non-negative"):
         ground_state_path(weight, KRParams(2, 1, 2), -1)
     assert ground_state_path(weight, KRParams(2, 1, 2), 0).elements == ()
 
@@ -263,30 +281,41 @@ def test_period_divides_rotation_order():
         assert path.period is not None and order % path.period == 0
 
 
-def test_oversized_square_is_refused_before_the_walk(monkeypatch):
-    def walk(*args, **kwargs):
-        raise AssertionError("the tensor square was walked")
+UNDECIDED = "not certified connected by its highest weight elements"
 
-    monkeypatch.setattr(perfect, "closure", walk)
-    # |B^{3,2}| = 490 at n=6: the certificate needs no walk of the
-    # 240,100 > 200,000 square elements
-    report = check_perfect(KRParams(6, 3, 2))
-    assert report.ok and report.connectivity_route == "certificate"
-    # with one highest weight element missing the dimension guard fails,
-    # and the fallback walk is refused before it starts
+
+def undecided_certificates():
+    """The two ways to leave the certificate undecided, as (attribute, stand-in)."""
     complete = perfect.highest_weight_elements
-    monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[1:])
-    with pytest.raises(SizeLimitExceeded):
-        check_perfect(KRParams(6, 3, 2))
-    # |B^{1,2}| = 6 at n=2: a 36-element square passes a cap of 35
-    monkeypatch.setattr(perfect, "SQUARE_CAP", 35)
-    with pytest.raises(SizeLimitExceeded):
-        check_perfect(KRParams(2, 1, 2))
+    return (
+        # one element of H missing: the Weyl dimensions fall short of |B|^2
+        ("highest_weight_elements", lambda *p: complete(*p)[:-1]),
+        # no f_0/e_0 union edges: every element of H stays its own class
+        ("_affine_edges", lambda hw: iter(())),
+    )
+
+
+def test_an_undecided_certificate_is_the_first_violation(monkeypatch):
+    # |B^{3,2}| = 490 at n=6: its square of 240,100 elements is not walked
+    # either, and raises no SizeLimitExceeded
+    for params in all_params(3, 2) + [KRParams(6, 3, 2)]:
+        expected = check_perfect(params)
+        assert expected.ok and expected.tensor_square_connected
+        size = expected.cardinality**2
+        for name, forced in undecided_certificates():
+            with monkeypatch.context() as patch:
+                patch.setattr(perfect, name, forced)
+                assert not perfect._certificate(params, size)
+                report = check_perfect(params)
+            assert not report.tensor_square_connected
+            assert report.violations == [f"tensor square of {size} elements {UNDECIDED}"]
+            certified = dataclasses.replace(report, tensor_square_connected=True, violations=[])
+            assert certified == expected, params
 
 
 def test_the_certificate_route_builds_no_crystal_graph(monkeypatch):
-    from krpoly.graph import CrystalGraph, closure
-    from krpoly.table import PairTable, product_table
+    from krpoly.graph import CrystalGraph
+    from krpoly.table import PairTable
 
     class Built(Exception):
         pass
@@ -294,35 +323,19 @@ def test_the_certificate_route_builds_no_crystal_graph(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise Built
 
-    complete = perfect.highest_weight_elements
-    with monkeypatch.context() as patch:
-        patch.setattr(CrystalGraph, "__init__", refuse)
-        shapes = [p for n in range(1, 4) for p in all_params(n, 2)] + [KRParams(6, 3, 3)]
-        for params in shapes:
-            report = check_perfect(params)
-            assert report.ok and report.connectivity_route == "certificate", params
-        # a forced fallback does build the graphs of B (x) B
-        patch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[:-1])
-        with pytest.raises(Built):
-            check_perfect(KRParams(2, 1, 2))
-    # ...and walks their PairTable from the zero pair
-    tables, walks = [], []
-
-    def table(*args):
-        tables.append(product_table(*args))
-        return tables[-1]
-
-    def walk(seeds, colors, f, e, **kwargs):
-        walks.append((seeds, f, e))
-        return closure(seeds, colors, f, e, **kwargs)
-
-    monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p: complete(*p)[:-1])
-    monkeypatch.setattr(perfect, "product_table", table)
-    monkeypatch.setattr(perfect, "closure", walk)
-    report = check_perfect(KRParams(2, 1, 2))
-    assert report.ok and report.connectivity_route == "closure"
-    assert len(tables) == 1 and isinstance(tables[0], PairTable)
-    assert walks == [([(0, 0)], tables[0].f, tables[0].e)]
+    monkeypatch.setattr(CrystalGraph, "__init__", refuse)
+    monkeypatch.setattr(PairTable, "__init__", refuse)
+    shapes = [p for n in range(1, 4) for p in all_params(n, 2)] + [KRParams(6, 3, 3)]
+    for params in shapes:
+        assert check_perfect(params).ok, params
+    # an undecided certificate builds none either: it is reported, not walked
+    for name, forced in undecided_certificates():
+        with monkeypatch.context() as patch:
+            patch.setattr(perfect, name, forced)
+            for params in (KRParams(2, 1, 2), KRParams(6, 3, 2)):
+                report = check_perfect(params)
+                assert not report.tensor_square_connected, params
+                assert UNDECIDED in report.violations[0]
 
 
 def test_ground_state_path_longer_than_the_cap_is_refused_at_once(monkeypatch):

@@ -137,3 +137,32 @@ def test_package_attributes_are_the_submodules():
     for stem in stems:
         importlib.import_module(f"krpoly.{stem}")
         assert getattr(krpoly, stem) is sys.modules[f"krpoly.{stem}"], stem
+
+
+def test_every_raise_names_a_library_error():
+    # callers catch KRError (the CLI maps it to exit 2 or 3); a raise either
+    # re-raises what it caught or names a class of krpoly.errors.  argparse
+    # needs its own ArgumentTypeError from a type= converter.
+    from krpoly import errors
+
+    typed = {name for name, value in vars(errors).items() if isinstance(value, type)}
+
+    def named(node):
+        target = node.func if isinstance(node, ast.Call) else node
+        if isinstance(target, ast.Attribute):
+            return ast.unparse(target)
+        return target.id if isinstance(target, ast.Name) else None
+
+    raises, found = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            raises += 1
+            name = named(node.exc)
+            allowed = typed | ({"argparse.ArgumentTypeError"} if path.name == "cli.py" else set())
+            if name not in allowed:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert raises
+    assert not found, f"raises of a class outside krpoly.errors: {', '.join(found)}"
