@@ -1,11 +1,15 @@
+import dataclasses
+
 from krpoly import (
     KRParams,
     KRPattern,
     SizeLimitExceeded,
     TensorElement,
+    check_perfect,
     highest_weight_elements,
     validate_pattern,
 )
+from krpoly import perfect
 from krpoly.graph import sort_key
 from krpoly.patterns import ENUMERATION_CAP
 from krpoly.rmatrix import hw_support, rmatrix
@@ -104,3 +108,34 @@ def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):
                     seen.add(y)
                     queue.append(y)
     return sorted(seen, key=sort_key)
+
+
+UNDECIDED = "not certified connected by its highest weight elements"
+
+
+def undecided_certificates():
+    """The two ways to leave the certificate undecided, as (attribute, stand-in)."""
+    complete = perfect.highest_weight_elements
+    return (
+        # one element of H missing: the Weyl dimensions fall short of |B|^2
+        ("highest_weight_elements", lambda *p: complete(*p)[:-1]),
+        # no f_0/e_0 union edges: every element of H stays its own class
+        ("_affine_edges", lambda hw: iter(())),
+    )
+
+
+def check_undecided(monkeypatch, params):
+    """Under each undecided certificate the report of a perfect B^{r,s} is
+    the certified one but for the connectivity flag and one first violation."""
+    expected = check_perfect(params)
+    assert expected.ok and expected.tensor_square_connected
+    size = expected.cardinality**2
+    for name, forced in undecided_certificates():
+        with monkeypatch.context() as patch:
+            patch.setattr(perfect, name, forced)
+            assert not perfect._certificate(params, size)
+            report = check_perfect(params)
+        assert not report.tensor_square_connected
+        assert report.violations == [f"tensor square of {size} elements {UNDECIDED}"]
+        certified = dataclasses.replace(report, tensor_square_connected=True, violations=[])
+        assert certified == expected, params

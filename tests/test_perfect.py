@@ -21,7 +21,7 @@ from krpoly import (
 )
 from krpoly import perfect
 
-from conftest import all_params
+from conftest import UNDECIDED, all_params, check_undecided, undecided_certificates
 
 
 def test_dominant_weight_enumeration():
@@ -281,36 +281,16 @@ def test_period_divides_rotation_order():
         assert path.period is not None and order % path.period == 0
 
 
-UNDECIDED = "not certified connected by its highest weight elements"
+def test_oversized_square_is_refused_before_the_walk(monkeypatch):
+    from krpoly.table import PairTable
 
+    def walk(self, *args, **kwargs):
+        raise AssertionError("the tensor square was walked")
 
-def undecided_certificates():
-    """The two ways to leave the certificate undecided, as (attribute, stand-in)."""
-    complete = perfect.highest_weight_elements
-    return (
-        # one element of H missing: the Weyl dimensions fall short of |B|^2
-        ("highest_weight_elements", lambda *p: complete(*p)[:-1]),
-        # no f_0/e_0 union edges: every element of H stays its own class
-        ("_affine_edges", lambda hw: iter(())),
-    )
-
-
-def test_an_undecided_certificate_is_the_first_violation(monkeypatch):
-    # |B^{3,2}| = 490 at n=6: its square of 240,100 elements is not walked
-    # either, and raises no SizeLimitExceeded
-    for params in all_params(3, 2) + [KRParams(6, 3, 2)]:
-        expected = check_perfect(params)
-        assert expected.ok and expected.tensor_square_connected
-        size = expected.cardinality**2
-        for name, forced in undecided_certificates():
-            with monkeypatch.context() as patch:
-                patch.setattr(perfect, name, forced)
-                assert not perfect._certificate(params, size)
-                report = check_perfect(params)
-            assert not report.tensor_square_connected
-            assert report.violations == [f"tensor square of {size} elements {UNDECIDED}"]
-            certified = dataclasses.replace(report, tensor_square_connected=True, violations=[])
-            assert certified == expected, params
+    monkeypatch.setattr(PairTable, "__init__", walk)
+    # |B^{3,2}| = 490 at n=6: neither the certificate nor an undecided one
+    # walks the 240,100 > 200,000 square elements or raises SizeLimitExceeded
+    check_undecided(monkeypatch, KRParams(6, 3, 2))
 
 
 def test_the_certificate_route_builds_no_crystal_graph(monkeypatch):

@@ -27,7 +27,7 @@ from krpoly.graph import build_graph
 from krpoly.patterns import crystal_size
 from krpoly.table import PairTable, product_table
 
-from conftest import all_params, closure, product_elements
+from conftest import all_params, check_undecided, closure, product_elements
 
 
 SWEEP = all_params(3, 2)
@@ -171,6 +171,22 @@ def test_certificate_agrees_with_the_closure_on_the_desk_sweep():
             assert perfect._certificate(params, len(square)) == (len(walked) == len(square))
             checked += 1
     assert checked == 42
+
+
+def test_a_failed_certificate_falls_back_to_the_closure(monkeypatch):
+    # check_perfect reports a failed certificate as a violation; the walk of
+    # the square from the zero pair shows each one is a missing certificate,
+    # not a disconnected square
+    for params in SWEEP:
+        check_undecided(monkeypatch, params)
+        square = product_table(params, params)
+        hw = perfect.highest_weight_elements(params, params)
+        assert len(hw) > 1
+        dims = sum(perfect.weyl_dimension(x.classical_weight()) for x in hw[:-1])
+        assert dims < len(square)
+        zero = square.left.index[zero_pattern(params)]
+        walked = closure([(zero, zero)], range(params.n + 1), square.f, square.e)
+        assert len(walked) == len(square), params
 
 
 def test_mixed_ranks_are_rejected():
