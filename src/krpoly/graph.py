@@ -4,14 +4,13 @@ A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
 of f_l of each vertex (None for crystal zero), its inverse ``e[l]`` and
 the string lengths ``eps[l]``/``phi[l]`` derived from them once;
 components, the rank-2 regularity check and ``table.PairTable`` all read
-these id lists.  Over KRPattern vertices the f lists are read on the rows:
-each string is walked once, the image rows come from the cell move that
-``KRPattern.f`` shares, and the id is looked up per shape, so no pattern
-is built and no operator memo is filled.  Other vertices (tensor
-products) and explicit operators are filled per element.  ``build_graph``
-sorts the vertices in lexicographic order of their flattened entries and
-the edges are the sorted (source id, color, target id) triples, so
-exports are byte-for-byte deterministic.
+these id lists.  One reader fills them: each distinct KRPattern factor of
+the vertices is read on its rows once per color, ``tensor.tensor_rule``
+picks the factor f_l acts on, and the image is looked up by its factor
+ids, so no pattern is built and no operator memo is filled.
+``build_graph`` sorts the vertices in lexicographic order of their
+flattened entries and the edges are the sorted (source id, color, target
+id) triples, so exports are byte-for-byte deterministic.
 """
 
 from __future__ import annotations
@@ -20,11 +19,12 @@ from functools import cached_property
 
 from .errors import IndexOutOfRange, InvalidParams, KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
+from .tensor import TensorElement, tensor_rule
 
 
 def sort_key(x):
-    """Lexicographic key of an element; a tuple of table ids is its own key."""
-    return x if isinstance(x, tuple) else x.sort_key()
+    """Lexicographic key of an element."""
+    return x.sort_key()
 
 
 class CrystalGraph:
@@ -32,10 +32,10 @@ class CrystalGraph:
 
     ``f[l][i]``/``e[l][i]`` are the ids of f_l/e_l of vertex i (None for
     crystal zero) and ``index`` maps a vertex to its id.  ``f`` is given
-    as those id lists, as an operator f(v, l) on vertices that fills them,
-    or as None for the vertices' own f_l: read on rows (``_row_id_lists``)
-    when every vertex is a KRPattern, else through ``v.f(l)``.  A vertex
-    given twice or with two incoming l-edges raises KRError.
+    as those id lists by color, or as None: ``_read_rows`` then reads f_l
+    on the rows of the factors of KRPattern or TensorElement vertices.  A
+    vertex given twice or with two incoming l-edges raises KRError, an id
+    list that is not one id or None per vertex InvalidParams.
     ``eps[l][i]``/``phi[l][i]`` are the numbers of l-steps from vertex i
     to the head and to the end of its l-string, None on an l-cycle.
     """
@@ -47,13 +47,8 @@ class CrystalGraph:
         if len(self.index) != len(self.vertices):
             raise KRError(f"{len(self.vertices)} vertices hold {len(self.index)} distinct elements")
         if f is None:
-            if all(isinstance(v, KRPattern) for v in self.vertices):
-                f = _row_id_lists(self.vertices, self.colors)
-            else:
-                f = lambda x, l: x.f(l)
-        if callable(f):
-            f = _id_lists(self.index, self.colors, f)
-        self.f = {l: f[l] for l in self.colors}
+            f = _read_rows(self.vertices, self.colors)
+        self.f = {l: f.get(l) if isinstance(f, dict) else None for l in self.colors}
         self.e = {l: _inverse(self.f[l], len(self.vertices), l) for l in self.colors}
         self.eps, self.phi = {}, {}
         for l in self.colors:
@@ -112,10 +107,14 @@ class CrystalGraph:
 
 
 def _inverse(targets, size, color):
-    """The id list of e_l from that of f_l."""
+    """The id list of e_l from that of f_l, checked to hold None or an id per vertex."""
+    if not isinstance(targets, list) or len(targets) != size:
+        raise InvalidParams(f"color {color} needs a list of {size} ids")
     sources = [None] * size
     for i, j in enumerate(targets):
         if j is not None:
+            if type(j) is not int or not 0 <= j < size:
+                raise InvalidParams(f"color {color} sends vertex {i} to {j!r}, not an id")
             if sources[j] is not None:
                 raise KRError(f"vertex {j} has two incoming {color}-edges")
             sources[j] = i
@@ -157,44 +156,50 @@ def vertex_label(v):
     return "/".join(",".join(str(x) for x in row) for row in v.rows)
 
 
-def _id_lists(index, colors, f):
-    """Per color, the id of f(v, l) for every vertex v of ``index`` (None for zero)."""
-    lists = {}
-    for l in colors:
-        lists[l] = [None if (w := f(v, l)) is None else index.get(w, -1) for v in index]
-        if -1 in lists[l]:
-            raise InvalidParams(f"element set not closed under color {l}")
-    return lists
+def _read_rows(vertices, colors):
+    """Per color, the id of f_l of every vertex, read on its factors' rows.
 
-
-def _row_id_lists(vertices, colors):
-    """Per color, the id of f_l of every KRPattern vertex, read on its rows.
-
-    The string of each (vertex, color) is read by the unmemoized walker
-    ``_string.__wrapped__`` and the image rows are built by ``_move_rows``,
-    the move ``KRPattern.f`` makes, then looked up in a dict of the
-    vertex's shape keyed by rows.  No pattern is built and no operator
-    memo or ``_strings`` slot is filled.  A color outside 0..n and a set
-    not closed under a color raise, color by color, what ``_id_lists``
-    raises on ``v.f(l)``.
+    Each distinct factor is numbered per shape by rows and read once per
+    color by the unmemoized walker ``_string.__wrapped__``; ``_move_rows``,
+    the move of ``KRPattern.f``, gives its image rows.  A KRPattern keys
+    ``index`` by its factor id, a TensorElement by the tuple of its factor
+    ids.  No pattern is built and no ``_strings`` slot is filled.  Color by
+    color, a color outside 0..n raises IndexOutOfRange and a set not
+    closed under the color InvalidParams.
     """
     walk = _string.__wrapped__
-    shapes = {}
-    for i, v in enumerate(vertices):
-        ids, members = shapes.setdefault(v.params, ({}, []))
-        ids[v.rows] = i
-        members.append((i, v))
+    shapes, factors, keys = {}, [], []
+    for v in vertices:
+        key = []
+        for b in v.factors if isinstance(v, TensorElement) else (v,):
+            if not isinstance(b, KRPattern):
+                raise InvalidParams(f"{v!r} has a factor not a KRPattern: give f as id lists")
+            ids = shapes.setdefault(b.params, {})
+            if b.rows not in ids:
+                ids[b.rows] = len(factors)
+                factors.append(b)
+            key.append(ids[b.rows])
+        keys.append(key[0] if isinstance(v, KRPattern) else tuple(key))
+    index = {key: i for i, key in enumerate(keys)}
     lists = {}
     for l in colors:
-        for pr in shapes:  # in the order of each shape's first vertex
+        for pr in shapes:  # in the order of each shape's first factor
             if not 0 <= l <= pr.n:
                 raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
+        stats = [walk(b, l) for b in factors]
+        images = [
+            shapes[b.params].get(_move_rows(b.params, b.rows, l, s[2], 1), -1) if s[0] else None
+            for b, s in zip(factors, stats)
+        ]
         targets = lists[l] = [None] * len(vertices)
-        for pr, (ids, members) in shapes.items():
-            for i, v in members:
-                phi, _, first, _ = walk(v, l)
-                if phi:
-                    targets[i] = ids.get(_move_rows(pr, v.rows, l, first, 1), -1)
+        for i, key in enumerate(keys):
+            if type(key) is int:
+                image = images[key]
+            else:
+                phi, _, m, _ = tensor_rule([stats[k] for k in key])
+                image = key[:m] + (images[key[m]],) + key[m + 1 :] if phi else None
+            if image is not None:
+                targets[i] = index.get(image, -1)
         if -1 in targets:
             raise InvalidParams(f"element set not closed under color {l}")
     return lists
@@ -203,8 +208,8 @@ def _row_id_lists(vertices, colors):
 def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     """Full colored digraph over the given elements, repeats removed.
 
-    The edges are the elements' own lowering, read on rows when they are
-    all KRPatterns (see ``CrystalGraph``).  The element set must be closed
+    The edges are the elements' own lowering, read on the rows of their
+    factors (see ``CrystalGraph``).  The element set must be closed
     under every requested color.
     """
     if max_size is not None and len(elements) > max_size:

@@ -43,8 +43,8 @@ class DominantWeight:
     coeffs: tuple
 
     def __post_init__(self):
-        if not all(map(_is_int, self.coeffs)):
-            raise InvalidParams(f"coefficients must be integers, got {self.coeffs}")
+        if not isinstance(self.coeffs, tuple) or not all(map(_is_int, self.coeffs)):
+            raise InvalidParams(f"coefficients must be integers in a tuple, got {self.coeffs!r}")
         if not self.coeffs or any(c < 0 for c in self.coeffs):
             raise InvalidParams("coefficients must be non-negative")
 

@@ -1,13 +1,12 @@
 """Integer-indexed crystal products for the two whole-product oracles.
 
-Each factor B^{r,s} is the ``graph.CrystalGraph`` over all colors 0..n:
-the crystal is enumerated once, its elements are numbered in
-lexicographic order, and the per-color f id lists (None for crystal
-zero) are read on the rows through the cell move ``KRPattern.f`` makes,
-which stays the one definition of the crystal; no operator memo is
-filled.  The graph derives e and phi/eps from them.  A
-``PairTable`` applies the two-factor tensor rule of ``tensor`` to id pairs
-(i, j) of two such graphs.  Id pairs sort in the same order as the
+Each factor B^{r,s} is the ``graph.CrystalGraph`` over all colors 0..n
+of its enumerated crystal, numbered in lexicographic order; the graph
+reads its f id lists on the rows and derives e and phi/eps from them.
+A ``PairTable`` applies the two-factor tensor rule to id pairs (i, j) of
+two such graphs inline, not through ``tensor.tensor_rule``: the oracles
+read it for every pair and color, and through the shared rule they took
+1.5 to 2.5 times as long.  Id pairs sort in the same order as the
 TensorElements they stand for.
 """
 

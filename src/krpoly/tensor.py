@@ -5,7 +5,8 @@ first factor when eps_l(b1) >= phi_l(b2) and on the second otherwise;
 e_l acts on the first exactly when eps_l(b1) > phi_l(b2).  This is the
 convention under which highest weight elements carry the zero pattern in
 the *second* slot.  Products of three or more factors associate to the
-left.
+left: ``tensor_rule`` folds the rule over N factors, for ``TensorElement``
+and the ``graph`` reader; ``table.PairTable`` keeps the two-fold case inline.
 """
 
 from __future__ import annotations
@@ -47,20 +48,14 @@ class TensorElement:
 
     # -- statistics --------------------------------------------------------
 
+    def _rule(self, l):
+        return tensor_rule([b._stats(l) for b in self.factors])
+
     def phi(self, l):
-        val, ep, _, _ = self.factors[0]._stats(l)
-        for b in self.factors[1:]:
-            p, e, _, _ = b._stats(l)
-            val = max(val, val + p - ep)
-            ep = max(e, ep + e - p)
-        return val
+        return self._rule(l)[0]
 
     def eps(self, l):
-        _, ep, _, _ = self.factors[0]._stats(l)
-        for b in self.factors[1:]:
-            p, e, _, _ = b._stats(l)
-            ep = max(e, ep + e - p)
-        return ep
+        return self._rule(l)[1]
 
     def classical_weight(self):
         coeffs = [0] * self.n
@@ -77,34 +72,12 @@ class TensorElement:
 
     # -- operators -----------------------------------------------------------
 
-    def _prefix_eps(self, l):
-        """eps_l of every proper left prefix (index m holds factors 0..m)."""
-        out = []
-        ep = None
-        for b in self.factors[:-1]:
-            p, e, _, _ = b._stats(l)
-            ep = e if ep is None else max(e, ep + e - p)
-            out.append(ep)
-        return out
-
-    def f_slot(self, l):
-        """Index of the factor f_l acts on (left-associated rule)."""
-        prefix = self._prefix_eps(l)
-        m = len(self.factors) - 1
-        while m > 0 and prefix[m - 1] >= self.factors[m].phi(l):
-            m -= 1
-        return m
-
     def e_slot(self, l):
         """Index of the factor e_l acts on."""
-        prefix = self._prefix_eps(l)
-        m = len(self.factors) - 1
-        while m > 0 and prefix[m - 1] > self.factors[m].phi(l):
-            m -= 1
-        return m
+        return self._rule(l)[3]
 
     def f(self, l):
-        m = self.f_slot(l)
+        m = self._rule(l)[2]
         y = self.factors[m].f(l)
         if y is None:
             return None
@@ -119,6 +92,29 @@ class TensorElement:
 
     def to_dict(self):
         return {"factors": [b.to_dict() for b in self.factors]}
+
+
+def tensor_rule(stats):
+    """(phi_l, eps_l, f_l slot, e_l slot) of b_1 (x) ... (x) b_N.
+
+    ``stats[k]`` starts with phi_l(b_k), eps_l(b_k), as ``KRPattern._stats``
+    does.  One scan folds the left-associated rule: with eps the eps_l of
+    b_1 (x) ... (x) b_{k-1}, f_l acts on the last b_k with eps < phi_l(b_k)
+    and e_l on the last with eps <= phi_l(b_k).  Where the operator gives
+    zero, its slot is the first factor for f_l and the last for e_l.
+    """
+    phi = eps = f_slot = e_slot = 0
+    for k, s in enumerate(stats):
+        p = s[0]
+        if eps <= p:
+            e_slot = k
+            if eps < p:
+                f_slot = k
+                phi += p - eps
+            eps = s[1]
+        else:
+            eps += s[1] - p
+    return phi, eps, f_slot, e_slot
 
 
 def tensor_from_dict(data):

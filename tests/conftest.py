@@ -1,6 +1,7 @@
 import dataclasses
 
 from krpoly import (
+    InvalidParams,
     KRParams,
     KRPattern,
     SizeLimitExceeded,
@@ -93,8 +94,9 @@ def swap_at(x, k):
     return TensorElement(x.factors[:k] + image.factors + x.factors[k + 2 :])
 
 
-def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):
-    """All elements reachable from the seeds under the given operators."""
+def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP, key=sort_key):
+    """All elements reachable from the seeds under the given operators,
+    sorted by ``key`` (None for id pairs, which are their own keys)."""
     seen = set(seeds)
     queue = list(seeds)
     while queue:
@@ -107,7 +109,19 @@ def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP):
                         raise SizeLimitExceeded(f"closure exceeds cap {max_size}")
                     seen.add(y)
                     queue.append(y)
-    return sorted(seen, key=sort_key)
+    return sorted(seen, key=key)
+
+
+def f_lists(vertices, colors, f=lambda x, l: x.f(l)):
+    """Reference f id lists of a CrystalGraph, one operator call per vertex:
+    per color, the id of f(v, l) of every vertex (None for crystal zero)."""
+    index = {v: i for i, v in enumerate(vertices)}
+    lists = {}
+    for l in colors:
+        lists[l] = [None if (w := f(v, l)) is None else index.get(w, -1) for v in vertices]
+        if -1 in lists[l]:
+            raise InvalidParams(f"element set not closed under color {l}")
+    return lists
 
 
 UNDECIDED = "not certified connected by its highest weight elements"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -7,17 +8,23 @@ import pytest
 
 from krpoly import (
     IndexOutOfRange,
+    InvalidParams,
     KRError,
     KRParams,
     SizeLimitExceeded,
+    TensorElement,
     enumerate_crystal,
     is_regular_rank2,
     patterns,
 )
 from krpoly.graph import CrystalGraph, build_graph, vertex_label
 from krpoly.regularity import rank2_off_diagonal
+from krpoly.tensor import product_elements as product_of
 
-from conftest import all_params, closure, product_elements
+from conftest import all_params, closure, f_lists, product_elements
+
+# the factors of the cli workload's `graph` commands
+CLI_PRODUCT = (KRParams(4, 2, 2), KRParams(4, 1, 2), KRParams(4, 3, 1))
 
 DOT_NODE = re.compile(r'^  n\d+ \[label="[^"]*"\];$')
 DOT_EDGE = re.compile(r'^  n\d+ -> n\d+ \[label="\d+"\];$')
@@ -89,50 +96,77 @@ def test_element_set_must_be_closed():
 
 
 def per_element(vertices, colors):
-    """The graph of the same vertices filled through ``KRPattern.f``."""
-    return CrystalGraph(vertices, colors, lambda x, l: x.f(l))
+    """The graph of the same vertices filled through their own f, one vertex at a time."""
+    return CrystalGraph(vertices, colors, f_lists(vertices, colors))
+
+
+def product_component(params_list):
+    """The vertices of one classical component of a product, the largest."""
+    graph = build_graph(product_of(params_list), range(1, params_list[0].n + 1))
+    comp = max(graph.component_indices(), key=len)
+    return [graph.vertices[i] for i in comp]
 
 
 def test_rows_route_matches_the_pattern_operators():
+    vertex_sets = []
     for n in range(1, 5):
-        for params in all_params(n, 3):
-            graph = build_graph(enumerate_crystal(params), range(n + 1))
-            reference = per_element(graph.vertices, graph.colors)
-            for l in graph.colors:
-                assert graph.f[l] == reference.f[l], (params, l)
+        vertex_sets += [(enumerate_crystal(params), n) for params in all_params(n, 3)]
+    for n in range(1, 4):
+        for pair_ in itertools.product(all_params(n, 2), repeat=2):
+            vertex_sets.append((product_of(pair_), n))
+    vertex_sets.append((product_of((KRParams(2, 2, 1),) * 3), 2))
+    for vertices, n in vertex_sets:
+        graph = build_graph(vertices, range(n + 1))
+        reference = per_element(graph.vertices, graph.colors)
+        for l in graph.colors:
+            assert graph.f[l] == reference.f[l], (vertices[0], l)
+    # one classical component of a product, over its own colors
+    comp = product_component((KRParams(3, 1, 2), KRParams(3, 2, 1)))
+    assert len(comp) < 60
+    graph = CrystalGraph(comp, range(1, 4))
+    assert graph.f == per_element(comp, range(1, 4)).f
 
 
 def test_rows_route_on_mixed_shapes_is_the_disjoint_union():
-    # every B^{1,1} element has the rows of a B^{1,2} element
+    # every B^{1,1} element has the rows of a B^{1,2} element, and a pattern
+    # shares its factor with the one-fold tensor element of it
     small, large = enumerate_crystal(KRParams(2, 1, 1)), enumerate_crystal(KRParams(2, 1, 2))
     assert {b.rows for b in small} < {b.rows for b in large}
-    graph = build_graph(small + large, range(3))
-    assert len(graph) == len(small) + len(large)
+    ones = [TensorElement((b,)) for b in small]
+    pairs = product_elements(KRParams(2, 1, 1), KRParams(2, 1, 2))
+    parts = (small, large, ones, pairs)
+    graph = CrystalGraph(small + large + ones + pairs, range(3))
     reference = per_element(graph.vertices, graph.colors)
     for l in graph.colors:
         assert graph.f[l] == reference.f[l]
+    part_of = {v: k for k, part in enumerate(parts) for v in part}
     for i, l, j in graph.edges:
-        assert graph.vertices[i].params == graph.vertices[j].params
-    assert len(graph.edges) == len(build_graph(small, range(3)).edges) + len(
-        build_graph(large, range(3)).edges
-    )
+        assert part_of[graph.vertices[i]] == part_of[graph.vertices[j]]
+    assert len(graph.edges) == sum(len(CrystalGraph(part, range(3)).edges) for part in parts)
 
 
 @pytest.mark.parametrize("color", [-1, 3])
 def test_rows_route_rejects_colors_outside_the_range(color):
-    vertices = enumerate_crystal(KRParams(2, 1, 2))
-    for make in (CrystalGraph, per_element):
-        with pytest.raises(IndexOutOfRange, match=rf"^color {color} outside 0\.\.2$"):
-            make(vertices, (0, color))
+    for vertices in (
+        enumerate_crystal(KRParams(2, 1, 2)),
+        product_elements(KRParams(2, 1, 2), KRParams(2, 2, 1)),
+    ):
+        for make in (CrystalGraph, per_element):
+            with pytest.raises(IndexOutOfRange, match=rf"^color {color} outside 0\.\.2$"):
+                make(vertices, (0, color))
 
 
 def test_rows_route_rejects_a_subset_that_is_not_closed():
     vertices = enumerate_crystal(KRParams(2, 1, 2))[:3]
+    comp = product_component((KRParams(2, 1, 2), KRParams(2, 2, 1)))
     messages = set()
     for make in (CrystalGraph, per_element):
         with pytest.raises(ValueError, match="not closed") as err:
             make(vertices, range(3))
         messages.add(str(err.value))
+        # a classical component is closed under 1..n but not under 0
+        with pytest.raises(InvalidParams, match="^element set not closed under color 0$"):
+            make(comp, range(3))
     assert messages == {"element set not closed under color 1"}
 
 
@@ -142,8 +176,8 @@ def test_a_repeated_vertex_is_rejected_before_any_id_list_is_filled(monkeypatch)
     c = enumerate_crystal(KRParams(2, 1, 1))
     filled = []
     with monkeypatch.context() as patch:
-        patch.setattr(graph_module, "_row_id_lists", lambda *args: filled.append(args))
-        patch.setattr(graph_module, "_id_lists", lambda *args: filled.append(args))
+        patch.setattr(graph_module, "_read_rows", lambda *args: filled.append(args))
+        patch.setattr(graph_module, "_inverse", lambda *args: filled.append(args))
         for make in (CrystalGraph, per_element):
             with pytest.raises(KRError, match="^4 vertices hold 3 distinct elements$"):
                 make(c + c[:1], range(3))
@@ -152,14 +186,34 @@ def test_a_repeated_vertex_is_rejected_before_any_id_list_is_filled(monkeypatch)
     assert build_graph(c + c[:1], range(3)).vertices == build_graph(c, range(3)).vertices
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda f: {**f, 1: [-1] + f[1][1:]}, r"^color 1 sends vertex 0 to -1, not an id$"),
+        (lambda f: {**f, 1: f[1][:-1]}, r"^color 1 needs a list of 3 ids$"),
+        (lambda f: {**f, 1: [3] + f[1][1:]}, r"^color 1 sends vertex 0 to 3, not an id$"),
+        # the operator form of f is gone: only id lists are accepted
+        (lambda f: lambda x, l: x.f(l), r"^color 0 needs a list of 3 ids$"),
+    ],
+)
+def test_malformed_id_lists_are_rejected(corrupt, message):
+    graph = three_cycle()
+    f = corrupt({l: list(graph.f[l]) for l in graph.colors})
+    with pytest.raises(InvalidParams, match=message):
+        CrystalGraph(graph.vertices, graph.colors, f)
+
+
 def test_rows_route_fills_no_operator_memo():
     # hits and misses too: earlier tests may have filled the memos already
     memos = (patterns._f, patterns._e, patterns._string)
     before = [memo.cache_info() for memo in memos]
     graph = build_graph(enumerate_crystal(KRParams(4, 2, 2)), range(5))
     assert len(graph.edges) > 0
+    product = build_graph(product_of(CLI_PRODUCT), range(5))
+    assert len(product) == 7500 and len(product.edges) > 0
     assert [memo.cache_info() for memo in memos] == before
     assert all(v._strings is None for v in graph.vertices)
+    assert all(b._strings is None for v in product.vertices for b in v.factors)
 
 
 def test_closure_recovers_whole_crystal():

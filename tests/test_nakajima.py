@@ -3,6 +3,7 @@ import random
 import pytest
 
 from krpoly import (
+    InvalidParams,
     KRParams,
     Monomial,
     MonomialCrystal,
@@ -14,7 +15,7 @@ from krpoly import (
 )
 from krpoly.graph import CrystalGraph, build_graph
 
-from conftest import all_params, closure
+from conftest import all_params, closure, f_lists
 
 
 A2 = MonomialCrystal.type_a(2)
@@ -140,7 +141,9 @@ def test_monomial_component_realizes_the_rectangular_crystal():
         comp = closure(
             [m], (1, 2), lambda x, l: full.f(x, l), lambda x, l: full.e(x, l)
         )
-        mono_graph = CrystalGraph(comp, (1, 2), lambda x, l: full.f(x, l))
+        with pytest.raises(InvalidParams, match="give f as id lists"):
+            CrystalGraph(comp, (1, 2))
+        mono_graph = CrystalGraph(comp, (1, 2), f_lists(comp, (1, 2), full.f))
         pat_graph = build_graph(enumerate_crystal(params), (1, 2))
         assert crystal_isomorphic(pat_graph, mono_graph, (1, 2))
 

@@ -40,7 +40,9 @@ def test_level_mismatch_errors():
         ground_state_path(DominantWeight((2, 0, 0)), KRParams(2, 1, 1), 4)
 
 
-@pytest.mark.parametrize("coeffs", [(0.5, 1.5, 0), (True, True, False), (1.0, 1, 0)])
+@pytest.mark.parametrize(
+    "coeffs", [(0.5, 1.5, 0), (True, True, False), (1.0, 1, 0), 3, [1, 0, 0]]
+)
 def test_dominant_weights_take_integer_coefficients_only(coeffs):
     params = KRParams(2, 1, 2)
     for use in (

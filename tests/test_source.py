@@ -129,6 +129,22 @@ def test_patterns_are_built_only_in_patterns():
     assert not outside, f"KRPattern built outside patterns.py: {', '.join(outside)}"
 
 
+def test_graphs_are_filled_without_per_element_operators():
+    # graph.py reads f_l on the factors' rows (``_read_rows``); a .f(...) or
+    # .e(...) call there would bring back a per-element fill
+    path = SOURCE / "graph.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        f"graph.py:{node.lineno} .{node.func.attr}()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("f", "e")
+    ]
+    assert "_read_rows" in {getattr(node, "name", None) for node in ast.walk(tree)}
+    assert not calls, f"operator calls in graph.py: {', '.join(calls)}"
+
+
 def test_package_attributes_are_the_submodules():
     # a function re-exported under its module's name would shadow the module:
     # ``import krpoly.rmatrix as rm`` would then bind the function

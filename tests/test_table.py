@@ -148,7 +148,7 @@ def test_oracles_and_square_closure_match_tensor_element_walks():
     for params in SWEEP:
         square = product_table(params, params)
         zero = zero_pattern(params)
-        got = closure([(0, 0)], range(params.n + 1), square.f, square.e)
+        got = closure([(0, 0)], range(params.n + 1), square.f, square.e, key=None)
         expected = closure(
             [TensorElement((zero, zero))],
             range(params.n + 1),
@@ -167,7 +167,9 @@ def test_certificate_agrees_with_the_closure_on_the_desk_sweep():
                 continue
             square = product_table(params, params)
             zero = square.left.index[zero_pattern(params)]
-            walked = closure([(zero, zero)], range(n + 1), square.f, square.e, max_size=None)
+            walked = closure(
+                [(zero, zero)], range(n + 1), square.f, square.e, max_size=None, key=None
+            )
             assert perfect._certificate(params, len(square)) == (len(walked) == len(square))
             checked += 1
     assert checked == 42
@@ -185,7 +187,7 @@ def test_a_failed_certificate_falls_back_to_the_closure(monkeypatch):
         dims = sum(perfect.weyl_dimension(x.classical_weight()) for x in hw[:-1])
         assert dims < len(square)
         zero = square.left.index[zero_pattern(params)]
-        walked = closure([(zero, zero)], range(params.n + 1), square.f, square.e)
+        walked = closure([(zero, zero)], range(params.n + 1), square.f, square.e, key=None)
         assert len(walked) == len(square), params
 
 
