@@ -257,11 +257,7 @@ def _cmd_energy(args):
     mode = "oracle" if args.oracle else ("both" if args.both else "closed-form")
     result = {}
     if mode in ("closed-form", "both"):
-        result["closed_form"] = (
-            local_energy(x)
-            if len(patterns) == 2
-            else global_energy(x, energy=local_energy)
-        )
+        result["closed_form"] = global_energy(x, energy=local_energy)
     if mode in ("oracle", "both"):
         result["oracle"] = _oracle_energy(x)
     if mode == "both":
@@ -271,9 +267,6 @@ def _cmd_energy(args):
 
 
 def _oracle_energy(x):
-    if len(x.factors) == 2:
-        table = local_energy_oracle(x.factors[0].params, x.factors[1].params)
-        return table[x]
     tables = {}
 
     def energy(pair):

@@ -6,13 +6,14 @@ by one along a raising 0-edge exactly when e_0 acts on the first (second)
 factor of both the element and its R-matrix image.  Two routes are
 implemented: a recursion oracle that propagates those increments over the
 whole product, and the closed form that reads H off an intermediate
-element produced by a fixed schedule of maximal raising moves.
+element produced by a fixed schedule of maximal raising moves, made by
+the transport kernel ``rmatrix._raise_strings``: no string is walked here.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistentRecursion, NotHighestWeight
-from .rmatrix import rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
+from .rmatrix import _raise_strings, rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw, two_factors
 
@@ -34,29 +35,19 @@ def _pass_colors(r2, s):
 def _schedule_correction(x):
     """Summed corrections of the raising schedule on A (x) B.
 
-    Pass s = 0..n-r2 runs through ``_pass_colors(r2, s)``; at each color A
-    is raised max(0, eps(A) - phi(B)) times and B eps(B) times.  Every pass
-    ends on color r2, and A's share of that last move, the only one that
-    can lower the tracked entry sum, is the pass's correction.  A raise
-    past the end of its string, or a second factor not zero at the end,
-    raises InconsistentRecursion.
+    Pass s = 0..n-r2 raises A (x) B along the whole strings of the colors
+    ``_pass_colors(r2, s)`` through the transport kernel ``_raise_strings``.
+    Every pass ends on color r2, and A's share of that last string, the
+    only one that can lower the tracked entry sum, is the pass's
+    correction.  A raise past a string is the kernel's OracleFailure, a
+    second factor not zero at the end an InconsistentRecursion.
     """
     a, b = x.factors
     r2 = b.params.r
     total = 0
     for s in range(x.n - r2 + 1):
-        for color in _pass_colors(r2, s):
-            ka = max(0, a.eps(color) - b.phi(color))
-            kb = b.eps(color)
-            for _ in range(ka):
-                a = a.e(color)
-                if a is None:
-                    raise InconsistentRecursion(f"e_{color} exponent exceeded the string")
-            for _ in range(kb):
-                b = b.e(color)
-                if b is None:
-                    raise InconsistentRecursion(f"e_{color} exponent exceeded the string")
-        total += ka
+        a, b, left = _raise_strings(a, b, _pass_colors(r2, s), [])
+        total += left
     if b.total() != 0:
         raise InconsistentRecursion("schedule did not raise the second factor to zero")
     return total

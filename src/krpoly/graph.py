@@ -34,8 +34,8 @@ class CrystalGraph:
     crystal zero) and ``index`` maps a vertex to its id.  ``f`` is given
     as those id lists by color, or as None: ``_read_rows`` then reads f_l
     on the rows of the factors of KRPattern or TensorElement vertices.  A
-    vertex given twice or with two incoming l-edges raises KRError, an id
-    list that is not one id or None per vertex InvalidParams.
+    vertex given twice or with two incoming l-edges raises KRError, a color
+    given twice or an id list not one id or None per vertex InvalidParams.
     ``eps[l][i]``/``phi[l][i]`` are the numbers of l-steps from vertex i
     to the head and to the end of its l-string, None on an l-cycle.
     """
@@ -46,6 +46,8 @@ class CrystalGraph:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise KRError(f"{len(self.vertices)} vertices hold {len(self.index)} distinct elements")
+        if len(set(self.colors)) != len(self.colors):
+            raise InvalidParams(f"colors {self.colors} repeat a color")
         if f is None:
             f = _read_rows(self.vertices, self.colors)
         self.f = {l: f.get(l) if isinstance(f, dict) else None for l in self.colors}
@@ -96,8 +98,8 @@ class CrystalGraph:
             "edges": [list(edge) for edge in self.edges],
         }
 
-    def to_dot(self, name="crystal"):
-        lines = [f"digraph {name} {{"]
+    def to_dot(self):
+        lines = ["digraph crystal {"]
         for i, v in enumerate(self.vertices):
             lines.append(f'  n{i} [label="{vertex_label(v)}"];')
         for a, l, b in self.edges:
@@ -212,7 +214,7 @@ def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     factors (see ``CrystalGraph``).  The element set must be closed
     under every requested color.
     """
-    if max_size is not None and len(elements) > max_size:
+    if len(elements) > max_size:
         raise SizeLimitExceeded(f"{len(elements)} vertices exceed cap {max_size}")
     vertices = tuple(sorted(set(elements), key=sort_key))
     return CrystalGraph(vertices, colors)

@@ -182,6 +182,6 @@ def psi_embedding(pattern):
     return Monomial.from_items(items)
 
 
-def psi_crystal(convention=None):
+def psi_crystal():
     """The rank-2 monomial crystal the embedding lands in."""
-    return MonomialCrystal.type_a(2, convention)
+    return MonomialCrystal.type_a(2)

@@ -296,10 +296,10 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 
     Cells are filled row-major; partial grids whose max-path DP already
     exceeds s are pruned, so only valid patterns are materialized.  A
-    crystal larger than ``max_size`` (None: no cap) raises
-    SizeLimitExceeded before any pattern is built.
+    crystal larger than ``max_size`` raises SizeLimitExceeded before any
+    pattern is built.
     """
-    if max_size is not None and crystal_size(params) > max_size:
+    if crystal_size(params) > max_size:
         raise SizeLimitExceeded(
             f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
         )
@@ -310,7 +310,7 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 
     def fill(idx):
         if idx == nrows * ncols:
-            if max_size is not None and len(out) >= max_size:
+            if len(out) >= max_size:
                 raise SizeLimitExceeded(
                     f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
                 )

@@ -45,7 +45,9 @@ class DominantWeight:
     def __post_init__(self):
         if not isinstance(self.coeffs, tuple) or not all(map(_is_int, self.coeffs)):
             raise InvalidParams(f"coefficients must be integers in a tuple, got {self.coeffs!r}")
-        if not self.coeffs or any(c < 0 for c in self.coeffs):
+        if not self.coeffs:
+            raise InvalidParams("a dominant weight needs at least one coefficient")
+        if any(c < 0 for c in self.coeffs):
             raise InvalidParams("coefficients must be non-negative")
 
     @property
@@ -144,6 +146,8 @@ def ground_state_path(weight, params, length):
     element is the next weight).  A length over ``ENUMERATION_CAP`` raises
     SizeLimitExceeded before any element is built.
     """
+    if not _is_int(length):
+        raise InvalidParams(f"path length must be an integer, got {length!r}")
     if length < 0:
         raise InvalidParams(f"path length must be non-negative, got {length}")
     if length > ENUMERATION_CAP:

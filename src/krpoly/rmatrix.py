@@ -8,10 +8,11 @@ weakly decrease and are bounded by min(s1,s2).  Both the elements and
 their images are read and built through the cells: the R-matrix keeps
 those entries and only swaps the carrying shapes, reading the first factor
 cell by cell on the swapped grid.  Arbitrary elements are handled by
-transport to the highest weight representative and back.  Transport acts
-on the two factors of a two-fold element: it reads each factor's string
-statistics once per color and splits each whole string between them by
-the tensor rule.  The image of a highest weight element is memoized in a
+transport to the highest weight representative and back.  Transport splits
+each whole string between the two factors by the tensor rule, reading
+their string statistics once per color, in one kernel (``_raise_strings``)
+that the closed-form energy schedule shares; ``rmatrix_from_hw`` mirrors
+it for lowering.  The image of a highest weight element is memoized in a
 bounded memo of 1024 entries (``rmatrix_on_hw``): transports land on few
 distinct highest weight elements, and a repeated one then costs a lookup.
 """
@@ -94,31 +95,39 @@ def _steps(b, l, k, op):
     return b
 
 
+def _raise_strings(a, b, colors, word):
+    """a (x) b raised along the whole l-string of each color l in ``colors``.
+
+    By the tensor rule a takes max(0, eps_l(a) - phi_l(b)) steps and b
+    eps_l(b); a color with no step is skipped.  The step colors are
+    appended to ``word``.  Returns (a, b, a's share of the last color).
+    """
+    left = 0
+    for l in colors:
+        phi_b, eps_b, _, _ = b._stats(l)
+        left = max(0, a._stats(l)[1] - phi_b)
+        if left or eps_b:
+            b = _steps(b, l, eps_b, KRPattern.e)
+            a = _steps(a, l, left, KRPattern.e)
+            word.extend([l] * (left + eps_b))
+    return a, b, left
+
+
 def to_highest_weight(x):
     """Raise the two-fold element x = a (x) b to its classical highest weight element.
 
     Returns (hw, word).  Each pass raises along whole strings, e_l^{eps_l}
-    for l = 1..n in turn, each string in one move; passes repeat until no
-    classical e_l applies.  Transport acts on the two factors and reads
-    the string statistics of a and b once per color: by the tensor rule a
-    takes max(0, eps_l(a) - phi_l(b)) of the steps and b takes eps_l(b).
-    The word lists the colors of the single steps in the order applied.
-    Its length and color multiset are fixed by the weight difference to
-    hw, whatever the schedule.
+    for l = 1..n in turn (``_raise_strings``); passes repeat until no
+    classical e_l applies.  The word lists the colors of the single steps
+    in the order applied; its length and color multiset are fixed by the
+    weight difference to hw, whatever the schedule.
     """
     a, b = two_factors(x, "transport acts on two-fold products")
     word = []
-    raised = True
-    while raised:
-        raised = False
-        for l in range(1, a.n + 1):
-            phi_b, eps_b, _, _ = b._stats(l)
-            left = max(0, a._stats(l)[1] - phi_b)
-            if left or eps_b:
-                b = _steps(b, l, eps_b, KRPattern.e)
-                a = _steps(a, l, left, KRPattern.e)
-                word += [l] * (left + eps_b)
-                raised = True
+    moved = None
+    while moved != len(word):
+        moved = len(word)
+        a, b, _ = _raise_strings(a, b, range(1, a.n + 1), word)
     return TensorElement._trusted((a, b)), tuple(word)
 
 

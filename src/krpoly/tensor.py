@@ -146,7 +146,7 @@ def factor_crystals(params_list, max_size=ENUMERATION_CAP):
     factor is enumerated: its size is the product of the Weyl dimensions.
     """
     size = math.prod(crystal_size(params) for params in params_list)
-    if max_size is not None and size > max_size:
+    if size > max_size:
         raise SizeLimitExceeded(f"product of {len(params_list)} crystals has {size} > {max_size}")
     enumerated = {}
     for params in params_list:

@@ -9,8 +9,8 @@ import pytest
 from krpoly import (
     InconsistentRecursion,
     KRParams,
-    KRPattern,
     NotHighestWeight,
+    OracleFailure,
     TensorElement,
     enumerate_crystal,
     global_energy,
@@ -21,6 +21,7 @@ from krpoly import (
     rmatrix_oracle,
     zero_pattern,
 )
+from krpoly import patterns
 from krpoly.graph import build_graph
 from krpoly.rmatrix import hw_support, rmatrix, to_highest_weight
 
@@ -67,14 +68,19 @@ def test_hw_law_is_negative_entry_sum():
 
 
 def test_schedule_breaks_raise_typed_errors(monkeypatch):
-    # a raise that runs off its string, or a schedule that leaves the second
-    # factor nonzero, is an InconsistentRecursion, not an AttributeError
+    # a raise that runs off its string is the transport kernel's
+    # OracleFailure, a schedule that leaves the second factor nonzero an
+    # InconsistentRecursion; neither is an AttributeError
     params = KRParams(2, 1, 1)
     zero = zero_pattern(params)
-    monkeypatch.setattr(KRPattern, "e", lambda self, l: None)
-    with pytest.raises(InconsistentRecursion, match="e_1 exponent exceeded the string"):
-        local_energy(pair(zero.f(1), zero.f(1).f(2)))
-    monkeypatch.setattr(KRPattern, "eps", lambda self, l: 0)
+    x = pair(zero.f(1), zero.f(1).f(2))
+    with monkeypatch.context() as patch:
+        patch.setattr(patterns, "_e", lambda A, l: None)
+        with pytest.raises(OracleFailure, match="^transport word failed at e_1$"):
+            local_energy(x)
+    # a kernel that raises nothing leaves B as it was
+    module = importlib.import_module("krpoly.energy")
+    monkeypatch.setattr(module, "_raise_strings", lambda a, b, colors, word: (a, b, 0))
     with pytest.raises(InconsistentRecursion, match="second factor to zero"):
         local_energy(pair(zero, zero.f(1)))
 

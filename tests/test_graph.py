@@ -203,6 +203,22 @@ def test_malformed_id_lists_are_rejected(corrupt, message):
         CrystalGraph(graph.vertices, graph.colors, f)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c, colors: CrystalGraph(c, colors),
+        lambda c, colors: CrystalGraph(c, colors, f_lists(c, (1,))),
+        build_graph,
+    ],
+)
+def test_a_repeated_color_is_rejected(make):
+    # a repeated color is refused, not deduplicated: it used to double its edges
+    c = enumerate_crystal(KRParams(2, 1, 1))
+    with pytest.raises(InvalidParams, match=r"^colors \(1, 1\) repeat a color$"):
+        make(c, [1, 1])
+    assert make(c, [1]).edges == ((0, 1, 2),)
+
+
 def test_rows_route_fills_no_operator_memo():
     # hits and misses too: earlier tests may have filled the memos already
     memos = (patterns._f, patterns._e, patterns._string)

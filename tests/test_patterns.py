@@ -121,7 +121,6 @@ def test_enumerate_lexicographic_and_unique():
 def test_enumerate_cap(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         enumerate_crystal(KRParams(2, 1, 2), max_size=3)
-    assert len(enumerate_crystal(KRParams(2, 1, 2), max_size=None)) == 6
     # the count inside the enumeration still refuses what the size misjudges
     monkeypatch.setattr(patterns, "crystal_size", lambda params: 0)
     with pytest.raises(SizeLimitExceeded):

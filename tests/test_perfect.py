@@ -41,16 +41,18 @@ def test_level_mismatch_errors():
 
 
 @pytest.mark.parametrize(
-    "coeffs", [(0.5, 1.5, 0), (True, True, False), (1.0, 1, 0), 3, [1, 0, 0]]
+    "coeffs", [(0.5, 1.5, 0), (True, True, False), (1.0, 1, 0), 3, [1, 0, 0], ()]
 )
 def test_dominant_weights_take_integer_coefficients_only(coeffs):
     params = KRParams(2, 1, 2)
+    # an empty tuple holds only integers, but no weight
+    message = "at least one coefficient" if coeffs == () else "must be integers"
     for use in (
         lambda: b_upper(DominantWeight(coeffs), params),
         lambda: b_lower(DominantWeight(coeffs), params),
         lambda: ground_state_path(DominantWeight(coeffs), params, 3),
     ):
-        with pytest.raises(KRError, match="must be integers") as err:
+        with pytest.raises(KRError, match=message) as err:
             use()
         assert isinstance(err.value, InvalidParams)
     with pytest.raises(InvalidParams, match="non-negative"):
@@ -271,6 +273,13 @@ def test_ground_state_path_rejects_a_negative_length():
     with pytest.raises(InvalidParams, match="non-negative"):
         ground_state_path(weight, KRParams(2, 1, 2), -1)
     assert ground_state_path(weight, KRParams(2, 1, 2), 0).elements == ()
+
+
+@pytest.mark.parametrize("length", [2.0, True, "3"])
+def test_ground_state_path_rejects_a_length_that_is_not_an_int(length):
+    # 2.0 used to raise a bare TypeError and True to give a path of length 1
+    with pytest.raises(InvalidParams, match="path length must be an integer"):
+        ground_state_path(DominantWeight((1, 1, 0)), KRParams(2, 1, 2), length)
 
 
 def test_period_divides_rotation_order():

@@ -25,6 +25,7 @@ from krpoly import (
     to_highest_weight,
 )
 from krpoly import patterns
+from krpoly.energy import _pass_colors, _schedule_correction
 from krpoly.graph import build_graph
 from krpoly.rmatrix import hw_support, rmatrix
 from krpoly.table import PairTable
@@ -219,6 +220,19 @@ def pass_schedule_walk(x):
     return x, tuple(word)
 
 
+def schedule_walk_steps(x):
+    """Reference: single steps the closed-form energy schedule takes on x,
+    one TensorElement.e at a time through every pass."""
+    r2 = x.factors[1].params.r
+    steps = 0
+    for s in range(x.n - r2 + 1):
+        for l in _pass_colors(r2, s):
+            while (y := x.e(l)) is not None:
+                x = y
+                steps += 1
+    return steps
+
+
 def seeded_pairs(seed, count):
     """``count`` random two-fold elements with n = 2..6 and s <= 3."""
     rng = random.Random(seed)
@@ -264,6 +278,17 @@ def test_each_single_step_is_applied_once(monkeypatch):
         calls.clear()
         rmatrix_from_hw(hw, word)
         assert (calls["_e"], calls["_f"]) == (0, len(word))
+    # the closed-form energy schedule raises through the same kernel
+    scheduled = 0
+    for x in seeded_pairs(19, 150):
+        if x.factors[0].params.s > x.factors[1].params.s:
+            continue
+        steps = schedule_walk_steps(x)
+        calls.clear()
+        _schedule_correction(x)
+        assert (calls["_e"], calls["_f"]) == (steps, 0)
+        scheduled += steps > 0
+    assert scheduled
 
 
 def test_yang_baxter_on_triples():

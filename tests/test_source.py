@@ -145,6 +145,27 @@ def test_graphs_are_filled_without_per_element_operators():
     assert not calls, f"operator calls in graph.py: {', '.join(calls)}"
 
 
+def test_energy_walks_no_string_of_its_own():
+    # the closed-form schedule raises through rmatrix._raise_strings, the
+    # kernel of transport; a string statistic or a one-argument .e(...) or
+    # .f(...) call in energy.py would bring back a second string walk.  The
+    # oracle's PairTable calls take an id and a color.
+    path = SOURCE / "energy.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        f"energy.py:{node.lineno} .{node.func.attr}()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (
+            node.func.attr in ("eps", "phi", "_stats")
+            or node.func.attr in ("e", "f") and len(node.args) + len(node.keywords) == 1
+        )
+    ]
+    assert "_raise_strings" in {getattr(node, "id", None) for node in ast.walk(tree)}
+    assert not calls, f"string walks in energy.py: {', '.join(calls)}"
+
+
 def test_package_attributes_are_the_submodules():
     # a function re-exported under its module's name would shadow the module:
     # ``import krpoly.rmatrix as rm`` would then bind the function
