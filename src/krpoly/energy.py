@@ -141,7 +141,9 @@ def global_energy(x, energy=None):
     is read there: it is constant on classical components, so it is minus
     the entry sum of the first factor (``local_energy_hw``).  A callable
     ``energy`` (such as ``local_energy``, the closed form) is read on each
-    pair instead; it sees the same pairs as a separate transport per pair.
+    pair instead; it sees the same pairs as a separate transport per pair,
+    and position 1, where no swap follows, is then not raised at all:
+    C(N - 1, 2) transports.
     The pairs are built unchecked: their factors come from x, whose
     factors already share one rank.
     """
@@ -150,8 +152,13 @@ def global_energy(x, energy=None):
         fs = list(x.factors)
         for pos in range(j, 0, -1):
             pair = TensorElement._trusted((fs[pos - 1], fs[pos]))
+            if energy is not None:
+                total += energy(pair)
+                if pos == 1:
+                    continue
             hw, word = to_highest_weight(pair)
-            total += -hw.factors[0].total() if energy is None else energy(pair)
+            if energy is None:
+                total -= hw.factors[0].total()
             if pos > 1:
                 fs[pos - 1], fs[pos] = rmatrix_from_hw(hw, word).factors
     return total

@@ -15,7 +15,7 @@ id) triples, so exports are byte-for-byte deterministic.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import IndexOutOfRange, InvalidParams, KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
@@ -99,9 +99,12 @@ class CrystalGraph:
         }
 
     def to_dot(self):
+        """DOT text; each distinct KRPattern factor is labelled once."""
+        label = cache(vertex_label)
         lines = ["digraph crystal {"]
         for i, v in enumerate(self.vertices):
-            lines.append(f'  n{i} [label="{vertex_label(v)}"];')
+            text = "(x)".join(map(label, v.factors)) if hasattr(v, "factors") else label(v)
+            lines.append(f'  n{i} [label="{text}"];')
         for a, l, b in self.edges:
             lines.append(f'  n{a} -> n{b} [label="{l}"];')
         lines.append("}")
@@ -210,11 +213,20 @@ def _read_rows(vertices, colors):
 def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     """Full colored digraph over the given elements, repeats removed.
 
+    The vertices are sorted by ``sort_key``, read once per distinct factor.
     The edges are the elements' own lowering, read on the rows of their
     factors (see ``CrystalGraph``).  The element set must be closed
     under every requested color.
     """
     if len(elements) > max_size:
         raise SizeLimitExceeded(f"{len(elements)} vertices exceed cap {max_size}")
-    vertices = tuple(sorted(set(elements), key=sort_key))
+    factor_key = cache(KRPattern.sort_key)
+
+    def key(x):
+        # ``sort_key`` with each distinct factor's key built once
+        if isinstance(x, TensorElement):
+            return tuple(map(factor_key, x.factors))
+        return factor_key(x)
+
+    vertices = tuple(sorted(set(elements), key=key))
     return CrystalGraph(vertices, colors)

@@ -294,41 +294,49 @@ def _witness_path(rows, ms, params):
 def enumerate_crystal(params, max_size=ENUMERATION_CAP):
     """All elements of B^{r,s}, in lexicographic order of flattened rows.
 
-    Cells are filled row-major; partial grids whose max-path DP already
-    exceeds s are pruned, so only valid patterns are materialized.  A
-    crystal larger than ``max_size`` raises SizeLimitExceeded before any
-    pattern is built.
+    The grid is built row by row.  The rows allowed below a row depend only
+    on that row's staircase maxima (the largest staircase sum reaching each
+    of its cells), so the allowed next rows, each with its own maxima, are
+    listed once per distinct maxima tuple, in lexicographic order, and
+    every pattern shares its row tuples with the others.  Only valid
+    patterns are materialized.  A crystal larger than ``max_size`` raises
+    SizeLimitExceeded before any pattern is built, and a count kept while
+    the patterns are built refuses one the size misjudges.
     """
     if crystal_size(params) > max_size:
         raise SizeLimitExceeded(
             f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
         )
-    nrows, ncols = params.num_rows, params.num_cols
-    rows = [[0] * ncols for _ in range(nrows)]
-    ms = [[0] * ncols for _ in range(nrows)]
+    below = {}
+
+    def next_rows(above):
+        rows = below.get(above)
+        if rows is None:
+            rows = [((), ())]
+            for top in above:
+                rows = [
+                    (row + (v,), maxima + (base + v,))
+                    for row, maxima in rows
+                    for base in (max(maxima[-1], top) if maxima else top,)
+                    for v in range(params.s - base + 1)
+                ]
+            below[above] = rows
+        return rows
+
+    # partial grids, each with the maxima of its last row; every partial
+    # grid extends (by a zero row), so none of them outnumbers the crystal
+    grids = [((), (0,) * params.num_cols)]
+    for _ in range(params.num_rows - 1):
+        grids = [
+            (rows + (row,), maxima) for rows, above in grids for row, maxima in next_rows(above)
+        ]
     out = []
-
-    def fill(idx):
-        if idx == nrows * ncols:
-            if len(out) >= max_size:
-                raise SizeLimitExceeded(
-                    f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
-                )
-            out.append(KRPattern(params, tuple(tuple(row) for row in rows)))
-            return
-        qi, pi = divmod(idx, ncols)
-        base = 0
-        if pi > 0:
-            base = ms[qi][pi - 1]
-        if qi > 0:
-            base = max(base, ms[qi - 1][pi])
-        for val in range(params.s - base + 1):
-            rows[qi][pi] = val
-            ms[qi][pi] = base + val
-            fill(idx + 1)
-        rows[qi][pi] = 0
-
-    fill(0)
+    for rows, above in grids:
+        out.extend(KRPattern(params, rows + (row,)) for row, _ in next_rows(above))
+        if len(out) > max_size:
+            raise SizeLimitExceeded(
+                f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
+            )
     return out
 
 

@@ -26,11 +26,7 @@ class TensorElement:
     factors: tuple
 
     def __post_init__(self):
-        if not self.factors:
-            raise InvalidParams("tensor element needs at least one factor")
-        n = self.factors[0].n
-        if any(b.n != n for b in self.factors):
-            raise InvalidParams("all factors must share the same rank n")
+        _check_ranks([b.n for b in self.factors])
 
     @classmethod
     def _trusted(cls, factors):
@@ -92,6 +88,14 @@ class TensorElement:
 
     def to_dict(self):
         return {"factors": [b.to_dict() for b in self.factors]}
+
+
+def _check_ranks(ranks):
+    """InvalidParams unless the factor ranks are one or more and all equal."""
+    if not ranks:
+        raise InvalidParams("tensor element needs at least one factor")
+    if any(n != ranks[0] for n in ranks):
+        raise InvalidParams("all factors must share the same rank n")
 
 
 def tensor_rule(stats):
@@ -159,8 +163,11 @@ def product_elements(params_list, max_size=ENUMERATION_CAP):
     """All elements of B_1 (x) ... (x) B_N, factors drawn left to right.
 
     Each factor is enumerated in its lexicographic order, so the product
-    comes out sorted by ``TensorElement.sort_key``.  A product larger than
-    ``max_size`` raises SizeLimitExceeded before any element is built.
+    comes out sorted by ``TensorElement.sort_key``.  An empty list or
+    factors of different ranks raise InvalidParams, and a product larger
+    than ``max_size`` SizeLimitExceeded, before any factor is enumerated;
+    the elements are then built unchecked.
     """
+    _check_ranks([params.n for params in params_list])
     crystals = factor_crystals(params_list, max_size)
-    return [TensorElement(factors) for factors in itertools.product(*crystals)]
+    return [TensorElement._trusted(factors) for factors in itertools.product(*crystals)]

@@ -20,7 +20,8 @@ from .nakajima import psi_crystal, psi_embedding
 from .patterns import KRParams, crystal_size, enumerate_crystal, pivot
 from .perfect import check_perfect, dominant_weights, eps_profile, ground_state_path
 from .regularity import is_regular_rank2
-from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle
+from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle_ids
+from .table import product_table
 from .tensor import TensorElement, is_classical_hw, product_elements
 
 
@@ -60,53 +61,48 @@ def count_rect_ssyt(rows, cols, max_entry):
 def signature_word(x, l):
     """Uncancelled plus/minus word of a tensor element for one color.
 
-    Each factor contributes "+" * phi then "-" * eps; adjacent "-+" pairs
-    cancel until none remain.  Survivors are returned as (sign, factor)
-    pairs: the number of "+" is phi of the product, the number of "-" is
-    eps, f acts at the rightmost "+" and e at the leftmost "-".
+    Each factor contributes "+" * phi then "-" * eps, and every "-+" pair
+    cancels.  One pass matches them as brackets: a "+" cancels a "-" on
+    top of the stack.  Survivors are returned as (sign, factor) pairs: the
+    number of "+" is phi of the product, the number of "-" is eps, f acts
+    at the rightmost "+" and e at the leftmost "-".
     """
     stack = []
     for idx, b in enumerate(x.factors):
         for _ in range(b.phi(l)):
-            stack.append(("+", idx))
-        for _ in range(b.eps(l)):
-            stack.append(("-", idx))
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        i = 0
-        while i < len(stack):
-            if i + 1 < len(stack) and stack[i][0] == "-" and stack[i + 1][0] == "+":
-                i += 2
-                changed = True
+            if stack and stack[-1][0] == "-":
+                stack.pop()
             else:
-                out.append(stack[i])
-                i += 1
-        stack = out
+                stack.append(("+", idx))
+        stack.extend([("-", idx)] * b.eps(l))
     return stack
 
 
-def signature_f(x, l):
-    word = [w for w in signature_word(x, l) if w[0] == "+"]
-    if not word:
-        return None
-    idx = word[-1][1]
-    y = x.factors[idx].f(l)
+def _signature_images(x, l, word):
+    """(f_l x, e_l x) by the signature rule on x's ``word`` for color l."""
+    plus = [idx for sign, idx in word if sign == "+"]
+    minus = [idx for sign, idx in word if sign == "-"]
+    fx = _with_factor(x, plus[-1], x.factors[plus[-1]].f(l)) if plus else None
+    ex = _with_factor(x, minus[0], x.factors[minus[0]].e(l)) if minus else None
+    return fx, ex
+
+
+def _with_factor(x, idx, y):
+    """x with factor idx replaced by y; None when y is crystal zero.
+
+    Built unchecked: y has the rank of the factor it replaces.
+    """
     if y is None:
         return None
-    return TensorElement(x.factors[:idx] + (y,) + x.factors[idx + 1 :])
+    return TensorElement._trusted(x.factors[:idx] + (y,) + x.factors[idx + 1 :])
+
+
+def signature_f(x, l):
+    return _signature_images(x, l, signature_word(x, l))[0]
 
 
 def signature_e(x, l):
-    word = [w for w in signature_word(x, l) if w[0] == "-"]
-    if not word:
-        return None
-    idx = word[0][1]
-    y = x.factors[idx].e(l)
-    if y is None:
-        return None
-    return TensorElement(x.factors[:idx] + (y,) + x.factors[idx + 1 :])
+    return _signature_images(x, l, signature_word(x, l))[1]
 
 
 def string_eps(x, l):
@@ -220,15 +216,17 @@ def _tensor_failures(params1, params2):
     for x in product_elements((params1, params2)):
         for l in range(params1.n + 1):
             word = signature_word(x, l)
-            if x.phi(l) != sum(1 for w in word if w[0] == "+"):
+            plus = sum(1 for sign, _ in word if sign == "+")
+            if x.phi(l) != plus:
                 bad.append(f"phi vs signature at {x} color {l}")
-            if x.eps(l) != sum(1 for w in word if w[0] == "-"):
+            if x.eps(l) != len(word) - plus:
                 bad.append(f"eps vs signature at {x} color {l}")
-            if x.f(l) != signature_f(x, l):
+            fx, ex = x.f(l), x.e(l)
+            sig_f, sig_e = _signature_images(x, l, word)
+            if fx != sig_f:
                 bad.append(f"f vs signature at {x} color {l}")
-            if x.e(l) != signature_e(x, l):
+            if ex != sig_e:
                 bad.append(f"e vs signature at {x} color {l}")
-            fx = x.f(l)
             if fx is not None and fx.e(l) != x:
                 bad.append(f"partial inverse at {x} color {l}")
         if sum(x.affine_weight().pairings) != 0:
@@ -238,12 +236,14 @@ def _tensor_failures(params1, params2):
 
 def _rmatrix_failures(params1, params2):
     bad = []
-    oracle = rmatrix_oracle(params1, params2)
-    reverse = rmatrix_oracle(params2, params1)
-    for x, y in oracle.items():
+    left = product_table(params1, params2)
+    right = left.swapped()
+    reverse = rmatrix_oracle_ids(right)
+    for xi, yi in rmatrix_oracle_ids(left).items():
+        x, y = left.element(xi), right.element(yi)
         if rmatrix(x) != y:
             bad.append(f"transport differs from oracle at {x}")
-        if reverse[y] != x:
+        if reverse[yi] != xi:
             bad.append(f"oracle not an involution at {x}")
         if x.affine_weight() != y.affine_weight():
             bad.append(f"weight not preserved at {x}")

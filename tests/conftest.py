@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 
 from krpoly import (
     InvalidParams,
     KRParams,
     KRPattern,
+    PathSumExceeded,
     SizeLimitExceeded,
     TensorElement,
     check_perfect,
@@ -57,6 +59,20 @@ def staircases(params):
 
     walk(1, params.r, [])
     return paths
+
+
+def brute_crystal(params):
+    """Reference B^{r,s}: every grid with entries <= s that ``validate_pattern``
+    accepts, sorted by ``entries_flat``."""
+    rows, cols = params.num_rows, params.num_cols
+    out = []
+    for entries in itertools.product(range(params.s + 1), repeat=rows * cols):
+        grid = [entries[q * cols : (q + 1) * cols] for q in range(rows)]
+        try:
+            out.append(validate_pattern(grid, params))
+        except PathSumExceeded:
+            continue
+    return sorted(out, key=KRPattern.entries_flat)
 
 
 def all_params(n, max_s):

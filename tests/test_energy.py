@@ -268,6 +268,36 @@ def test_default_global_energy_transports_each_pair_once(monkeypatch):
         assert len(calls) == math.comb(size, 2)
 
 
+def test_a_callable_energy_skips_the_transport_at_position_one(monkeypatch):
+    # with the default H every pair is raised; a callable energy reads the
+    # pairs itself, so only the C(N-1, 2) pairs that a swap follows are
+    module = importlib.import_module("krpoly.energy")
+    calls = []
+    to_hw = module.to_highest_weight
+
+    def counting(x):
+        calls.append(x)
+        return to_hw(x)
+
+    monkeypatch.setattr(module, "to_highest_weight", counting)
+    rng = random.Random(24)
+    x = random_element(rng, SHAPES_N5, 4)
+    for energy, transports in ((None, 6), (local_energy, 3)):
+        calls.clear()
+        module.global_energy(x, energy=energy)
+        assert len(calls) == transports
+    for size in range(3, 6):
+        for _ in range(6):
+            x = random_element(rng, SHAPES_N5, size)
+            want = pairwise_transport_energy(x)
+            calls.clear()
+            assert module.global_energy(x) == want
+            assert len(calls) == math.comb(size, 2)
+            calls.clear()
+            assert module.global_energy(x, energy=local_energy) == want
+            assert len(calls) == math.comb(size - 1, 2)
+
+
 def test_global_energy_is_invariant_under_every_adjacent_swap():
     rng = random.Random(8)
     shapes = all_params(4, 3)

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,11 @@ from krpoly import (
     InvalidParams,
     KRError,
     KRParams,
+    KRPattern,
     SizeLimitExceeded,
     TensorElement,
     enumerate_crystal,
+    graph as graph_module,
     is_regular_rank2,
     patterns,
 )
@@ -230,6 +233,36 @@ def test_rows_route_fills_no_operator_memo():
     assert [memo.cache_info() for memo in memos] == before
     assert all(v._strings is None for v in graph.vertices)
     assert all(b._strings is None for v in product.vertices for b in v.factors)
+
+
+def test_sort_keys_and_labels_are_built_once_per_distinct_factor(monkeypatch):
+    # 7,500 vertices of the cli product hold 50 + 15 + 10 distinct factors
+    factors = sum(len(enumerate_crystal(p)) for p in CLI_PRODUCT)
+    assert factors == 75
+    calls = Counter()
+    sort_key, label = KRPattern.sort_key, vertex_label
+
+    def counting_key(b):
+        calls["sort_key"] += 1
+        return sort_key(b)
+
+    def counting_label(v):
+        calls["vertex_label"] += 1
+        return label(v)
+
+    monkeypatch.setattr(KRPattern, "sort_key", counting_key)
+    monkeypatch.setattr(graph_module, "vertex_label", counting_label)
+    elements = product_of(CLI_PRODUCT)
+    shuffled = elements[:]
+    random.Random(24).shuffle(shuffled)
+    graph = build_graph(shuffled, range(5))
+    assert calls["sort_key"] == factors
+    assert graph.vertices == tuple(elements)  # the product comes out sorted
+    dot = graph.to_dot()
+    assert calls["vertex_label"] == factors
+    monkeypatch.undo()
+    nodes = [f'  n{i} [label="{vertex_label(v)}"];' for i, v in enumerate(graph.vertices)]
+    assert dot.split("\n")[1 : 1 + len(nodes)] == nodes
 
 
 def test_closure_recovers_whole_crystal():

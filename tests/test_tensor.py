@@ -17,7 +17,7 @@ from krpoly.graph import build_graph, sort_key
 from krpoly.tensor import product_elements as product_of
 from krpoly.verify import signature_e, signature_f, signature_word, string_eps, string_phi
 
-from conftest import all_params, cell, pair, product_elements
+from conftest import all_params, cell, pair, product_elements, random_element
 
 
 P11 = KRParams(1, 1, 1)
@@ -110,6 +110,43 @@ def test_signature_rule_matches_recursive_rule_triples():
             word = signature_word(x, l)
             assert x.phi(l) == sum(1 for w in word if w[0] == "+")
             assert x.eps(l) == sum(1 for w in word if w[0] == "-")
+
+
+def repeated_cancellation_word(x, l):
+    """Reference signature word: sweep out adjacent "-+" pairs until none remain."""
+    stack = []
+    for idx, b in enumerate(x.factors):
+        stack += [("+", idx)] * b.phi(l) + [("-", idx)] * b.eps(l)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        i = 0
+        while i < len(stack):
+            if i + 1 < len(stack) and stack[i][0] == "-" and stack[i + 1][0] == "+":
+                i += 2
+                changed = True
+            else:
+                out.append(stack[i])
+                i += 1
+        stack = out
+    return stack
+
+
+def test_one_pass_signature_word_matches_repeated_cancellation():
+    rng = random.Random(24)
+    cancelled = 0
+    for n in range(1, 5):
+        shapes = all_params(n, 3)
+        for size in (2, 3, 4):
+            for _ in range(40):
+                x = random_element(rng, shapes, size)
+                for l in range(n + 1):
+                    word = signature_word(x, l)
+                    assert word == repeated_cancellation_word(x, l), (x, l)
+                    cancelled += len(word) < sum(b.phi(l) + b.eps(l) for b in x.factors)
+    # the seeds reach words where pairs really cancel
+    assert cancelled
 
 
 def test_tensor_string_statistics_by_walking():

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from krpoly import KRParams, highest_weight_elements, verify
+from krpoly.rmatrix import rmatrix_oracle_ids
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
 from conftest import cell, pair, pat
@@ -74,3 +75,22 @@ def test_cardinality_check_compares_the_weyl_dimension(monkeypatch):
     checks = run_suite("cardinality", 2, 2)
     assert not any(check.ok for check in checks)
     assert "Weyl dimension 0" in checks[0].detail
+
+
+def test_rmatrix_check_catches_an_oracle_that_is_not_an_involution(monkeypatch):
+    params1, params2 = KRParams(2, 1, 1), KRParams(2, 2, 2)
+    assert verify._rmatrix_failures(params1, params2) == []
+
+    def corrupted(table):
+        # the swapped side, B2 (x) B1, gets its images rotated by one
+        mapping = rmatrix_oracle_ids(table)
+        if table.left.vertices[0].params != params2:
+            return mapping
+        images = list(mapping.values())
+        return dict(zip(mapping, images[1:] + images[:1]))
+
+    monkeypatch.setattr(verify, "rmatrix_oracle_ids", corrupted)
+    bad = verify._rmatrix_failures(params1, params2)
+    assert bad and all(b.startswith("oracle not an involution at ") for b in bad)
+    (check,) = [c for c in run_suite("rmatrix", 2, 2) if c.name == "rmatrix B^(1,1)xB^(2,2) n=2"]
+    assert not check.ok and check.detail.startswith("oracle not an involution at ")
