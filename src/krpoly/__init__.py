@@ -30,7 +30,6 @@ from .errors import (
 from .graph import CrystalGraph, build_graph
 from .nakajima import Monomial, MonomialCrystal, SignConvention, psi_crystal, psi_embedding
 from .patterns import (
-    AffineWeight,
     KRParams,
     KRPattern,
     enumerate_crystal,

@@ -84,14 +84,6 @@ def _build_parser():
         metavar="N,R,S",
         help="tensor factors left to right (replaces --n/--r/--s)",
     )
-    p.add_argument(
-        "--tensor",
-        action="append",
-        type=_parse_triple,
-        default=None,
-        metavar="N,R,S",
-        help="prepend a factor to the left of the base crystal",
-    )
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--max-elements", type=_parse_cap, default=ENUMERATION_CAP)
     p.add_argument("--out", default=None)
@@ -217,17 +209,15 @@ def _cmd_enumerate(args):
 
 
 def _cmd_graph(args):
-    if args.factor and args.tensor:
-        raise KRError("--factor and --tensor are mutually exclusive")
-    has_base = args.n is not None and args.r is not None and args.s is not None
+    base = (args.n, args.r, args.s)
     if args.factor:
-        if has_base:
+        if base != (None, None, None):
             raise KRError("--factor replaces --n/--r/--s")
-        factor_params = list(args.factor)
-    elif has_base:
-        factor_params = list(args.tensor or []) + [KRParams(args.n, args.r, args.s)]
-    else:
+        factor_params = args.factor
+    elif None in base:
         raise KRError("graph needs --n/--r/--s or repeated --factor flags")
+    else:
+        factor_params = [KRParams(*base)]
     cap = args.max_elements
     if len(factor_params) == 1:
         elements = enumerate_crystal(factor_params[0], cap)

@@ -27,9 +27,7 @@ def local_energy_hw(x):
 
 
 def _pass_colors(r2, s):
-    if s == 0:
-        return tuple(range(1, r2 + 1))
-    return tuple(range(1, r2)) + tuple(2 * r2 + s - r for r in range(r2, r2 + s + 1))
+    return tuple(range(1, r2)) + tuple(range(r2 + s, r2 - 1, -1))
 
 
 def _schedule_correction(x):

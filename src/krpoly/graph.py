@@ -22,11 +22,6 @@ from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
 from .tensor import TensorElement, tensor_rule
 
 
-def sort_key(x):
-    """Lexicographic key of an element."""
-    return x.sort_key()
-
-
 class CrystalGraph:
     """Finite colored digraph with an edge (u, l, v) iff f_l(u) = v.
 
@@ -213,7 +208,7 @@ def _read_rows(vertices, colors):
 def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     """Full colored digraph over the given elements, repeats removed.
 
-    The vertices are sorted by ``sort_key``, read once per distinct factor.
+    The vertices are sorted by their ``sort_key``, read once per distinct factor.
     The edges are the elements' own lowering, read on the rows of their
     factors (see ``CrystalGraph``).  The element set must be closed
     under every requested color.

@@ -84,23 +84,6 @@ class KRParams:
         return self.r
 
 
-@dataclass(frozen=True)
-class AffineWeight:
-    """Level-zero affine weight as a tuple of simple-coroot pairings.
-
-    ``pairings[l]`` is the pairing of the weight with the l-th simple
-    coroot, l = 0..n.  Weights of crystal elements sum to zero across all
-    colors (every colabel of A_n^(1) equals 1).
-    """
-
-    pairings: tuple
-
-    def __add__(self, other):
-        if len(self.pairings) != len(other.pairings):
-            raise InvalidParams("cannot add weights of different ranks")
-        return AffineWeight(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
-
-
 @dataclass(frozen=True, slots=True)
 class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
@@ -161,11 +144,6 @@ class KRPattern:
             pr.s * (l == pr.r) - cols[l] - sums[l] + cols[l + 1] + sums[l - 1]
             for l in range(1, pr.n + 1)
         )
-
-    def affine_weight(self):
-        """The level-zero affine weight (pairing with coroot 0 balances)."""
-        cl = self.classical_weight()
-        return AffineWeight((-sum(cl),) + cl)
 
     # -- string statistics and operators ----------------------------------
 

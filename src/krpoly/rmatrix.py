@@ -178,7 +178,7 @@ def rmatrix_oracle_ids(left):
     rhw = [y for y in right.ids() if right.is_classical_hw(y)]
     by_weight = {}
     for y in rhw:
-        key = right.classical_weight(y)
+        key = right.element(y).classical_weight()
         if key in by_weight:
             raise OracleFailure(f"duplicate highest weight {key} on the swapped side")
         by_weight[key] = y
@@ -187,7 +187,7 @@ def rmatrix_oracle_ids(left):
     mapping = {}
     queue = []
     for x in lhw:
-        key = left.classical_weight(x)
+        key = left.element(x).classical_weight()
         if key not in by_weight:
             raise OracleFailure(f"no weight match for highest weight element {key}")
         mapping[x] = by_weight[key]

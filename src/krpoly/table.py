@@ -23,7 +23,7 @@ class PairTable:
     """B1 (x) B2 on id pairs (i, j) of two CrystalGraphs over colors 0..n.
 
     f_l acts on the left factor iff eps_l(b1) >= phi_l(b2), e_l iff
-    eps_l(b1) > phi_l(b2); phi and eps of a pair follow ``TensorElement``.
+    eps_l(b1) > phi_l(b2); eps of a pair follows ``TensorElement``.
     """
 
     __slots__ = ("left", "right")
@@ -48,11 +48,6 @@ class PairTable:
     def ids(self):
         """Every id pair, in the order of ``product_elements``."""
         return itertools.product(range(len(self.left)), range(len(self.right)))
-
-    def phi(self, x, l):
-        i, j = x
-        ep = self.left.eps[l][i]
-        return self.left.phi[l][i] + max(0, self.right.phi[l][j] - ep)
 
     def eps(self, x, l):
         i, j = x
@@ -83,11 +78,6 @@ class PairTable:
     def is_classical_hw(self, x):
         return all(self.eps(x, l) == 0 for l in range(1, self.n + 1))
 
-    def classical_weight(self, x):
-        i, j = x
-        first, second = self.left.vertices[i], self.right.vertices[j]
-        return tuple(a + b for a, b in zip(first.classical_weight(), second.classical_weight()))
-
     def element(self, x):
         i, j = x
         return TensorElement._trusted((self.left.vertices[i], self.right.vertices[j]))
@@ -105,10 +95,6 @@ def product_table(params1, params2):
     before the factors are enumerated.
     """
     first, second = factor_crystals((params1, params2))
-    left = _fill(params1, first)
-    right = left if params2 == params1 else _fill(params2, second)
+    left = CrystalGraph(first, range(params1.n + 1))
+    right = left if params2 == params1 else CrystalGraph(second, range(params2.n + 1))
     return PairTable(left, right)
-
-
-def _fill(params, elements):
-    return CrystalGraph(elements, range(params.n + 1))

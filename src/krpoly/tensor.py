@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParams, KRError, SizeLimitExceeded
-from .patterns import ENUMERATION_CAP, crystal_size, enumerate_crystal, pattern_from_dict
+from .patterns import ENUMERATION_CAP, KRPattern, crystal_size, enumerate_crystal, pattern_from_dict
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,10 @@ class TensorElement:
     factors: tuple
 
     def __post_init__(self):
-        _check_ranks([b.n for b in self.factors])
+        factors = self.factors
+        if not isinstance(factors, tuple) or not all(isinstance(b, KRPattern) for b in factors):
+            raise InvalidParams(f"factors must be KRPatterns in a tuple, got {factors!r}")
+        _check_ranks([b.n for b in factors])
 
     @classmethod
     def _trusted(cls, factors):
@@ -59,12 +62,6 @@ class TensorElement:
             for i, c in enumerate(b.classical_weight()):
                 coeffs[i] += c
         return tuple(coeffs)
-
-    def affine_weight(self):
-        total = self.factors[0].affine_weight()
-        for b in self.factors[1:]:
-            total = total + b.affine_weight()
-        return total
 
     # -- operators -----------------------------------------------------------
 

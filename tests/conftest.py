@@ -13,7 +13,6 @@ from krpoly import (
     validate_pattern,
 )
 from krpoly import perfect
-from krpoly.graph import sort_key
 from krpoly.patterns import ENUMERATION_CAP
 from krpoly.rmatrix import hw_support, rmatrix
 from krpoly.tensor import product_elements as product_of
@@ -110,7 +109,7 @@ def swap_at(x, k):
     return TensorElement(x.factors[:k] + image.factors + x.factors[k + 2 :])
 
 
-def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP, key=sort_key):
+def closure(seeds, colors, f, e, max_size=ENUMERATION_CAP, key=lambda x: x.sort_key()):
     """All elements reachable from the seeds under the given operators,
     sorted by ``key`` (None for id pairs, which are their own keys)."""
     seen = set(seeds)

@@ -50,7 +50,7 @@ def test_enumerate_deterministic(capsys):
 def test_graph_dot_of_tensor_product(capsys):
     code, out, _ = run(
         capsys,
-        ["graph", "--n", "1", "--r", "1", "--s", "3", "--tensor", "1,1,1", "--format", "dot"],
+        ["graph", "--factor", "1,1,1", "--factor", "1,1,3", "--format", "dot"],
     )
     assert code == 0
     assert out.startswith("digraph crystal {")
@@ -70,13 +70,11 @@ def test_graph_factor_flags(capsys):
     assert data["vertices"][0]["factors"][0]["s"] == 3
 
 
-def test_graph_rejects_factor_and_tensor_together(capsys):
-    code, _, err = run(
-        capsys,
-        ["graph", "--n", "1", "--r", "1", "--s", "1", "--factor", "1,1,1", "--tensor", "1,1,1"],
-    )
-    assert code == 2
-    assert "mutually exclusive" in err
+def test_graph_rejects_factor_with_any_base_flag(capsys):
+    for base in (["--n", "9"], ["--r", "1"], ["--s", "1"], ["--n", "2", "--r", "1", "--s", "1"]):
+        code, out, err = run(capsys, ["graph", *base, "--factor", "2,1,1"])
+        assert (code, out) == (2, ""), base
+        assert "--factor replaces --n/--r/--s" in err
 
 
 def test_graph_requires_some_crystal(capsys):
@@ -440,7 +438,7 @@ def cli_cases(tmp_path):
             build_graph(product_elements(factors), range(4)).to_json_dict(),
         ),
         (
-            ["graph", "--n", "3", "--r", "2", "--s", "2", "--tensor", "3,1,1", "--format", "json"],
+            ["graph", "--factor", "3,1,1", "--factor", "3,2,2", "--format", "json"],
             build_graph(product_elements([KRParams(3, 1, 1), small]), range(4)).to_json_dict(),
         ),
         (["rmatrix", *files], rmatrix(pair).to_dict()),
@@ -465,7 +463,7 @@ def test_json_subcommands_print_the_indented_payload(tmp_path, capsys):
 
 def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
     cases = cli_cases(tmp_path)
-    cases.append((["graph", "--n", "2", "--r", "1", "--s", "2", "--tensor", "2,2,1"], None))
+    cases.append((["graph", "--factor", "2,2,1", "--factor", "2,1,2"], None))
     for k, (argv, _) in enumerate(cases):
         code, out, _ = run(capsys, argv)
         assert code == 0

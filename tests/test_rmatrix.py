@@ -178,7 +178,7 @@ def test_oracle_agrees_with_transport_and_involutes():
             for x, y in oracle.items():
                 assert rmatrix(x) == y
                 assert reverse[y] == x
-                assert x.affine_weight() == y.affine_weight()
+                assert x.classical_weight() == y.classical_weight()
 
 
 def test_rmatrix_commutes_with_all_operators():

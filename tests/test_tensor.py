@@ -5,6 +5,7 @@ import random
 import pytest
 
 from krpoly import (
+    InvalidParams,
     KRError,
     KRParams,
     SizeLimitExceeded,
@@ -13,7 +14,7 @@ from krpoly import (
     is_classical_hw,
     tensor_from_dict,
 )
-from krpoly.graph import build_graph, sort_key
+from krpoly.graph import build_graph
 from krpoly.tensor import product_elements as product_of
 from krpoly.verify import signature_e, signature_f, signature_word, string_eps, string_phi
 
@@ -33,6 +34,14 @@ def test_mixed_rank_rejected():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+def test_malformed_factors_rejected():
+    b = cell(1, 1, 0)
+    # a list of factors would make an unhashable element
+    for factors in ([b, b], (b, 3), 5):
+        with pytest.raises(InvalidParams):
+            TensorElement(factors)
 
 
 @pytest.mark.parametrize(
@@ -68,7 +77,7 @@ def test_statistics_fold():
     x = pair(cell(1, 1, 0), cell(1, 3, 0))
     assert x.phi(1) == 4  # max{1, 1 + 3 - 0}
     assert x.eps(1) == 0
-    assert sum(x.affine_weight().pairings) == 0
+    assert sum(x.phi(l) - x.eps(l) for l in range(2)) == 0  # level zero
 
 
 def test_partial_inverse_and_weight_sum():
@@ -181,7 +190,7 @@ def test_product_comes_out_sorted_and_complete():
     # the factors of the cli workload's `graph --format json` command
     factors = (KRParams(4, 2, 2), KRParams(4, 1, 2), KRParams(4, 3, 1))
     elements = product_of(factors)
-    assert elements == sorted(elements, key=sort_key)
+    assert elements == sorted(elements, key=lambda x: x.sort_key())
     assert len(set(elements)) == len(elements)
     assert len(elements) == math.prod(len(enumerate_crystal(p)) for p in factors)
 

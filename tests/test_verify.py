@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from krpoly import KRParams, highest_weight_elements, verify
+from krpoly import KRParams, highest_weight_elements, patterns, verify
 from krpoly.rmatrix import rmatrix_oracle_ids
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
@@ -94,3 +94,24 @@ def test_rmatrix_check_catches_an_oracle_that_is_not_an_involution(monkeypatch):
     assert bad and all(b.startswith("oracle not an involution at ") for b in bad)
     (check,) = [c for c in run_suite("rmatrix", 2, 2) if c.name == "rmatrix B^(1,1)xB^(2,2) n=2"]
     assert not check.ok and check.detail.startswith("oracle not an involution at ")
+
+
+def test_tensor_check_catches_a_nonzero_level(monkeypatch):
+    walk = patterns._string
+
+    def raised(A, l):
+        # phi_0 one too high: the tensor and signature rules still agree
+        phi, eps, first, last = walk(A, l)
+        return phi + (l == 0), eps, first, last
+
+    memos = (patterns._f, patterns._e)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(patterns, "_string", raised)
+    try:
+        checks = run_suite("tensor", 2, 1)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    assert len(checks) == 4 and not any(check.ok for check in checks)
+    assert all(check.detail.startswith("nonzero level at ") for check in checks)
