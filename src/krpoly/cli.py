@@ -73,16 +73,13 @@ def _build_parser():
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("graph", help="export a crystal graph as DOT or JSON")
-    p.add_argument("--n", type=int, default=None, help="rank of the affine algebra")
-    p.add_argument("--r", type=int, default=None, help="classical node index")
-    p.add_argument("--s", type=int, default=None, help="level parameter")
     p.add_argument(
         "--factor",
         action="append",
         type=_parse_triple,
-        default=None,
+        required=True,
         metavar="N,R,S",
-        help="tensor factors left to right (replaces --n/--r/--s)",
+        help="tensor factors left to right, one flag each",
     )
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--max-elements", type=_parse_cap, default=ENUMERATION_CAP)
@@ -123,7 +120,11 @@ def _emit(chunks, out):
     if out is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(out, "w", encoding="utf-8")
+        except ValueError as exc:  # a NUL byte in the path
+            raise KRError(str(exc)) from exc
+        with handle:
             handle.writelines(chunks)
 
 
@@ -197,8 +198,18 @@ def _hollow(value):
 
 
 def _load_pattern(path):
-    with open(path, encoding="utf-8") as handle:
-        return pattern_from_dict(json.load(handle))
+    """The pattern in the JSON file at ``path``.
+
+    A ValueError from ``open`` or ``json`` (a NUL byte in the path, bad
+    UTF-8 or JSON, an integer past the digit limit) is bad input, so it
+    is raised again as a KRError.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:
+        raise KRError(str(exc)) from exc
+    return pattern_from_dict(data)
 
 
 def _cmd_enumerate(args):
@@ -209,15 +220,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_graph(args):
-    base = (args.n, args.r, args.s)
-    if args.factor:
-        if base != (None, None, None):
-            raise KRError("--factor replaces --n/--r/--s")
-        factor_params = args.factor
-    elif None in base:
-        raise KRError("graph needs --n/--r/--s or repeated --factor flags")
-    else:
-        factor_params = [KRParams(*base)]
+    factor_params = args.factor
     cap = args.max_elements
     if len(factor_params) == 1:
         elements = enumerate_crystal(factor_params[0], cap)
@@ -341,7 +344,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (KRError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (KRError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,11 +1,12 @@
-"""Nakajima monomial crystals and the corner embedding of KR patterns.
+"""Nakajima monomial crystal of type A_2 and the corner embedding of KR patterns.
 
 Monomials are finitely supported Laurent monomials in variables Y_i(k)
-(classical index i, integer shift k).  The crystal structure depends on a
-sign convention c with c_ij + c_ji = 1; the multiplier attached to color
-l at shift k is
+(index i = 1, 2, integer shift k).  The crystal is Kashiwara's rank-2
+monomial crystal with the sign convention c_21 = 1, c_12 = 0, so the
+multipliers of the two colors at shift k are
 
-    A_l(k) = Y_l(k) Y_l(k+1) prod_{i != l} Y_i(k + c_il)^{cartan[i][l]}.
+    A_1(k) = Y_1(k) Y_1(k+1) Y_2(k+1)^-1,
+    A_2(k) = Y_2(k) Y_2(k+1) Y_1(k)^-1.
 
 The embedding ``psi_embedding`` sends a pattern of B^{r,s} to a rank-2
 monomial in a way that matches the affine color 0 with monomial color 1
@@ -34,10 +35,6 @@ class Monomial:
             acc[key] = acc.get(key, 0) + val
         return cls(tuple(sorted((k, v) for k, v in acc.items() if v != 0)))
 
-    @classmethod
-    def one(cls):
-        return cls(())
-
     def exponent(self, i, k):
         for key, val in self.exps:
             if key == (i, k):
@@ -50,57 +47,13 @@ class Monomial:
     def shifts(self, i):
         return sorted(k for (j, k), _ in self.exps if j == i)
 
-    def sort_key(self):
-        return self.exps
-
-
-@dataclass(frozen=True)
-class SignConvention:
-    """Choice map c_ij in {0, 1} with c_ij + c_ji = 1 for i != j."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        table = dict(self.entries)
-        for (i, j), v in self.entries:
-            if v not in (0, 1) or table.get((j, i)) != 1 - v:
-                raise InvalidParams("convention must satisfy c_ij + c_ji = 1")
-
-    def c(self, i, j):
-        return dict(self.entries)[(i, j)]
-
-    @classmethod
-    def standard(cls, indices):
-        """c_ij = 1 exactly when i > j (the choice the embedding matches)."""
-        return cls(tuple(((i, j), 1 if i > j else 0) for i in indices for j in indices if i != j))
-
-    @classmethod
-    def flipped(cls, indices):
-        return cls(tuple(((i, j), 1 if i < j else 0) for i in indices for j in indices if i != j))
-
-
-def type_a_cartan(rank):
-    return tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(1, rank + 1))
-        for i in range(1, rank + 1)
-    )
-
 
 class MonomialCrystal:
-    """Crystal structure on monomials for a fixed classical Cartan matrix."""
-
-    def __init__(self, cartan, convention=None):
-        self.cartan = tuple(tuple(row) for row in cartan)
-        self.indices = tuple(range(1, len(self.cartan) + 1))
-        self.convention = convention or SignConvention.standard(self.indices)
-
-    @classmethod
-    def type_a(cls, rank, convention=None):
-        return cls(type_a_cartan(rank), convention)
+    """The rank-2 monomial crystal of type A_2, colors 1 and 2."""
 
     def wt(self, m):
         """Classical weight: per-index exponent sums."""
-        coeffs = [0] * len(self.indices)
+        coeffs = [0, 0]
         for (i, _), v in m.exps:
             coeffs[i - 1] += v
         return tuple(coeffs)
@@ -141,14 +94,9 @@ class MonomialCrystal:
 
     def multiplier(self, l, k):
         """Exponent items of A_l(k)."""
-        items = [((l, k), 1), ((l, k + 1), 1)]
-        for i in self.indices:
-            if i == l:
-                continue
-            pairing = self.cartan[i - 1][l - 1]
-            if pairing:
-                items.append(((i, k + self.convention.c(i, l)), pairing))
-        return items
+        if l == 1:
+            return [((1, k), 1), ((1, k + 1), 1), ((2, k + 1), -1)]
+        return [((2, k), 1), ((2, k + 1), 1), ((1, k), -1)]
 
     def f(self, m, l):
         if self.phi(m, l) == 0:
@@ -162,7 +110,7 @@ class MonomialCrystal:
         return m.times(self.multiplier(l, self.ne(m, l)))
 
     def is_dominant(self, m):
-        return all(self.eps(m, l) == 0 for l in self.indices)
+        return self.eps(m, 1) == self.eps(m, 2) == 0
 
 
 def psi_embedding(pattern):
@@ -184,4 +132,4 @@ def psi_embedding(pattern):
 
 def psi_crystal():
     """The rank-2 monomial crystal the embedding lands in."""
-    return MonomialCrystal.type_a(2)
+    return MonomialCrystal()

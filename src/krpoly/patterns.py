@@ -46,14 +46,26 @@ def weyl_dimension(weight):
         partial = 0
         for j in range(i + 1, n + 1):
             partial += weight[j - 1]
-            num *= partial + j - i
-            den *= j - i
+            if partial:  # a zero partial sum makes the factor 1
+                num *= partial + j - i
+                den *= j - i
     return num // den
 
 
 def crystal_size(params):
-    """|B^{r,s}| without enumerating it: the Weyl dimension of s Lambda_r."""
-    return weyl_dimension(tuple(params.s * (l == params.r) for l in range(1, params.n + 1)))
+    """|B^{r,s}| without enumerating it: the Weyl dimension of s Lambda_r.
+
+    It is MacMahon's count of plane partitions in an r x s x (n+1-r) box,
+    prod (i + j + c - 1) / (i + j - 1) over 1 <= i <= a, 1 <= j <= b for
+    sides a <= b <= c, so only the two shorter sides are iterated.
+    """
+    a, b, c = sorted((params.r, params.s, params.n + 1 - params.r))
+    num = den = 1
+    for i in range(1, a + 1):
+        for d in range(i, i + b):
+            num *= d + c
+            den *= d
+    return num // den
 
 
 @dataclass(frozen=True)

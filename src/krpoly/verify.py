@@ -18,7 +18,7 @@ from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import psi_crystal, psi_embedding
 from .patterns import KRParams, crystal_size, enumerate_crystal, pivot
-from .perfect import check_perfect, dominant_weights, eps_profile, ground_state_path
+from .perfect import check_perfect, dominant_weights, ground_state_path
 from .regularity import is_regular_rank2
 from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle_ids
 from .table import product_table
@@ -241,13 +241,16 @@ def _rmatrix_failures(params1, params2):
     left = product_table(params1, params2)
     right = left.swapped()
     reverse = rmatrix_oracle_ids(right)
+    # classical weights read once per vertex of the two factor graphs
+    w1, w2 = ([b.classical_weight() for b in g.vertices] for g in (left.left, left.right))
     for xi, yi in rmatrix_oracle_ids(left).items():
         x, y = left.element(xi), right.element(yi)
         if rmatrix(x) != y:
             bad.append(f"transport differs from oracle at {x}")
         if reverse[yi] != xi:
             bad.append(f"oracle not an involution at {x}")
-        if x.classical_weight() != y.classical_weight():
+        (i, j), (k, m) = xi, yi
+        if any(a + b != c + d for a, b, c, d in zip(w1[i], w2[j], w2[k], w1[m])):
             bad.append(f"weight not preserved at {x}")
     return bad
 
@@ -304,33 +307,20 @@ def _nakajima_failures(params):
 
 
 def _psi_commutes(crystal2, b, m, pattern_color, monomial_color):
-    fb = b.f(pattern_color)
-    fm = crystal2.f(m, monomial_color)
-    if (fb is None) != (fm is None):
-        return False
-    if fb is not None and psi_embedding(fb) != fm:
-        return False
-    eb = b.e(pattern_color)
-    em = crystal2.e(m, monomial_color)
-    if (eb is None) != (em is None):
-        return False
-    if eb is not None and psi_embedding(eb) != em:
-        return False
+    """psi o f = f o psi, then psi o e = e o psi, at one pair of colors."""
+    for op_b, op_m in ((b.f, crystal2.f), (b.e, crystal2.e)):
+        image = op_b(pattern_color)
+        if (None if image is None else psi_embedding(image)) != op_m(m, monomial_color):
+            return False
     return True
 
 
 def _path_failures(params):
-    n, r = params.n, params.r
-    weight = dominant_weights(n, params.s)[0]
-    path = ground_state_path(weight, params, 2 * (n + 1))
-    rotated = all(
-        path.weights[k + 1] == path.weights[k].rotate(r) for k in range(len(path.weights) - 1)
-    )
-    recursion = all(
-        eps_profile(path.elements[k]) == path.weights[k].rotate(r).coeffs
-        for k in range(len(path.elements))
-    )
-    return [] if rotated and recursion else ["rotation or recursion failed"]
+    """``ground_state_path`` rotates the weights itself and raises
+    InconsistentRecursion at a step whose eps-profile breaks the recursion."""
+    weight = dominant_weights(params.n, params.s)[0]
+    ground_state_path(weight, params, 2 * (params.n + 1))
+    return []
 
 
 def _cardinality_failures(params):

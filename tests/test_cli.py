@@ -71,21 +71,25 @@ def test_graph_factor_flags(capsys):
 
 
 def test_graph_rejects_factor_with_any_base_flag(capsys):
+    # --factor is the one way to name a crystal: --n/--r/--s are unknown
     for base in (["--n", "9"], ["--r", "1"], ["--s", "1"], ["--n", "2", "--r", "1", "--s", "1"]):
-        code, out, err = run(capsys, ["graph", *base, "--factor", "2,1,1"])
-        assert (code, out) == (2, ""), base
-        assert "--factor replaces --n/--r/--s" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", *base, "--factor", "2,1,1"])
+        assert exc.value.code == 2, base
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments" in err, base
 
 
 def test_graph_requires_some_crystal(capsys):
-    code, _, err = run(capsys, ["graph", "--format", "dot"])
-    assert code == 2
-    assert "graph needs" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--format", "dot"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --factor" in capsys.readouterr().err
 
 
 def test_size_cap_exit_code(capsys):
     for argv in (
-        ["graph", "--n", "2", "--r", "1", "--s", "2", "--max-elements", "3"],
+        ["graph", "--factor", "2,1,2", "--max-elements", "3"],
         ["graph", "--factor", "6,3,3", "--factor", "6,3,3"],
     ):
         code, _, err = run(capsys, argv)
@@ -97,7 +101,7 @@ def test_usage_error_exit_code():
     for argv in (
         ["enumerate", "--n", "2"],
         ["enumerate", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "0"],
-        ["graph", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "-1"],
+        ["graph", "--factor", "2,1,1", "--max-elements", "-1"],
         ["gsp", "--weight", "1,1,0", "--r", "1", "--len", "0"],
         ["gsp", "--weight", "1,1,0", "--r", "1", "--len", "-1"],
     ):
@@ -119,6 +123,10 @@ def test_usage_error_exit_code():
         (["perfect", "--n", "2", "--r", "3", "--s", "1"], "1 <= r <= n"),
         (["enumerate", "--n", "2", "--r", "1", "--s", "1", "--out", "{nodir}"], "No such file"),
         (["verify", "--suite", "regular", "--n", "1"], "requires n >= 2"),
+        (["rmatrix", "{nul}", "{n2}"], "error: embedded null byte"),
+        (["enumerate", "--n", "2", "--r", "1", "--s", "1", "--out", "{nul}"], "error: embedded null byte"),
+        (["rmatrix", "{latin}", "{n2}"], "error: 'utf-8' codec can't decode byte 0xe9"),
+        (["energy", "{n2}", "{digits}"], "error: Exceeds the limit (4300 digits)"),
     ],
 )
 def test_input_error_exit_code(tmp_path, capsys, argv, fragment):
@@ -128,14 +136,32 @@ def test_input_error_exit_code(tmp_path, capsys, argv, fragment):
         "missing": tmp_path / "missing.json",
         "text": tmp_path / "text.json",
         "nodir": tmp_path / "nodir" / "out.json",
+        "nul": tmp_path / "nul\0.json",
+        "latin": tmp_path / "latin.json",
+        "digits": tmp_path / "digits.json",
     }
     files["n2"].write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]]}))
     files["n3"].write_text(json.dumps({"n": 3, "r": 1, "s": 1, "rows": [[0], [1], [0]]}))
     files["text"].write_text("not json")
+    files["latin"].write_bytes(b'{"n": 2, "r": 1, "s": 1, "rows": [["\xe9"], [1]]}')
+    files["digits"].write_text('{"n": 2, "r": 1, "s": %s, "rows": [[0], [1]]}' % ("9" * 5000))
     code, out, err = run(capsys, [arg.format(**files) for arg in argv])
     assert code == 2
     assert fragment in err
     assert out == ""
+
+
+def test_a_library_value_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # only KRError and OSError are exit 2: a ValueError from library code
+    # is a bug and propagates
+    def broken(x):
+        raise ValueError("too many values to unpack")
+
+    path = tmp_path / "n2.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]]}))
+    monkeypatch.setattr(cli, "rmatrix", broken)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        main(["rmatrix", str(path), str(path)])
 
 
 def test_regular_suite_below_rank_two_is_an_input_error(capsys):
@@ -430,7 +456,7 @@ def cli_cases(tmp_path):
             [b.to_dict() for b in enumerate_crystal(KRParams(4, 2, 2))],
         ),
         (
-            ["graph", "--n", "3", "--r", "2", "--s", "2", "--format", "json"],
+            ["graph", "--factor", "3,2,2", "--format", "json"],
             build_graph(enumerate_crystal(small), range(4)).to_json_dict(),
         ),
         (
@@ -477,7 +503,7 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
     "argv, code",
     [
         (["enumerate", "--n", "3", "--r", "2", "--s", "2", "--max-elements", "19"], 3),
-        (["graph", "--n", "3", "--r", "2", "--s", "2", "--format", "json", "--max-elements", "5"], 3),
+        (["graph", "--factor", "3,2,2", "--format", "json", "--max-elements", "5"], 3),
         (["graph", "--factor", "3,2,2", "--factor", "3,2,2", "--max-elements", "399"], 3),
         (["gsp", "--weight", "1,-1,0", "--r", "1", "--len", "2"], 2),
         (["perfect", "--n", "2", "--r", "3", "--s", "1"], 2),

@@ -7,26 +7,31 @@ from krpoly import (
     KRParams,
     Monomial,
     MonomialCrystal,
-    SignConvention,
     enumerate_crystal,
     psi_crystal,
     psi_embedding,
     zero_pattern,
 )
 from krpoly.graph import CrystalGraph, build_graph
+from krpoly.verify import run_suite
 
 from conftest import all_params, closure, f_lists
 
 
-A2 = MonomialCrystal.type_a(2)
+A2 = psi_crystal()
 
 
 def Y(*items):
     return Monomial.from_items(tuple((key, v) for key, v in items))
 
 
+def component(m):
+    """The monomials reachable from m under colors 1 and 2, sorted by exponents."""
+    return closure([m], (1, 2), A2.f, A2.e, key=lambda x: x.exps)
+
+
 def test_empty_monomial():
-    one = Monomial.one()
+    one = Monomial(())
     assert A2.wt(one) == (0, 0)
     assert A2.phi(one, 1) == A2.eps(one, 1) == 0
     assert A2.f(one, 1) is None and A2.e(one, 2) is None
@@ -47,21 +52,16 @@ def test_mixed_exponents_prefix_maxima():
     assert A2.wt(m) == (0, 0)
 
 
-def test_convention_constraint():
-    with pytest.raises(ValueError):
-        SignConvention((((1, 2), 1), ((2, 1), 1)))
-
-
 def test_operators_are_partially_inverse_on_random_monomials():
     rng = random.Random(5)
-    crystal = MonomialCrystal.type_a(3)
+    crystal = psi_crystal()
     for _ in range(300):
         items = tuple(
-            ((rng.randint(1, 3), rng.randint(-2, 2)), rng.randint(-2, 2))
+            ((rng.randint(1, 2), rng.randint(-2, 2)), rng.randint(-2, 2))
             for _ in range(rng.randint(0, 5))
         )
         m = Monomial.from_items(items)
-        for l in (1, 2, 3):
+        for l in (1, 2):
             fm = crystal.f(m, l)
             if fm is not None:
                 assert crystal.e(fm, l) == m
@@ -81,21 +81,22 @@ def test_dominant_component_sizes_match_weyl_dimension():
                 continue
             m = Y(((1, 0), a), ((2, 0), b))
             assert A2.is_dominant(m)
-            comp = closure(
-                [m], (1, 2), lambda x, l: A2.f(x, l), lambda x, l: A2.e(x, l)
-            )
-            assert len(comp) == weyl_dim_a2(a, b)
+            assert len(component(m)) == weyl_dim_a2(a, b)
 
 
-def test_component_size_does_not_depend_on_the_convention():
-    flipped = MonomialCrystal.type_a(2, SignConvention.flipped((1, 2)))
-    for a, b in ((2, 0), (1, 1), (0, 2)):
-        m = Y(((1, 0), a), ((2, 0), b))
-        comp = closure([m], (1, 2), lambda x, l: A2.f(x, l), lambda x, l: A2.e(x, l))
-        comp2 = closure(
-            [m], (1, 2), lambda x, l: flipped.f(x, l), lambda x, l: flipped.e(x, l)
-        )
-        assert len(comp) == len(comp2)
+def test_the_flipped_convention_fails_every_nakajima_check(monkeypatch):
+    # c_12 = 1, c_21 = 0 moves each Y_{3-l} factor of A_l by one shift;
+    # the embedding matches only Kashiwara's c_21 = 1, c_12 = 0
+    def flipped(self, l, k):
+        if l == 1:
+            return [((1, k), 1), ((1, k + 1), 1), ((2, k), -1)]
+        return [((2, k), 1), ((2, k + 1), 1), ((1, k + 1), -1)]
+
+    assert all(check.ok for check in run_suite("nakajima", 3, 2))
+    monkeypatch.setattr(MonomialCrystal, "multiplier", flipped)
+    checks = run_suite("nakajima", 3, 2)
+    assert len(checks) == 6
+    assert not any(check.ok for check in checks)
 
 
 def crystal_isomorphic(graph1, graph2, colors):
@@ -135,15 +136,11 @@ def crystal_isomorphic(graph1, graph2, colors):
 
 def test_monomial_component_realizes_the_rectangular_crystal():
     # classical crystal of B^{r,s} at n=2 vs the dominant monomial component
-    full = MonomialCrystal.type_a(2)
     for params in all_params(2, 2):
-        m = Y(((params.r, 0), params.s))
-        comp = closure(
-            [m], (1, 2), lambda x, l: full.f(x, l), lambda x, l: full.e(x, l)
-        )
+        comp = component(Y(((params.r, 0), params.s)))
         with pytest.raises(InvalidParams, match="give f as id lists"):
             CrystalGraph(comp, (1, 2))
-        mono_graph = CrystalGraph(comp, (1, 2), f_lists(comp, (1, 2), full.f))
+        mono_graph = CrystalGraph(comp, (1, 2), f_lists(comp, (1, 2), A2.f))
         pat_graph = build_graph(enumerate_crystal(params), (1, 2))
         assert crystal_isomorphic(pat_graph, mono_graph, (1, 2))
 

@@ -154,6 +154,17 @@ def test_cardinality_matches_ssyt_count():
         assert size == patterns.crystal_size(params)
 
 
+def test_crystal_size_is_the_weyl_dimension():
+    # MacMahon's box count against the Weyl product on s Lambda_r
+    for n in range(1, 13):
+        for params in all_params(n, 5):
+            weight = tuple(params.s * (l == params.r) for l in range(1, n + 1))
+            assert patterns.crystal_size(params) == patterns.weyl_dimension(weight), params
+    # Sym^2 of the 601-dimensional vector representation, and its size
+    assert patterns.weyl_dimension((2,) + (0,) * 599) == 601 * 602 // 2
+    assert patterns.crystal_size(KRParams(600, 1, 2)) == 601 * 602 // 2
+
+
 def test_classical_weight_of_generator():
     for params in all_params(3, 2):
         want = tuple(params.s if l == params.r else 0 for l in range(1, params.n + 1))

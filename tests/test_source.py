@@ -203,3 +203,31 @@ def test_every_raise_names_a_library_error():
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert raises
     assert not found, f"raises of a class outside krpoly.errors: {', '.join(found)}"
+
+
+def test_the_cli_maps_only_typed_errors_to_exit_codes():
+    # ``main`` turns KRError and OSError into exit 2 and a size cap into
+    # exit 3; a ValueError from library code is a bug and propagates.  The
+    # ValueErrors of user input are caught where the input is read: a path
+    # or file in ``_load_pattern`` and ``_emit``, a flag value in the
+    # ``_parse_*`` converters, which hand argparse an ArgumentTypeError.
+    path = SOURCE / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def caught(handler):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return [ast.unparse(t) for t in types]
+
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    value_errors, main_names = [], []
+    for func in functions:
+        for node in ast.walk(func):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if func.name == "main":
+                main_names += caught(node)
+            if "ValueError" in caught(node):
+                value_errors.append(func.name)
+    assert sorted(main_names) == ["BrokenPipeError", "KRError", "OSError", "SizeLimitExceeded"]
+    readers = [name for name in value_errors if not name.startswith("_parse_")]
+    assert sorted(readers) == ["_emit", "_load_pattern"]

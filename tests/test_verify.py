@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from krpoly import KRParams, highest_weight_elements, patterns, verify
+from krpoly import KRParams, highest_weight_elements, patterns, perfect, verify
 from krpoly.rmatrix import rmatrix_oracle_ids
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
@@ -115,3 +115,15 @@ def test_tensor_check_catches_a_nonzero_level(monkeypatch):
             memo.cache_clear()
     assert len(checks) == 4 and not any(check.ok for check in checks)
     assert all(check.detail.startswith("nonzero level at ") for check in checks)
+
+
+def test_path_check_fails_where_the_recursion_breaks(monkeypatch):
+    # ground_state_path checks each step's eps-profile against the rotated
+    # weight; a profile off by one at color 0 fails every path check
+    checks = run_suite("perfect", 2, 1)
+    assert all(check.ok for check in checks)
+    profile = perfect.eps_profile
+    monkeypatch.setattr(perfect, "eps_profile", lambda b: (profile(b)[0] + 1,) + profile(b)[1:])
+    paths = [c for c in run_suite("perfect", 2, 1) if c.name.startswith("ground-state path")]
+    assert len(paths) == 2 and not any(check.ok for check in paths)
+    assert all(check.detail.startswith("InconsistentRecursion: ") for check in paths)
