@@ -133,30 +133,40 @@ def global_energy(x, energy=None):
     position the local energy is read, then the factor is swapped one slot
     further.
 
-    Each position is raised to its classical highest weight element once
+    H and the swap are functions of the pair alone, so a memo local to the
+    call holds them for each distinct (left, right) pair the walks meet;
+    walks meet a pair again whenever R is the identity (B (x) B).  Each
+    distinct pair is raised to its classical highest weight element once
     (``to_highest_weight``), and the swap is mapped back from that element
-    (``rmatrix_from_hw``): C(N, 2) transports for N factors.  By default H
-    is read there: it is constant on classical components, so it is minus
-    the entry sum of the first factor (``local_energy_hw``).  A callable
-    ``energy`` (such as ``local_energy``, the closed form) is read on each
-    pair instead; it sees the same pairs as a separate transport per pair,
-    and position 1, where no swap follows, is then not raised at all:
-    C(N - 1, 2) transports.
+    (``rmatrix_from_hw``) the first time a swap follows the pair: at most
+    C(N, 2) transports for N factors.  By default H is read there: it is
+    constant on classical components, so it is minus the entry sum of the
+    first factor (``local_energy_hw``).  A callable ``energy`` (such as
+    ``local_energy``, the closed form) is read once per distinct pair
+    instead; it sees the same pairs as a separate transport per pair, and
+    a pair no swap follows (position 1) is then not raised at all.
     The pairs are built unchecked: their factors come from x, whose
     factors already share one rank.
     """
+    # (left, right) -> [H, to_highest_weight of the pair or None, R image or None]
+    memo = {}
     total = 0
     for j in range(1, len(x.factors)):
         fs = list(x.factors)
         for pos in range(j, 0, -1):
-            pair = TensorElement._trusted((fs[pos - 1], fs[pos]))
-            if energy is not None:
-                total += energy(pair)
-                if pos == 1:
-                    continue
-            hw, word = to_highest_weight(pair)
-            if energy is None:
-                total -= hw.factors[0].total()
+            key = (fs[pos - 1], fs[pos])
+            entry = memo.get(key)
+            if entry is None:
+                pair = TensorElement._trusted(key)
+                if energy is None:
+                    raised = to_highest_weight(pair)
+                    entry = memo[key] = [-raised[0].factors[0].total(), raised, None]
+                else:
+                    entry = memo[key] = [energy(pair), None, None]
+            total += entry[0]
             if pos > 1:
-                fs[pos - 1], fs[pos] = rmatrix_from_hw(hw, word).factors
+                if entry[2] is None:
+                    raised = entry[1] or to_highest_weight(TensorElement._trusted(key))
+                    entry[2] = rmatrix_from_hw(*raised).factors
+                fs[pos - 1], fs[pos] = entry[2]
     return total

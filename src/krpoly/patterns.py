@@ -267,16 +267,16 @@ def validate_pattern(entries, params):
 
 
 def _witness_path(rows, ms, params):
-    cells = []
     qi, pi = params.num_rows - 1, params.num_cols - 1
-    while True:
-        cells.append((pi + 1, qi + params.r))
-        if qi == 0 and pi == 0:
-            break
+    cells = [(pi + 1, qi + params.r)]
+    # a staircase from the last cell back to (1, r) takes exactly
+    # num_rows + num_cols - 2 unit steps
+    for _ in range(params.num_rows + params.num_cols - 2):
         if pi > 0 and (qi == 0 or ms[qi][pi - 1] >= ms[qi - 1][pi]):
             pi -= 1
         else:
             qi -= 1
+        cells.append((pi + 1, qi + params.r))
     cells.reverse()
     return cells
 

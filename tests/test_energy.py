@@ -2,7 +2,6 @@ import importlib
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -194,8 +193,11 @@ def test_global_energy_classical_invariance():
                 assert global_energy(fx) == d
 
 
-def pairwise_transport_energy(x, energy=local_energy):
-    """Reference: a fresh R-matrix transport for every pair i < j."""
+def pairwise_transport_energy(x, energy=local_energy, swaps=None):
+    """Reference: a fresh R-matrix transport for every pair i < j.
+
+    Every pair it swaps is appended to ``swaps`` when one is given.
+    """
     factors = x.factors
     total = 0
     for i in range(len(factors)):
@@ -203,7 +205,10 @@ def pairwise_transport_energy(x, energy=local_energy):
             fs = list(factors)
             pos = j
             while pos > i + 1:
-                swapped = rmatrix(TensorElement((fs[pos - 1], fs[pos])))
+                before = TensorElement((fs[pos - 1], fs[pos]))
+                if swaps is not None:
+                    swaps.append(before)
+                swapped = rmatrix(before)
                 fs[pos - 1], fs[pos] = swapped.factors
                 pos -= 1
             total += energy(TensorElement((fs[i], fs[i + 1])))
@@ -229,7 +234,9 @@ def test_global_energy_matches_pairwise_transport():
             seen, want = [], []
             got = global_energy(x, energy=recording(seen))
             assert got == pairwise_transport_energy(x, energy=recording(want))
-            assert Counter(seen) == Counter(want)
+            # the energy is read once per distinct pair the reference reads
+            assert set(seen) == set(want)
+            assert len(seen) == len(set(want))
 
 
 SHAPES_N5 = [KRParams(5, r, s) for r in range(1, 4) for s in range(1, 4)]
@@ -258,19 +265,52 @@ def test_default_global_energy_transports_each_pair_once(monkeypatch):
     def forbidden(x):
         raise AssertionError("the default route must not use the closed form")
 
+    # the reference walk reads the closed form, so it runs before the patch
+    rng = random.Random(6)
+    walks = []
+    for size in range(2, 9):
+        x = random_element(rng, SHAPES_N5, size)
+        met = []
+        pairwise_transport_energy(x, energy=recording(met))
+        walks.append((size, x, met))
     monkeypatch.setattr(module, "to_highest_weight", counting)
     monkeypatch.setattr(module, "local_energy", forbidden)
     monkeypatch.setattr(module, "_schedule_correction", forbidden)
-    rng = random.Random(6)
-    for size in range(2, 9):
+    for size, x, met in walks:
         calls.clear()
-        module.global_energy(random_element(rng, SHAPES_N5, size))
-        assert len(calls) == math.comb(size, 2)
+        module.global_energy(x)
+        # one transport per distinct pair the reference walk meets
+        assert len(calls) == len(set(calls)) == len(set(met)) <= math.comb(size, 2)
+        assert set(calls) == set(met)
+
+
+def test_one_shape_transports_each_adjacent_pair_once(monkeypatch):
+    # R is the identity on B (x) B, so every walk meets only the adjacent
+    # pairs (b_{p-1}, b_p) of x, and each distinct one is raised once
+    module = importlib.import_module("krpoly.energy")
+    calls = []
+    to_hw = module.to_highest_weight
+
+    def counting(x):
+        calls.append(x)
+        return to_hw(x)
+
+    monkeypatch.setattr(module, "to_highest_weight", counting)
+    rng = random.Random(22)
+    params = KRParams(3, 2, 2)
+    for _ in range(6):
+        x = random_element(rng, [params], 8)
+        adjacent = set(zip(x.factors, x.factors[1:]))
+        calls.clear()
+        assert module.global_energy(x) == pairwise_transport_energy(x)
+        assert len(calls) == len(adjacent) <= 7
+        assert {y.factors for y in calls} == adjacent
 
 
 def test_a_callable_energy_skips_the_transport_at_position_one(monkeypatch):
-    # with the default H every pair is raised; a callable energy reads the
-    # pairs itself, so only the C(N-1, 2) pairs that a swap follows are
+    # with the default H every distinct pair is raised; a callable energy
+    # reads the pairs itself, so only the distinct pairs that a swap
+    # follows are
     module = importlib.import_module("krpoly.energy")
     calls = []
     to_hw = module.to_highest_weight
@@ -289,13 +329,15 @@ def test_a_callable_energy_skips_the_transport_at_position_one(monkeypatch):
     for size in range(3, 6):
         for _ in range(6):
             x = random_element(rng, SHAPES_N5, size)
-            want = pairwise_transport_energy(x)
+            met, swaps = [], []
+            want = pairwise_transport_energy(x, energy=recording(met), swaps=swaps)
             calls.clear()
             assert module.global_energy(x) == want
-            assert len(calls) == math.comb(size, 2)
+            assert len(calls) == len(set(met)) <= math.comb(size, 2)
             calls.clear()
             assert module.global_energy(x, energy=local_energy) == want
-            assert len(calls) == math.comb(size - 1, 2)
+            assert len(calls) == len(set(swaps)) <= math.comb(size - 1, 2)
+            assert set(calls) == set(swaps)
 
 
 def test_global_energy_is_invariant_under_every_adjacent_swap():

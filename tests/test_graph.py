@@ -265,6 +265,23 @@ def test_sort_keys_and_labels_are_built_once_per_distinct_factor(monkeypatch):
     assert dot.split("\n")[1 : 1 + len(nodes)] == nodes
 
 
+def test_connectivity_counts_the_components_of_the_chosen_colors():
+    # B^{1,1} (x) B^{1,1} at n=2 is connected, and splits into the classical
+    # components Sym^2 and Lambda^2 without color 0
+    params = KRParams(2, 1, 1)
+    graph = build_graph(product_elements(params, params), range(3))
+    assert graph.is_connected()
+    assert len(graph.component_indices((1, 2))) == 2
+    assert not graph.is_connected((1, 2))
+
+
+def test_vertex_labels_are_injective():
+    # B^{2,s} at n=2 holds 1x2 patterns, whose labels keep both cells
+    for params in (KRParams(2, 2, 1), KRParams(2, 2, 2)):
+        crystal = enumerate_crystal(params)
+        assert len({vertex_label(v) for v in crystal}) == len(crystal)
+
+
 def test_closure_recovers_whole_crystal():
     from krpoly import zero_pattern
 
@@ -342,6 +359,15 @@ def test_regularity_rejects_a_pair_that_is_not_two_graph_colors():
             is_regular_rank2(graph, pair_)
     with pytest.raises(KRError, match="not all colors"):
         graph.component_indices((0, 1))
+
+
+def test_regularity_on_a_one_vertex_graph():
+    # the generator of B^{1,1} at n=3 is killed by f_2 and f_3
+    graph = build_graph([patterns.zero_pattern(KRParams(3, 1, 1))], (2, 3))
+    assert len(graph) == 1 and not graph.edges
+    report = is_regular_rank2(graph, (2, 3))
+    assert report.ok
+    assert report.num_components == 1
 
 
 def test_regularity_rejects_empty_graph():

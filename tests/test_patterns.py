@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -43,6 +44,34 @@ def test_column_path_witness():
         validate_pattern([[1], [1]], KRParams(2, 1, 1))
     assert err.value.witness == [(1, 1), (1, 2)]
     assert err.value.total == 2
+
+
+def test_witness_is_a_unit_staircase_summing_to_the_total():
+    # on seeded invalid grids the witness runs from (1, r) to (r, n) in unit
+    # steps, and its entries sum to the reported maximal staircase sum
+    rng = random.Random(27)
+    invalid = 0
+    for params in all_params(4, 3):
+        for _ in range(20):
+            rows = [
+                [rng.randint(0, params.s) for _ in range(params.num_cols)]
+                for _ in range(params.num_rows)
+            ]
+            try:
+                validate_pattern(rows, params)
+            except PathSumExceeded as err:
+                witness, total = err.witness, err.total
+            else:
+                continue
+            invalid += 1
+            assert witness[0] == (1, params.r)
+            assert witness[-1] == (params.r, params.n)
+            assert all(
+                (p2 - p, q2 - q) in ((1, 0), (0, 1))
+                for (p, q), (p2, q2) in zip(witness, witness[1:])
+            )
+            assert sum(rows[q - params.r][p - 1] for p, q in witness) == total > params.s
+    assert invalid > 100
 
 
 def test_shape_and_sign_errors():
@@ -133,6 +162,14 @@ def test_enumerate_cap(monkeypatch):
     monkeypatch.setattr(patterns, "crystal_size", lambda params: 0)
     with pytest.raises(SizeLimitExceeded):
         enumerate_crystal(KRParams(2, 1, 2), max_size=3)
+
+
+def test_enumerate_cap_admits_a_crystal_of_exactly_its_size():
+    for params in (KRParams(2, 1, 2), KRParams(3, 2, 2), KRParams(4, 2, 1)):
+        size = patterns.crystal_size(params)
+        assert len(enumerate_crystal(params, size)) == size
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_crystal(params, size - 1)
 
 
 def test_oversized_crystals_are_refused_before_any_pattern(monkeypatch):

@@ -77,6 +77,39 @@ def test_module_level_caches_are_the_operator_memos():
         assert isinstance(maxsize, int), f"{name} memo has no integer maxsize"
 
 
+def test_energy_binds_no_mutable_container_at_module_level():
+    # global_energy's pair memo lives and dies with the call; a dict, list
+    # or set bound at module level, or as a default argument, would outlive
+    # it and hold elements of every product ever seen
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    factories = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+    def mutable(node):
+        if isinstance(node, ast.Call):
+            target = node.func
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            return name in factories
+        return isinstance(node, containers)
+
+    path = SOURCE / "energy.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    roots = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots += node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            roots += node.decorator_list
+        else:
+            roots.append(node)
+    found = [
+        f"energy.py:{node.lineno}"
+        for root in roots
+        for node in ast.walk(root)
+        if mutable(node)
+    ]
+    assert "global_energy" in {getattr(node, "name", None) for node in tree.body}
+    assert not found, f"module-level containers in energy.py: {', '.join(found)}"
+
+
 def test_indented_json_is_written_only_by_the_cli_writer():
     # one output path: every json.dump/json.dumps call given an indent sits
     # inside cli._json_chunks, whose output the CLI streams
