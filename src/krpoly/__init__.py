@@ -28,7 +28,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .graph import CrystalGraph, build_graph
-from .nakajima import Monomial, MonomialCrystal, psi_crystal, psi_embedding
+from .nakajima import Monomial, MonomialCrystal, psi_embedding
 from .patterns import (
     KRParams,
     KRPattern,

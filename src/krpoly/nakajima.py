@@ -8,6 +8,9 @@ multipliers of the two colors at shift k are
     A_1(k) = Y_1(k) Y_1(k+1) Y_2(k+1)^-1,
     A_2(k) = Y_2(k) Y_2(k+1) Y_1(k)^-1.
 
+Each statistic of a color (phi, eps and the shifts nf, ne where f and e
+act) comes from one walk of its string, ``MonomialCrystal._string``.
+
 The embedding ``psi_embedding`` sends a pattern of B^{r,s} to a rank-2
 monomial in a way that matches the affine color 0 with monomial color 1
 and (for r >= 2) the classical color 1 with monomial color 2, giving an
@@ -35,17 +38,9 @@ class Monomial:
             acc[key] = acc.get(key, 0) + val
         return cls(tuple(sorted((k, v) for k, v in acc.items() if v != 0)))
 
-    def exponent(self, i, k):
-        for key, val in self.exps:
-            if key == (i, k):
-                return val
-        return 0
-
-    def times(self, items):
-        return Monomial.from_items(tuple(self.exps) + tuple(items))
-
-    def shifts(self, i):
-        return sorted(k for (j, k), _ in self.exps if j == i)
+    def times(self, items, power):
+        """This monomial times the monomial of ``items`` raised to ``power``."""
+        return Monomial.from_items(self.exps + tuple((key, power * val) for key, val in items))
 
 
 class MonomialCrystal:
@@ -58,39 +53,39 @@ class MonomialCrystal:
             coeffs[i - 1] += v
         return tuple(coeffs)
 
-    def _prefix_candidates(self, m, l):
-        shifts = m.shifts(l)
-        if not shifts:
-            return [(0, 0)]
-        lo, hi = shifts[0] - 1, shifts[-1]
-        out = []
-        run = 0
-        out.append((lo, 0))
-        for k in range(shifts[0], hi + 1):
-            run += m.exponent(l, k)
-            out.append((k, run))
-        return out
+    def _string(self, m, l):
+        """(phi, eps, nf, ne) of color l: one running sum of the Y_l exponents
+        from 0 one shift below the least Y_l shift through every shift up to
+        the largest (an absent shift adds 0).  phi is its peak, eps the peak
+        minus the final sum, nf and ne the first and last shifts at the peak.
+        """
+        exps = {k: v for (i, k), v in m.exps if i == l}
+        if not exps:
+            return 0, 0, 0, 0
+        lo = min(exps)
+        run = phi = 0
+        nf = ne = lo - 1
+        for k in range(lo, max(exps) + 1):
+            run += exps.get(k, 0)
+            if run > phi:
+                phi, nf, ne = run, k, k
+            elif run == phi:
+                ne = k
+        return phi, phi - run, nf, ne
 
     def phi(self, m, l):
-        return max(val for _, val in self._prefix_candidates(m, l))
+        return self._string(m, l)[0]
 
     def eps(self, m, l):
-        cands = self._prefix_candidates(m, l)
-        total = cands[-1][1]
-        return max(val - total for _, val in cands)
+        return self._string(m, l)[1]
 
     def nf(self, m, l):
         """Smallest shift where the running sum attains phi_l."""
-        cands = self._prefix_candidates(m, l)
-        target = max(val for _, val in cands)
-        return min(k for k, val in cands if val == target)
+        return self._string(m, l)[2]
 
     def ne(self, m, l):
         """Largest shift where minus the tail sum attains eps_l."""
-        cands = self._prefix_candidates(m, l)
-        total = cands[-1][1]
-        target = max(val - total for _, val in cands)
-        return max(k for k, val in cands if val - total == target)
+        return self._string(m, l)[3]
 
     def multiplier(self, l, k):
         """Exponent items of A_l(k)."""
@@ -99,15 +94,12 @@ class MonomialCrystal:
         return [((2, k), 1), ((2, k + 1), 1), ((1, k), -1)]
 
     def f(self, m, l):
-        if self.phi(m, l) == 0:
-            return None
-        items = [(key, -val) for key, val in self.multiplier(l, self.nf(m, l))]
-        return m.times(items)
+        phi, _, nf, _ = self._string(m, l)
+        return None if phi == 0 else m.times(self.multiplier(l, nf), -1)
 
     def e(self, m, l):
-        if self.eps(m, l) == 0:
-            return None
-        return m.times(self.multiplier(l, self.ne(m, l)))
+        _, eps, _, ne = self._string(m, l)
+        return None if eps == 0 else m.times(self.multiplier(l, ne), 1)
 
     def is_dominant(self, m):
         return self.eps(m, 1) == self.eps(m, 2) == 0
@@ -129,7 +121,3 @@ def psi_embedding(pattern):
         items.append(((2, k + 1), -pattern.a(1, pr.n - k)))
     return Monomial.from_items(items)
 
-
-def psi_crystal():
-    """The rank-2 monomial crystal the embedding lands in."""
-    return MonomialCrystal()

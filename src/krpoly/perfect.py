@@ -66,6 +66,8 @@ class DominantWeight:
 
 def dominant_weights(n, level):
     """All level-`level` dominant weights for rank n, lexicographic."""
+    if not (_is_int(n) and _is_int(level) and n >= 1 and level >= 0):
+        raise InvalidParams(f"need integers n >= 1 and level >= 0, got n={n!r}, level={level!r}")
     out = []
 
     def extend(prefix, remaining):
@@ -131,9 +133,8 @@ class GroundStatePath:
 
     @property
     def period(self):
-        first = self.weights[0]
-        for k in range(1, len(self.weights)):
-            if self.weights[k] == first:
+        for k in range(1, len(self.weights)):  # an empty prefix shows no period
+            if self.weights[k] == self.weights[0]:
                 return k
         return None
 

@@ -55,7 +55,7 @@ def is_regular_rank2(graph, pair):
     The pair must name two distinct colors of the graph.  Violations name
     their component by its least vertex and come in component order.
     """
-    j, k = pair
+    j, k = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
     if j == k or j not in graph.colors or k not in graph.colors:
         raise KRError(f"color pair {pair} is not two distinct colors of {graph.colors}")
     n = _graph_rank(graph)

@@ -71,14 +71,14 @@ class TensorElement:
 
     def f(self, l):
         m = self._rule(l)[2]
-        y = self.factors[m].f(l)
-        if y is None:
-            return None
-        return TensorElement._trusted(self.factors[:m] + (y,) + self.factors[m + 1 :])
+        return self._splice(m, self.factors[m].f(l))
 
     def e(self, l):
         m = self.e_slot(l)
-        y = self.factors[m].e(l)
+        return self._splice(m, self.factors[m].e(l))
+
+    def _splice(self, m, y):
+        """Factor m replaced by y, unchecked (y has its rank); None if y is zero."""
         if y is None:
             return None
         return TensorElement._trusted(self.factors[:m] + (y,) + self.factors[m + 1 :])

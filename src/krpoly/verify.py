@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from .energy import _schedule_correction, local_energy, local_energy_hw, local_energy_oracle
 from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .graph import build_graph
-from .nakajima import psi_crystal, psi_embedding
+from .nakajima import MonomialCrystal, psi_embedding
 from .patterns import KRParams, crystal_size, enumerate_crystal, pivot
 from .perfect import check_perfect, dominant_weights, ground_state_path
 from .regularity import is_regular_rank2
 from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle_ids
 from .table import product_table
-from .tensor import TensorElement, is_classical_hw, product_elements
+from .tensor import is_classical_hw, product_elements
 
 
 @dataclass
@@ -82,19 +82,9 @@ def _signature_images(x, l, word):
     """(f_l x, e_l x) by the signature rule on x's ``word`` for color l."""
     plus = [idx for sign, idx in word if sign == "+"]
     minus = [idx for sign, idx in word if sign == "-"]
-    fx = _with_factor(x, plus[-1], x.factors[plus[-1]].f(l)) if plus else None
-    ex = _with_factor(x, minus[0], x.factors[minus[0]].e(l)) if minus else None
+    fx = x._splice(plus[-1], x.factors[plus[-1]].f(l)) if plus else None
+    ex = x._splice(minus[0], x.factors[minus[0]].e(l)) if minus else None
     return fx, ex
-
-
-def _with_factor(x, idx, y):
-    """x with factor idx replaced by y; None when y is crystal zero.
-
-    Built unchecked: y has the rank of the factor it replaces.
-    """
-    if y is None:
-        return None
-    return TensorElement._trusted(x.factors[:idx] + (y,) + x.factors[idx + 1 :])
 
 
 def signature_f(x, l):
@@ -285,7 +275,7 @@ def _regular_failures(params):
 
 
 def _nakajima_failures(params):
-    crystal2 = psi_crystal()
+    crystal2 = MonomialCrystal()
     bad = []
     for b in enumerate_crystal(params):
         m = psi_embedding(b)

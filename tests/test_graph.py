@@ -361,6 +361,14 @@ def test_regularity_rejects_a_pair_that_is_not_two_graph_colors():
         graph.component_indices((0, 1))
 
 
+@pytest.mark.parametrize("pair_", [(1, 2, 0), (1,), 5, ("a", "b")])
+def test_regularity_rejects_a_malformed_pair(pair_):
+    # the first three used to raise a bare ValueError or TypeError
+    graph = build_graph(enumerate_crystal(KRParams(2, 1, 1)), range(3))
+    with pytest.raises(KRError, match="is not two distinct colors"):
+        is_regular_rank2(graph, pair_)
+
+
 def test_regularity_on_a_one_vertex_graph():
     # the generator of B^{1,1} at n=3 is killed by f_2 and f_3
     graph = build_graph([patterns.zero_pattern(KRParams(3, 1, 1))], (2, 3))

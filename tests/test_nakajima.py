@@ -8,7 +8,6 @@ from krpoly import (
     Monomial,
     MonomialCrystal,
     enumerate_crystal,
-    psi_crystal,
     psi_embedding,
     zero_pattern,
 )
@@ -18,7 +17,7 @@ from krpoly.verify import run_suite
 from conftest import all_params, closure, f_lists
 
 
-A2 = psi_crystal()
+A2 = MonomialCrystal()
 
 
 def Y(*items):
@@ -52,9 +51,24 @@ def test_mixed_exponents_prefix_maxima():
     assert A2.wt(m) == (0, 0)
 
 
+def brute_string(m, l):
+    """(phi, eps, nf, ne) from the prefix sums at every shift of the window,
+    one below the least Y_l shift up to the largest, absent shifts included."""
+    exps = dict(m.exps)
+    shifts = [k for i, k in exps if i == l]
+    if not shifts:
+        return 0, 0, 0, 0
+    window = range(min(shifts) - 1, max(shifts) + 1)
+    sums = {k: sum(exps.get((l, j), 0) for j in window if j <= k) for k in window}
+    phi = max(sums.values())
+    peaks = [k for k in window if sums[k] == phi]
+    return phi, phi - sums[window[-1]], peaks[0], peaks[-1]
+
+
 def test_operators_are_partially_inverse_on_random_monomials():
     rng = random.Random(5)
-    crystal = psi_crystal()
+    crystal = MonomialCrystal()
+    gapped = 0
     for _ in range(300):
         items = tuple(
             ((rng.randint(1, 2), rng.randint(-2, 2)), rng.randint(-2, 2))
@@ -62,12 +76,17 @@ def test_operators_are_partially_inverse_on_random_monomials():
         )
         m = Monomial.from_items(items)
         for l in (1, 2):
+            stats = (crystal.phi(m, l), crystal.eps(m, l), crystal.nf(m, l), crystal.ne(m, l))
+            assert stats == brute_string(m, l), (m, l)
+            shifts = [k for (i, k), _ in m.exps if i == l]
+            gapped += bool(shifts) and len(shifts) <= max(shifts) - min(shifts)
             fm = crystal.f(m, l)
             if fm is not None:
                 assert crystal.e(fm, l) == m
             em = crystal.e(m, l)
             if em is not None:
                 assert crystal.f(em, l) == m
+    assert gapped > 50  # strings with an absent shift inside their window
 
 
 def weyl_dim_a2(a, b):
@@ -152,7 +171,7 @@ def test_psi_sends_the_generator_to_a_corner_monomial():
 
 
 def test_psi_statistics_and_intertwining():
-    crystal2 = psi_crystal()
+    crystal2 = MonomialCrystal()
     for params in all_params(3, 2):
         for b in enumerate_crystal(params):
             m = psi_embedding(b)
@@ -178,7 +197,7 @@ def test_psi_statistics_and_intertwining():
 def test_psi_pivot_identities():
     from krpoly import pivot
 
-    crystal2 = psi_crystal()
+    crystal2 = MonomialCrystal()
     for params in [KRParams(3, 2, 2), KRParams(4, 3, 2)]:
         for b in enumerate_crystal(params):
             m = psi_embedding(b)

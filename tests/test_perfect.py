@@ -31,6 +31,18 @@ def test_dominant_weight_enumeration():
     assert len(dominant_weights(3, 2)) == 10
 
 
+@pytest.mark.parametrize("n, level", [(-1, 1), (0, 2), (2, -1), (True, 1), (2, False), (2.0, 1)])
+def test_dominant_weights_rejects_a_bad_rank_or_level(n, level):
+    # (-1, 1) used to recurse without end, (0, 2) to give [(2,)], (2, -1)
+    # to give [] and (True, 1) to be read as n = 1
+    with pytest.raises(InvalidParams, match="n >= 1 and level >= 0"):
+        dominant_weights(n, level)
+
+
+def test_dominant_weights_at_level_zero_is_the_zero_weight():
+    assert [w.coeffs for w in dominant_weights(2, 0)] == [(0, 0, 0)]
+
+
 def test_level_mismatch_errors():
     with pytest.raises(LevelMismatch):
         b_lower(DominantWeight((1, 0, 0)), KRParams(2, 1, 2))
@@ -290,6 +302,14 @@ def test_period_divides_rotation_order():
         path = ground_state_path(weight, params, 3 * (params.n + 1))
         order = (params.n + 1) // math.gcd(params.n + 1, params.r)
         assert path.period is not None and order % path.period == 0
+
+
+def test_an_empty_path_has_no_period():
+    # weights[0] of an empty prefix used to raise IndexError
+    path = ground_state_path(DominantWeight((1, 0, 0)), KRParams(2, 1, 1), 0)
+    assert path.weights == path.elements == ()
+    assert path.period is None
+    assert ground_state_path(DominantWeight((1, 0, 0)), KRParams(2, 1, 1), 1).period is None
 
 
 def test_oversized_square_is_refused_before_the_walk(monkeypatch):

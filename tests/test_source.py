@@ -199,6 +199,30 @@ def test_energy_walks_no_string_of_its_own():
     assert not calls, f"string walks in energy.py: {', '.join(calls)}"
 
 
+def test_monomial_statistics_read_the_one_string_walk():
+    # phi, eps, nf, ne, f and e of the Nakajima crystal read one walk of
+    # the string, MonomialCrystal._string; a loop or comprehension in one of
+    # them would bring back a scan of its own
+    path = SOURCE / "nakajima.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (crystal,) = [node for node in tree.body if getattr(node, "name", None) == "MonomialCrystal"]
+    methods = {node.name: node for node in crystal.body if isinstance(node, ast.FunctionDef)}
+    scans = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in ("phi", "eps", "nf", "ne", "f", "e"):
+        nodes = list(ast.walk(methods[name]))
+        called = {
+            node.func.attr
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self"
+        }
+        assert "_string" in called, f"MonomialCrystal.{name} does not call self._string"
+        loops = [f"nakajima.py:{node.lineno}" for node in nodes if isinstance(node, scans)]
+        assert not loops, f"MonomialCrystal.{name} scans on its own: {', '.join(loops)}"
+
+
 def test_package_attributes_are_the_submodules():
     # a function re-exported under its module's name would shadow the module:
     # ``import krpoly.rmatrix as rm`` would then bind the function
