@@ -12,7 +12,7 @@ the transport kernel ``rmatrix._raise_strings``: no string is walked here.
 
 from __future__ import annotations
 
-from .errors import InconsistentRecursion, NotHighestWeight
+from .errors import InconsistentRecursion, InvalidParams, NotHighestWeight
 from .rmatrix import _raise_strings, rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw, two_factors
@@ -71,55 +71,60 @@ def local_energy_oracle(params1, params2, sigma=None):
     """EnergyTable for B1 (x) B2 from the defining recursion.
 
     Propagates the 0-edge increments from 0 (x) 0 across the whole product
-    and re-checks every edge afterwards; any conflict (which would mean
-    the recursion is not well defined) raises InconsistentRecursion.  The
-    walk runs on id pairs (``table.product_table``, under
-    ``ENUMERATION_CAP``); ``sigma``, the R-matrix as ``rmatrix_oracle`` returns it, is
-    built on ids when not given.  The result maps TensorElements.
+    in one walk that checks every raising edge at its source; a conflict
+    (which would mean the recursion is not well defined) raises
+    InconsistentRecursion.  The walk runs on id pairs
+    (``table.product_table``, under ``ENUMERATION_CAP``); ``sigma``, the
+    R-matrix as ``rmatrix_oracle`` returns it, is built on ids when not
+    given, and one that does not map every element of B1 (x) B2 into
+    B2 (x) B1 raises InvalidParams.  The result maps TensorElements.
     """
     pair = product_table(params1, params2)
     image = pair.swapped()
+    if pair.left.vertices[0].total() or pair.right.vertices[0].total():
+        raise InconsistentRecursion("product has no zero element")
     if sigma is None:
         sigma_ids = rmatrix_oracle_ids(pair)
     else:
-        sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}
-    zero = (0, 0)
-    if pair.left.vertices[0].total() or pair.right.vertices[0].total():
-        raise InconsistentRecursion("product has no zero element")
+        try:
+            sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}
+        except (KeyError, ValueError):  # a factor off the table, or not two factors
+            raise InvalidParams("sigma holds an element outside B1 (x) B2 or B2 (x) B1") from None
+        if len(sigma_ids) != len(pair):
+            raise InvalidParams(f"sigma maps {len(sigma_ids)} of {len(pair)} elements")
 
     def raising_delta(lower, l):
-        # H(e_l lower) - H(lower)
+        # H(e_l lower) - H(lower): -1 (+1) when e_0 acts on the first
+        # (second) factor of both lower and its image
         if l != 0:
             return 0
         side = pair.e_slot(lower, 0)
-        side_image = image.e_slot(sigma_ids[lower], 0)
-        if side == 0 and side_image == 0:
-            return -1
-        if side == 1 and side_image == 1:
-            return 1
-        return 0
+        if side != image.e_slot(sigma_ids[lower], 0):
+            return 0
+        return 1 if side else -1
 
-    table = {zero: 0}
-    queue = [zero]
+    table = {(0, 0): 0}
+    queue = [(0, 0)]
     colors = range(params1.n + 1)
     while queue:
         x = queue.pop()
         for l in colors:
             up = pair.e(x, l)
-            if up is not None and up not in table:
-                table[up] = table[x] + raising_delta(x, l)
-                queue.append(up)
+            if up is not None:
+                h = table[x] + raising_delta(x, l)
+                known = table.get(up)
+                if known is None:
+                    table[up] = h
+                    queue.append(up)
+                elif known != h:
+                    at = pair.element(x)
+                    raise InconsistentRecursion(f"recursion conflict along e_{l} at {at}")
             down = pair.f(x, l)
             if down is not None and down not in table:
                 table[down] = table[x] - raising_delta(down, l)
                 queue.append(down)
     if len(table) != len(pair):
         raise InconsistentRecursion("product crystal is not connected")
-    for x in pair.ids():
-        for l in colors:
-            up = pair.e(x, l)
-            if up is not None and table[up] - table[x] != raising_delta(x, l):
-                raise InconsistentRecursion(f"recursion conflict along e_{l} at {pair.element(x)}")
     return {pair.element(x): h for x, h in table.items()}
 
 

@@ -55,10 +55,12 @@ class NotHighestWeight(KRError):
 class OracleFailure(KRError):
     """A brute-force oracle or a construction found an internal inconsistency.
 
-    Raised when highest-weight matching is not a weight bijection or edge
-    propagation conflicts, when the R-matrix transport word does not
-    replay on the image side, or when b_lower/b_upper miss their defining
-    profile; must not occur on valid crystals.
+    Raised when the R-matrix oracle's walk from 0 (x) 0 meets an element
+    whose image has another weight or an f_l/e_l that is defined on one
+    side only or not intertwined, or does not reach a bijection; when the
+    R-matrix transport word does not replay on the image side; or when
+    b_lower/b_upper miss their defining profile.  Must not occur on valid
+    crystals.
     """
 
 

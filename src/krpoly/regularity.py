@@ -52,7 +52,8 @@ def rank2_off_diagonal(j, k, n):
 def is_regular_rank2(graph, pair):
     """Check every {j,k}-component against the rank-2 string axioms.
 
-    The pair must name two distinct colors of the graph.  Violations name
+    The pair must name two distinct colors of the graph, and the graph's
+    vertices must carry the rank n (a KRError otherwise).  Violations name
     their component by its least vertex and come in component order.
     """
     j, k = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
@@ -96,7 +97,10 @@ def is_regular_rank2(graph, pair):
 def _graph_rank(graph):
     if not graph.vertices:
         raise KRError("regularity check needs a graph with at least one vertex")
-    return graph.vertices[0].n
+    n = getattr(graph.vertices[0], "n", None)
+    if n is None:
+        raise KRError(f"{type(graph.vertices[0]).__name__} vertices carry no rank n")
+    return n
 
 
 def _direction_check(op, step, up, down, pair, a, bad):

@@ -156,13 +156,9 @@ def rmatrix(x):
 
 
 def rmatrix_oracle(params1, params2):
-    """The unique classical isomorphism, built without the shape law.
+    """The unique affine crystal isomorphism B1 (x) B2 -> B2 (x) B1, without the shape law.
 
-    Highest weight elements found by brute raising-operator scan are
-    matched across the two product orders by classical weight, then the
-    matching is propagated along lowering edges.  Conflicts, non-bijective
-    weight matching, or a failure to intertwine the affine operators raise
-    OracleFailure.  The walk runs on id pairs (``table.product_table``,
+    The walk ``rmatrix_oracle_ids`` runs on id pairs (``table.product_table``,
     under ``ENUMERATION_CAP``); the result maps TensorElements.
     """
     left = product_table(params1, params2)
@@ -173,50 +169,45 @@ def rmatrix_oracle(params1, params2):
 
 
 def rmatrix_oracle_ids(left):
-    """``rmatrix_oracle`` on the PairTable ``left``: id pair -> id pair."""
+    """``rmatrix_oracle`` on the PairTable ``left``: id pair -> id pair, in id-pair order.
+
+    B1 (x) B2 is connected and 0 (x) 0 is the one element of its top weight
+    on both sides, so sigma(0, 0) = (0, 0) seeds one walk.  At every x it
+    checks that sigma(x) has the classical weight of x and that each f_l
+    and e_l is defined on both sides or neither and intertwined, assigning
+    new images as it goes.  A failed check, a missed id or a shared image
+    raises OracleFailure.
+    """
     right = left.swapped()
-    lhw = [x for x in left.ids() if left.is_classical_hw(x)]
-    rhw = [y for y in right.ids() if right.is_classical_hw(y)]
-    by_weight = {}
-    for y in rhw:
-        key = right.element(y).classical_weight()
-        if key in by_weight:
-            raise OracleFailure(f"duplicate highest weight {key} on the swapped side")
-        by_weight[key] = y
-    if len(lhw) != len(rhw):
-        raise OracleFailure("highest weight counts differ between the two orders")
-    mapping = {}
-    queue = []
-    for x in lhw:
-        key = left.element(x).classical_weight()
-        if key not in by_weight:
-            raise OracleFailure(f"no weight match for highest weight element {key}")
-        mapping[x] = by_weight[key]
-        queue.append(x)
+    if left.left.vertices[0].total() or left.right.vertices[0].total():
+        raise OracleFailure("product has no zero element")
+    # classical weights read once per vertex of the two factor graphs
+    w1, w2 = ([b.classical_weight() for b in g.vertices] for g in (left.left, left.right))
+    colors = range(left.n + 1)
+    ops = (("f", left.f, right.f), ("e", left.e, right.e))
+    sigma = {(0, 0): (0, 0)}
+    queue = [(0, 0)]
     while queue:
         x = queue.pop()
-        y = mapping[x]
-        for l in range(1, left.n + 1):
-            fx = left.f(x, l)
-            fy = right.f(y, l)
-            if (fx is None) != (fy is None):
-                raise OracleFailure(f"f_{l} defined on one side only at {left.element(x)}")
-            if fx is None:
-                continue
-            if fx in mapping:
-                if mapping[fx] != fy:
-                    raise OracleFailure(f"edge propagation conflict at f_{l} of {left.element(x)}")
-            else:
-                mapping[fx] = fy
-                queue.append(fx)
-    if len(mapping) != len(left):
-        raise OracleFailure("classical components not exhausted from highest weights")
-    for x, y in mapping.items():
-        for op in ("f", "e"):
-            fx = getattr(left, op)(x, 0)
-            fy = getattr(right, op)(y, 0)
-            if (fx is None) != (fy is None):
-                raise OracleFailure(f"{op}_0 defined on one side only at {left.element(x)}")
-            if fx is not None and mapping[fx] != fy:
-                raise OracleFailure(f"{op}_0 not intertwined at {left.element(x)}")
-    return mapping
+        y = sigma[x]
+        (i, j), (k, m) = x, y
+        if any(a + b != c + d for a, b, c, d in zip(w1[i], w2[j], w2[k], w1[m])):
+            raise OracleFailure(f"weight not preserved at {left.element(x)}")
+        for l in colors:
+            for op, step, image in ops:
+                nx, ny = step(x, l), image(y, l)
+                if (nx is None) != (ny is None):
+                    raise OracleFailure(f"{op}_{l} defined on one side only at {left.element(x)}")
+                if nx is None:
+                    continue
+                known = sigma.get(nx)
+                if known is None:
+                    sigma[nx] = ny
+                    queue.append(nx)
+                elif known != ny:
+                    raise OracleFailure(f"{op}_{l} not intertwined at {left.element(x)}")
+    if len(sigma) != len(left):
+        raise OracleFailure("product crystal is not connected")
+    if len(set(sigma.values())) != len(sigma):
+        raise OracleFailure("two elements share one image")
+    return {x: sigma[x] for x in left.ids()}

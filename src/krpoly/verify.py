@@ -231,17 +231,13 @@ def _rmatrix_failures(params1, params2):
     left = product_table(params1, params2)
     right = left.swapped()
     reverse = rmatrix_oracle_ids(right)
-    # classical weights read once per vertex of the two factor graphs
-    w1, w2 = ([b.classical_weight() for b in g.vertices] for g in (left.left, left.right))
+    # the oracle itself raises where sigma does not preserve the weight
     for xi, yi in rmatrix_oracle_ids(left).items():
-        x, y = left.element(xi), right.element(yi)
-        if rmatrix(x) != y:
+        x = left.element(xi)
+        if rmatrix(x) != right.element(yi):
             bad.append(f"transport differs from oracle at {x}")
         if reverse[yi] != xi:
             bad.append(f"oracle not an involution at {x}")
-        (i, j), (k, m) = xi, yi
-        if any(a + b != c + d for a, b, c, d in zip(w1[i], w2[j], w2[k], w1[m])):
-            bad.append(f"weight not preserved at {x}")
     return bad
 
 
@@ -325,7 +321,7 @@ def _cardinality_failures(params):
 SUITES = {
     "ops": (_crystals, [("ops", _ops_failures)]),  # strings, weights, pivots, commutation
     "tensor": (_pairs, [("tensor", _tensor_failures)]),  # tensor rule vs signature rule
-    "rmatrix": (_pairs, [("rmatrix", _rmatrix_failures)]),  # transport vs weight matching
+    "rmatrix": (_pairs, [("rmatrix", _rmatrix_failures)]),  # transport vs the walk from 0 (x) 0
     "energy": (_pairs, [("energy", _energy_failures)]),  # closed form vs recursion, hw law
     "regular": (_crystals, [("regular", _regular_failures)]),  # rank-2 axioms, all color pairs
     "nakajima": (_crystals, [("nakajima", _nakajima_failures)]),  # corner embedding

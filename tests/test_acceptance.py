@@ -121,7 +121,7 @@ def test_criterion_3_rmatrix_vs_oracle():
     total = 0
     for n in (1, 2, 3):
         total += _run_checks(run_suite("rmatrix", n, 3))
-    _report(3, "R-matrix equals weight-matching oracle", f"{total} products")
+    _report(3, "R-matrix equals the isomorphism walked from 0 (x) 0", f"{total} products")
 
 
 def test_criterion_4_shape_law():

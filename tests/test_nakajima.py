@@ -4,6 +4,7 @@ import pytest
 
 from krpoly import (
     InvalidParams,
+    KRError,
     KRParams,
     Monomial,
     MonomialCrystal,
@@ -12,6 +13,7 @@ from krpoly import (
     zero_pattern,
 )
 from krpoly.graph import CrystalGraph, build_graph
+from krpoly.regularity import is_regular_rank2
 from krpoly.verify import run_suite
 
 from conftest import all_params, closure, f_lists
@@ -162,6 +164,14 @@ def test_monomial_component_realizes_the_rectangular_crystal():
         mono_graph = CrystalGraph(comp, (1, 2), f_lists(comp, (1, 2), A2.f))
         pat_graph = build_graph(enumerate_crystal(params), (1, 2))
         assert crystal_isomorphic(pat_graph, mono_graph, (1, 2))
+
+
+def test_regularity_on_monomial_vertices_raises_a_typed_error():
+    # a monomial names no rank n, and the Cartan pairing of two colors needs it
+    comp = component(Y(((2, 0), 2)))
+    graph = CrystalGraph(comp, (1, 2), f_lists(comp, (1, 2), A2.f))
+    with pytest.raises(KRError, match="^Monomial vertices carry no rank n$"):
+        is_regular_rank2(graph, (1, 2))
 
 
 def test_psi_sends_the_generator_to_a_corner_monomial():

@@ -199,6 +199,40 @@ def test_energy_walks_no_string_of_its_own():
     assert not calls, f"string walks in energy.py: {', '.join(calls)}"
 
 
+def test_each_whole_product_oracle_is_one_walk():
+    # the R-matrix and energy oracles each check every edge in their one
+    # walk from 0 (x) 0; a second while loop, or a pass over .ids() other
+    # than the one that orders the returned map, would bring back a
+    # separate scan.  PairTable keeps no eps or highest weight test for one.
+    oracles = {"rmatrix.py": "rmatrix_oracle_ids", "energy.py": "local_energy_oracle"}
+    for filename, name in oracles.items():
+        tree = ast.parse((SOURCE / filename).read_text(), filename=filename)
+        (func,) = [node for node in tree.body if getattr(node, "name", None) == name]
+        returned = {
+            id(inner)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Return)
+            for inner in ast.walk(node)
+        }
+        loops = [node.lineno for node in ast.walk(func) if isinstance(node, ast.While)]
+        scans = [
+            node.lineno
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "ids"
+            and id(node) not in returned
+        ]
+        assert len(loops) == 1, f"{name} has {len(loops)} while loops"
+        assert not scans, f"{name} scans .ids() at {filename}:{scans}"
+    path = SOURCE / "table.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (table,) = [node for node in tree.body if getattr(node, "name", None) == "PairTable"]
+    methods = {node.name for node in table.body if isinstance(node, ast.FunctionDef)}
+    assert {"f", "e", "e_slot"} <= methods
+    assert not methods & {"eps", "is_classical_hw"}, sorted(methods)
+
+
 def test_monomial_statistics_read_the_one_string_walk():
     # phi, eps, nf, ne, f and e of the Nakajima crystal read one walk of
     # the string, MonomialCrystal._string; a loop or comprehension in one of

@@ -7,12 +7,14 @@ the desk sweep.
 """
 
 import itertools
+import random
 
 import pytest
 
 from krpoly import (
     KRParams,
     InconsistentRecursion,
+    InvalidParams,
     OracleFailure,
     TensorElement,
     check_perfect,
@@ -23,8 +25,9 @@ from krpoly import (
     zero_pattern,
 )
 from krpoly import perfect
-from krpoly.graph import build_graph
+from krpoly.graph import CrystalGraph, build_graph
 from krpoly.patterns import crystal_size
+from krpoly.rmatrix import rmatrix_oracle_ids
 from krpoly.table import PairTable, product_table
 
 from conftest import all_params, check_undecided, closure, product_elements
@@ -126,9 +129,7 @@ def test_id_pair_rule_matches_tensor_elements():
         assert sorted(ids) == ids
         for x, t in zip(ids, elements):
             assert pair.id_of(t) == x
-            assert pair.is_classical_hw(x) == is_classical_hw(t)
             for l in range(params1.n + 1):
-                assert pair.eps(x, l) == t.eps(l)
                 assert pair.e_slot(x, l) == t.e_slot(l)
                 for op in ("f", "e"):
                     image = getattr(pair, op)(x, l)
@@ -197,3 +198,78 @@ def test_mixed_ranks_are_rejected():
         product_table(small, large)
     with pytest.raises(ValueError):
         rmatrix_oracle(small, large)
+
+
+def test_rmatrix_oracle_refuses_every_color_transposition():
+    # the second factor's f lists of two colors trade places: a crystal
+    # graph still, on the right vertices, but not B^{r,s}; the walk from
+    # 0 (x) 0 must fail on every such product
+    graphs = {params: crystal_graph(params) for params in SWEEP}
+    corruptions = 0
+    for params1, params2 in itertools.product(SWEEP, repeat=2):
+        good = graphs[params2]
+        for a, b in itertools.combinations(good.colors, 2):
+            f = dict(good.f)
+            f[a], f[b] = f[b], f[a]
+            bad = CrystalGraph(good.vertices, good.colors, f)
+            with pytest.raises(OracleFailure):
+                rmatrix_oracle_ids(PairTable(graphs[params1], bad))
+            corruptions += 1
+    assert corruptions == 216
+
+
+def test_energy_oracle_refuses_or_survives_swapped_images():
+    # two images of sigma trade places; only the 0-edges whose e_0 slots
+    # the swap changes can tell, so each call either raises or returns the
+    # true table
+    rng = random.Random(5)
+    outcomes = []
+    for params1, params2 in itertools.product(SWEEP, repeat=2):
+        sigma = rmatrix_oracle(params1, params2)
+        table = local_energy_oracle(params1, params2)
+        keys = sorted(sigma, key=TensorElement.sort_key)
+        for _ in range(5):
+            x, y = rng.sample(keys, 2)
+            bad = dict(sigma)
+            bad[x], bad[y] = sigma[y], sigma[x]
+            try:
+                got = local_energy_oracle(params1, params2, sigma=bad)
+            except InconsistentRecursion:
+                outcomes.append("raised")
+                continue
+            assert got == table, (x, y)
+            outcomes.append("survived")
+    assert len(outcomes) == 180
+    assert "raised" in outcomes
+
+
+def test_pair_table_refuses_a_cyclic_string():
+    good = crystal_graph(KRParams(2, 1, 1))
+    f = dict(good.f)
+    f[0] = list(f[0])
+    f[0][0] = 1  # 1 -> 0 -> 1: a 0-string with no head
+    bad = CrystalGraph(good.vertices, good.colors, f)
+    assert None in bad.eps[0]
+    with pytest.raises(InvalidParams, match="0-string that is a cycle"):
+        PairTable(bad, bad)
+    with pytest.raises(InvalidParams, match="0-string that is a cycle"):
+        PairTable(good, bad)
+
+
+def test_energy_oracle_refuses_a_sigma_off_its_product():
+    params1, params2 = KRParams(2, 1, 1), KRParams(2, 2, 1)
+    sigma = rmatrix_oracle(params1, params2)
+    first = next(iter(sigma))
+    missing = {x: y for x, y in sigma.items() if x != first}
+    with pytest.raises(InvalidParams, match="maps 8 of 9 elements"):
+        local_energy_oracle(params1, params2, sigma=missing)
+    zero = zero_pattern(params1)
+    for key, value in (
+        (first, first),  # B1 (x) B2 is not B2 (x) B1
+        (sigma[first], sigma[first]),
+        (TensorElement((zero, zero, zero)), sigma[first]),
+    ):
+        bad = dict(sigma)
+        bad[key] = value
+        with pytest.raises(InvalidParams, match="sigma holds an element outside"):
+            local_energy_oracle(params1, params2, sigma=bad)
