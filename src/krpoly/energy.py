@@ -13,7 +13,7 @@ the transport kernel ``rmatrix._raise_strings``: no string is walked here.
 from __future__ import annotations
 
 from .errors import InconsistentRecursion, InvalidParams, NotHighestWeight
-from .rmatrix import _raise_strings, rmatrix, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
+from .rmatrix import _raise_strings, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw, two_factors
 
@@ -54,13 +54,9 @@ def _schedule_correction(x):
 def local_energy(x):
     """Closed-form local energy of an arbitrary two-fold element.
 
-    Needs s1 <= s2; for s1 > s2 the value is computed on the R-matrix
-    image, which lives on the swapped (sorted) pair and has the same
-    energy.
+    Read on x itself for every pair of levels: no R-matrix is applied.
     """
     a, b = two_factors(x, "local energy lives on two-fold products")
-    if a.params.s > b.params.s:
-        return local_energy(rmatrix(x))
     r = min(a.params.r, b.params.r)
     rt = max(a.params.r, b.params.r)
     partial = sum(a.a(p, q) for p in range(1, r + 1) for q in range(rt, a.params.n + 1))
@@ -88,7 +84,7 @@ def local_energy_oracle(params1, params2, sigma=None):
     else:
         try:
             sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}
-        except (KeyError, ValueError):  # a factor off the table, or not two factors
+        except (KeyError, ValueError):  # a factor off the table, or not a two-fold TensorElement
             raise InvalidParams("sigma holds an element outside B1 (x) B2 or B2 (x) B1") from None
         if len(sigma_ids) != len(pair):
             raise InvalidParams(f"sigma maps {len(sigma_ids)} of {len(pair)} elements")
@@ -153,6 +149,8 @@ def global_energy(x, energy=None):
     The pairs are built unchecked: their factors come from x, whose
     factors already share one rank.
     """
+    if not isinstance(x, TensorElement):
+        raise InvalidParams(f"global energy lives on tensor elements, got {type(x).__name__}")
     # (left, right) -> [H, to_highest_weight of the pair or None, R image or None]
     memo = {}
     total = 0

@@ -56,10 +56,9 @@ def highest_weight_elements(params1, params2):
 
 # Transports land on few distinct highest weight elements: global_energy on
 # the 216 seeded 8-fold paths at n=5 (bench seed 1) calls this 3,741 times
-# on 241 of them, rmatrix and local_energy on 2,000 seeded pairs at n=8
-# 2,625 times on 99.  1024 entries hold every distinct one seen there; the
-# bound keeps a long run over large crystals from growing the memo without
-# end.
+# on 241 of them, rmatrix on 2,000 seeded pairs at n=8 2,000 times on 99.
+# 1024 entries hold every distinct one seen there; the bound keeps a long
+# run over large crystals from growing the memo without end.
 @lru_cache(maxsize=1024)
 def rmatrix_on_hw(x):
     """Image of a classical highest weight element under the R-matrix.

@@ -17,7 +17,7 @@ import itertools
 
 from .errors import InvalidParams
 from .graph import CrystalGraph
-from .tensor import TensorElement, factor_crystals
+from .tensor import TensorElement, factor_crystals, two_factors
 
 
 class PairTable:
@@ -82,7 +82,7 @@ class PairTable:
 
     def id_of(self, x):
         """The id pair of a two-fold TensorElement of this product."""
-        first, second = x.factors
+        first, second = two_factors(x, "not a two-fold element")
         return self.left.index[first], self.right.index[second]
 
 

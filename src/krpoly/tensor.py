@@ -129,8 +129,8 @@ def tensor_from_dict(data):
 
 
 def two_factors(x, message):
-    """The factors (a, b) of a two-fold element; InvalidParams(message) otherwise."""
-    if len(x.factors) != 2:
+    """The factors (a, b) of a two-fold TensorElement; InvalidParams(message) otherwise."""
+    if not isinstance(x, TensorElement) or len(x.factors) != 2:
         raise InvalidParams(message)
     return x.factors
 

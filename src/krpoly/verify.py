@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .energy import _schedule_correction, local_energy, local_energy_hw, local_energy_oracle
+from .energy import local_energy, local_energy_hw, local_energy_oracle
 from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import MonomialCrystal, psi_embedding
@@ -254,8 +254,6 @@ def _energy_failures(params1, params2):
     for x in highest_weight_elements(params1, params2):
         if not is_classical_hw(x):
             bad.append(f"formula element is not highest weight at {x}")
-            continue
-        _schedule_correction(x)  # raises if the schedule leaves the second factor nonzero
     return bad
 
 

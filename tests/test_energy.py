@@ -95,12 +95,28 @@ def test_closed_form_equals_oracle_rank_two():
                     assert local_energy_hw(x) == h
 
 
-def test_swapped_levels_fall_back_through_the_isomorphism():
-    params1, params2 = KRParams(2, 1, 2), KRParams(2, 2, 1)
-    table = local_energy_oracle(params1, params2)
-    assert params1.s > params2.s
-    for x, h in table.items():
-        assert local_energy(x) == h
+def test_closed_form_reads_swapped_levels_without_transport(monkeypatch):
+    # s1 > s2: the closed form is read on x itself, so it matches the
+    # recursion with every R-matrix and transport function disabled
+    pairs = [
+        (params1, params2)
+        for n in range(1, 4)
+        for params1, params2 in itertools.product(all_params(n, 3), repeat=2)
+        if params1.s > params2.s
+    ]
+    assert (KRParams(2, 1, 2), KRParams(2, 2, 1)) in pairs
+    tables = [local_energy_oracle(*p) for p in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("the closed form must not transport")
+
+    for module in map(importlib.import_module, ("krpoly.rmatrix", "krpoly.energy")):
+        for name in ("rmatrix", "to_highest_weight", "rmatrix_from_hw", "rmatrix_on_hw"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for table in tables:
+        for x, h in table.items():
+            assert local_energy(x) == h
 
 
 def test_single_row_nested_formula():
@@ -246,7 +262,7 @@ def test_default_global_energy_matches_closed_form_and_pairwise_transport():
     rng = random.Random(5)
     for _ in range(12):
         x = random_element(rng, SHAPES_N5, 8)
-        # some pair i < j has s_i > s_j, which the closed form reads through rmatrix
+        # some pair i < j has s_i > s_j, which the closed form reads directly too
         assert any(a.params.s > b.params.s for a, b in itertools.combinations(x.factors, 2))
         got = global_energy(x)
         assert got == global_energy(x, energy=local_energy)

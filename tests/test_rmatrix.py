@@ -14,6 +14,7 @@ from krpoly import (
     SizeLimitExceeded,
     TensorElement,
     enumerate_crystal,
+    global_energy,
     highest_weight_elements,
     is_classical_hw,
     local_energy,
@@ -281,8 +282,6 @@ def test_each_single_step_is_applied_once(monkeypatch):
     # the closed-form energy schedule raises through the same kernel
     scheduled = 0
     for x in seeded_pairs(19, 150):
-        if x.factors[0].params.s > x.factors[1].params.s:
-            continue
         steps = schedule_walk_steps(x)
         calls.clear()
         _schedule_correction(x)
@@ -351,6 +350,18 @@ def test_arity_and_rank_guards_raise_invalid_params(call, message):
     with pytest.raises(InvalidParams, match=message) as err:
         call()
     assert isinstance(err.value, KRError) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "entry", [rmatrix, to_highest_weight, rmatrix_on_hw, local_energy, local_energy_hw, global_energy]
+)
+@pytest.mark.parametrize(
+    "arg", [cell(1, 1, 0), (cell(1, 1, 0), cell(1, 1, 0)), None], ids=["pattern", "tuple", "none"]
+)
+def test_entry_points_refuse_what_is_not_a_tensor_element(entry, arg):
+    # a bare pattern, a tuple of patterns or None has no factors to read
+    with pytest.raises(InvalidParams):
+        entry(arg)
 
 
 @pytest.mark.parametrize("oracle", [rmatrix_oracle, local_energy_oracle])

@@ -268,6 +268,8 @@ def test_energy_oracle_refuses_a_sigma_off_its_product():
         (first, first),  # B1 (x) B2 is not B2 (x) B1
         (sigma[first], sigma[first]),
         (TensorElement((zero, zero, zero)), sigma[first]),
+        (zero, sigma[first]),  # a bare pattern, not a TensorElement
+        (first, zero),
     ):
         bad = dict(sigma)
         bad[key] = value
