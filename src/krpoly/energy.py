@@ -59,7 +59,8 @@ def local_energy(x):
     a, b = two_factors(x, "local energy lives on two-fold products")
     r = min(a.params.r, b.params.r)
     rt = max(a.params.r, b.params.r)
-    partial = sum(a.a(p, q) for p in range(1, r + 1) for q in range(rt, a.params.n + 1))
+    # entry sum of a over columns 1..r and rows rt..n
+    partial = sum(sum(row[:r]) for row in a.rows[rt - a.params.r :])
     return -partial + _schedule_correction(x)
 
 

@@ -43,8 +43,9 @@ class SizeLimitExceeded(KRError):
 class IndexOutOfRange(KRError):
     """Color index outside its range.
 
-    Raised for a color outside 0..n in the string statistics
-    (``KRPattern._stats``) and for a pivot at l = r or outside 1..n.
+    Raised for a color that is not an ``int`` in 0..n in the string
+    statistics and operators (``KRPattern._stats``) and for a pivot at
+    l = r or 0.
     """
 
 

@@ -8,7 +8,9 @@ step raises p or q by one) has entry sum at most s.
 The grid carries the full affine crystal structure.  Classical colors
 1..n act through pivot indices; color 0 acts on the single corner cell
 (1, n).  Crystal zero (an undefined operator application) is represented
-by ``None`` throughout.
+by ``None`` throughout.  Each pattern keeps one record per color that it
+has been read in (``KRPattern._strings``): the string statistics and, once
+read, the images of f_l and e_l.
 """
 
 from __future__ import annotations
@@ -101,9 +103,12 @@ class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
 
     Patterns key every operator cache, so the hash of (params, rows) is
-    computed once and kept in ``_hash``.  The string statistics of each
-    color are kept in ``_strings`` after their first read.  Neither takes
-    part in equality, ``repr`` or ``to_dict``.
+    computed once and kept in ``_hash``.  ``_strings`` holds one record per
+    color after its first read, ``[phi, eps, first, last, f image, e
+    image]``: the string statistics, then the images of f_l and e_l, each
+    filled on its first read.  Neither takes part in equality, ``repr`` or
+    ``to_dict``.  Only this module and the transport kernel in
+    ``rmatrix`` read the records.
     """
 
     params: KRParams
@@ -133,7 +138,7 @@ class KRPattern:
         return tuple(x for row in self.rows for x in row)
 
     def total(self):
-        return sum(self.entries_flat())
+        return sum(map(sum, self.rows))
 
     def sort_key(self):
         return self.entries_flat()
@@ -160,17 +165,22 @@ class KRPattern:
     # -- string statistics and operators ----------------------------------
 
     def _stats(self, l):
-        """(phi, eps, first, last) of color l, read once per object from ``_string``."""
+        """The record of color l, its statistics read once per object from ``_string``.
+
+        A color that is not an ``int`` in 0..n raises IndexOutOfRange, also
+        True, which the ``_f``/``_e`` memos would key as color 1.
+        """
         strings = self._strings
         if strings is None:
             strings = [None] * (self.params.n + 1)
             object.__setattr__(self, "_strings", strings)
-        if not 0 <= l < len(strings):
-            raise IndexOutOfRange(f"color {l} outside 0..{self.params.n}")
-        stats = strings[l]
-        if stats is None:
-            stats = strings[l] = _string(self, l)
-        return stats
+        if type(l) is not int or not 0 <= l < len(strings):
+            raise IndexOutOfRange(f"color {l!r} outside 0..{self.params.n}")
+        record = strings[l]
+        if record is None:
+            phi, eps, first, last = _string(self, l)
+            record = strings[l] = [phi, eps, first, last, None, None]
+        return record
 
     def phi(self, l):
         """Number of times f_l applies before hitting crystal zero."""
@@ -182,11 +192,23 @@ class KRPattern:
 
     def f(self, l):
         """Lowering operator for color l; None at the end of the string."""
-        return _f(self, l)
+        record = self._stats(l)
+        if not record[0]:
+            return None
+        image = record[4]
+        if image is None:
+            image = record[4] = _f(self, l)
+        return image
 
     def e(self, l):
         """Raising operator for color l; None at the top of the string."""
-        return _e(self, l)
+        record = self._stats(l)
+        if not record[1]:
+            return None
+        image = record[5]
+        if image is None:
+            image = record[5] = _e(self, l)
+        return image
 
     # -- plumbing ----------------------------------------------------------
 
@@ -377,11 +399,11 @@ def pivot(A, l):
     rows (q_-, p_-).  f_l moves a unit at p_+ or p_-, e_l at q_+ or q_-.
     """
     pr = A.params
+    _, _, first, last, _, _ = A._stats(l)  # refuses a color off 0..n
     if l == pr.r:
         raise IndexOutOfRange(f"color {l} equals r: no pivot needed")
-    if not 1 <= l <= pr.n:
+    if l == 0:
         raise IndexOutOfRange(f"pivot needs 1 <= l <= n, got l={l}")
-    _, _, first, last = A._stats(l)
     if l > pr.r:
         return first + 1, last + 1
     return pr.n - last, pr.n - first
@@ -418,13 +440,14 @@ def _move(A, l, i, step):
     return KRPattern(A.params, _move_rows(A.params, A.rows, l, i, step))
 
 
+# The two operator memos make equal patterns built apart share their images
+# (and the records those carry).  ``KRPattern.f``/``.e`` ask them only to
+# fill an empty image slot of a record whose phi/eps is not zero.
 @lru_cache(maxsize=None)
 def _f(A, l):
-    phi, _, first, _ = A._stats(l)
-    return _move(A, l, first, 1) if phi else None
+    return _move(A, l, A._stats(l)[2], 1)
 
 
 @lru_cache(maxsize=None)
 def _e(A, l):
-    _, eps, _, last = A._stats(l)
-    return _move(A, l, last, -1) if eps else None
+    return _move(A, l, A._stats(l)[3], -1)

@@ -12,9 +12,13 @@ transport to the highest weight representative and back.  Transport splits
 each whole string between the two factors by the tensor rule, reading
 their string statistics once per color, in one kernel (``_raise_strings``)
 that the closed-form energy schedule shares; ``rmatrix_from_hw`` mirrors
-it for lowering.  The image of a highest weight element is memoized in a
-bounded memo of 1024 entries (``rmatrix_on_hw``): transports land on few
-distinct highest weight elements, and a repeated one then costs a lookup.
+it for lowering.  The kernel reads each factor's per-color record
+(``KRPattern._strings``: phi, eps, first, last, f image, e image) in place,
+so a single step whose image is already on the record costs an index; the
+``KRPattern`` operators fill a record or an empty image slot.  The image of
+a highest weight element is memoized in a bounded memo of 1024 entries
+(``rmatrix_on_hw``): transports land on few distinct highest weight
+elements, and a repeated one then costs a lookup.
 """
 
 from __future__ import annotations
@@ -86,12 +90,20 @@ def rmatrix_on_hw(x):
     )
 
 
-def _steps(b, l, k, op):
-    """b moved k single steps of color l by ``op``; OracleFailure past the string."""
+# a move along a string: the image slot of a ``KRPattern._strings`` record,
+# the operator that fills the slot, and its name
+_LOWER = (4, KRPattern.f, "f")
+_RAISE = (5, KRPattern.e, "e")
+
+
+def _steps(b, l, k, move):
+    """b moved k single steps of color l by ``move``; OracleFailure past the string."""
+    slot, op, name = move
     for _ in range(k):
-        b = op(b, l)
+        strings = b._strings
+        b = ((strings and strings[l]) or b._stats(l))[slot] or op(b, l)
         if b is None:
-            raise OracleFailure(f"transport word failed at {op.__name__}_{l}")
+            raise OracleFailure(f"transport word failed at {name}_{l}")
     return b
 
 
@@ -104,11 +116,18 @@ def _raise_strings(a, b, colors, word):
     """
     left = 0
     for l in colors:
-        phi_b, eps_b, _, _ = b._stats(l)
-        left = max(0, a._stats(l)[1] - phi_b)
+        strings = b._strings
+        record = (strings and strings[l]) or b._stats(l)
+        eps_b = record[1]
+        strings = a._strings
+        left = ((strings and strings[l]) or a._stats(l))[1] - record[0]
+        if left < 0:
+            left = 0
+        if eps_b:
+            b = _steps(b, l, eps_b, _RAISE)
+        if left:
+            a = _steps(a, l, left, _RAISE)
         if left or eps_b:
-            b = _steps(b, l, eps_b, KRPattern.e)
-            a = _steps(a, l, left, KRPattern.e)
             word.extend([l] * (left + eps_b))
     return a, b, left
 
@@ -141,10 +160,16 @@ def rmatrix_from_hw(hw, word):
     """
     a, b = rmatrix_on_hw(hw).factors
     for l, run in itertools.groupby(reversed(word)):
-        k = sum(1 for _ in run)
-        right = min(k, max(0, b._stats(l)[0] - a._stats(l)[1]))
-        b = _steps(b, l, right, KRPattern.f)
-        a = _steps(a, l, k - right, KRPattern.f)
+        k = len(list(run))
+        strings = b._strings
+        phi_b = ((strings and strings[l]) or b._stats(l))[0]
+        strings = a._strings
+        eps_a = ((strings and strings[l]) or a._stats(l))[1]
+        right = min(k, max(0, phi_b - eps_a))
+        if right:
+            b = _steps(b, l, right, _LOWER)
+        if k - right:
+            a = _steps(a, l, k - right, _LOWER)
     return TensorElement._trusted((a, b))
 
 

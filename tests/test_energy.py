@@ -29,6 +29,7 @@ from conftest import (
     cell,
     hw_element,
     pair,
+    pat,
     product_elements,
     random_element,
     random_pattern,
@@ -72,11 +73,16 @@ def test_schedule_breaks_raise_typed_errors(monkeypatch):
     # InconsistentRecursion; neither is an AttributeError
     params = KRParams(2, 1, 1)
     zero = zero_pattern(params)
-    x = pair(zero.f(1), zero.f(1).f(2))
+    # f_1 0 (x) f_2 f_1 0, built here: a memo image would carry its e image
+    # on its record and never ask the patched memo
+    x = pair(pat(2, 1, 1, [[1], [0]]), pat(2, 1, 1, [[0], [1]]))
+    assert x == pair(zero.f(1), zero.f(1).f(2))
+    asked = []
     with monkeypatch.context() as patch:
-        patch.setattr(patterns, "_e", lambda A, l: None)
+        patch.setattr(patterns, "_e", lambda A, l: asked.append(l))
         with pytest.raises(OracleFailure, match="^transport word failed at e_1$"):
             local_energy(x)
+    assert asked == [1]
     # a kernel that raises nothing leaves B as it was
     module = importlib.import_module("krpoly.energy")
     monkeypatch.setattr(module, "_raise_strings", lambda a, b, colors, word: (a, b, 0))

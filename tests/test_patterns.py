@@ -13,6 +13,7 @@ from krpoly import (
     NegativeEntry,
     PathSumExceeded,
     SizeLimitExceeded,
+    TensorElement,
     enumerate_crystal,
     pattern_from_cells,
     pattern_from_dict,
@@ -23,7 +24,7 @@ from krpoly import (
 from krpoly import patterns
 from krpoly.verify import count_rect_ssyt
 
-from conftest import all_params, brute_crystal, pat, staircases
+from conftest import all_params, brute_crystal, pat, random_pattern, staircases
 
 
 def test_zero_grid_always_valid():
@@ -325,6 +326,65 @@ def test_colors_outside_the_range_raise_before_and_after_the_slot_fills():
                 for read in (b.phi, b.eps, b.f, b.e):
                     with pytest.raises(IndexOutOfRange, match=f"color {l} outside 0..3"):
                         read(l)
+
+
+@pytest.mark.parametrize("color", [True, False, 1.0, "1", None])
+def test_a_color_that_is_not_an_int_is_refused(color):
+    # one gate in the record read: True is not read as color 1, also once
+    # color 1 sits in the records and in the _f/_e memos, which key True and
+    # 1 alike
+    b = validate_pattern([[0, 1], [1, 0]], KRParams(3, 2, 2))
+    x = TensorElement((b, zero_pattern(KRParams(3, 1, 1))))
+    reads = {
+        "b.phi": b.phi,
+        "b.eps": b.eps,
+        "b.f": b.f,
+        "b.e": b.e,
+        "x.phi": x.phi,
+        "x.eps": x.eps,
+        "x.f": x.f,
+        "x.e": x.e,
+        "pivot": lambda l: patterns.pivot(b, l),
+    }
+    for filled in (False, True):
+        if filled:
+            for l in range(4):
+                for y in (b, x):
+                    y.f(l), y.e(l)
+            assert None not in b._strings
+        for name, read in reads.items():
+            with pytest.raises(IndexOutOfRange, match=rf"^color {color!r} outside 0\.\.3$"):
+                read(color)
+
+
+def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
+    # with the memos cleared, every image slot a read fills is the move at
+    # the record's first or last argmax; a second read asks no memo
+    for memo in (patterns._string, patterns._f, patterns._e):
+        memo.cache_clear()
+    walk = patterns._string.__wrapped__
+    rng = random.Random(33)
+    shapes = [p for n in (6, 7, 8) for p in all_params(n, 3)]
+    elements = [b for n in range(1, 5) for p in all_params(n, 2) for b in enumerate_crystal(p)]
+    elements += [random_pattern(rng, rng.choice(shapes)) for _ in range(300)]
+    for b in elements:
+        for l in range(b.n + 1):
+            phi, eps, first, last = walk(b, l)
+            lower, upper = b.f(l), b.e(l)
+            record = b._strings[l]
+            assert record == [phi, eps, first, last, lower, upper]
+            assert lower == (patterns._move(b, l, first, 1) if phi else None)
+            assert upper == (patterns._move(b, l, last, -1) if eps else None)
+    calls = []
+    for name in ("_string", "_f", "_e"):
+        monkeypatch.setattr(patterns, name, lambda A, l, name=name: calls.append(name))
+    for b in elements:
+        for l in range(b.n + 1):
+            record = list(b._strings[l])
+            assert [b.phi(l), b.eps(l)] == record[:2]
+            assert (b.f(l), b.e(l)) == (record[4], record[5])
+            assert b.f(l) is record[4] and b.e(l) is record[5]
+    assert not calls
 
 
 def test_a_second_read_of_one_object_skips_the_memo():

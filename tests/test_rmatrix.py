@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from krpoly import (
     InvalidParams,
     KRError,
     KRParams,
+    KRPattern,
     NotHighestWeight,
     OracleFailure,
     SizeLimitExceeded,
@@ -261,33 +263,91 @@ def test_whole_string_raising_matches_single_steps():
         assert rmatrix_from_hw(hw, word) == y
 
 
+# image slot of each operator memo in a ``KRPattern._strings`` record
+IMAGE_SLOT = {"_f": 4, "_e": 5}
+
+
 def test_each_single_step_is_applied_once(monkeypatch):
-    # TensorElement-free transport must not re-walk a string: every e_l of
-    # the word is one patterns._e call, every f_l back one patterns._f call
-    calls = Counter()
-    for name in ("_e", "_f"):
+    # transport must not re-walk a string or re-apply a step.  On fresh
+    # factors each memo call fills one empty image slot and each string is
+    # walked once per object; over the records that leaves behind, the same
+    # transport makes every single step one record read, with one more
+    # read per factor and color visited, and calls no memo and no _stats
+    calls = []
+    for name in ("_e", "_f", "_string"):
 
         def counting(A, l, op=getattr(patterns, name), name=name):
-            calls[name] += 1
+            if name in IMAGE_SLOT:
+                assert A._strings[l][IMAGE_SLOT[name]] is None, (name, A, l)
+            calls.append((name, A, l))
             return op(A, l)
 
         monkeypatch.setattr(patterns, name, counting)
+    rm = importlib.import_module("krpoly.rmatrix")
+    energy = importlib.import_module("krpoly.energy")
+    visits = Counter()
+    kernel = rm._raise_strings
+
+    def visiting(a, b, colors, word):
+        visits["colors"] += len(colors)
+        return kernel(a, b, colors, word)
+
+    monkeypatch.setattr(rm, "_raise_strings", visiting)
+    monkeypatch.setattr(energy, "_raise_strings", visiting)
+
+    def cold(run, op):
+        # the output and the number of memo calls
+        calls.clear()
+        out = run()
+        ops = [(name, A, l) for name, A, l in calls if name != "_string"]
+        walks = [(id(A), l) for name, A, l in calls if name == "_string"]
+        assert {name for name, _, _ in ops} <= {op}
+        assert len({(id(A), l) for _, A, l in ops}) == len(ops)
+        assert all(A._strings[l][IMAGE_SLOT[op]] is not None for _, A, l in ops)
+        assert len(set(walks)) == len(walks)
+        return out, len(ops)
+
+    def warm(run, out, reads):
+        slot = KRPattern.__dict__["_strings"]
+        count = Counter()
+
+        def read(b):
+            count["_strings"] += 1
+            return slot.__get__(b, KRPattern)
+
+        def no_stats(b, l):
+            raise AssertionError(f"_stats({b}, {l}) read over filled records")
+
+        calls.clear()
+        visits.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(KRPattern, "_strings", property(read, slot.__set__))
+            patch.setattr(KRPattern, "_stats", no_stats)
+            assert run() == out
+        assert not calls
+        assert count["_strings"] == reads(visits["colors"])
+
+    filled = 0
     for x in seeded_pairs(19, 150):
-        calls.clear()
-        hw, word = to_highest_weight(x)
-        assert (calls["_e"], calls["_f"]) == (len(word), 0)
-        calls.clear()
-        rmatrix_from_hw(hw, word)
-        assert (calls["_e"], calls["_f"]) == (0, len(word))
+        (hw, word), made = cold(lambda: to_highest_weight(x), "_e")
+        assert made <= len(word)
+        filled += made
+        warm(lambda: to_highest_weight(x), (hw, word), lambda c: len(word) + 2 * c)
+        y, made = cold(lambda: rmatrix_from_hw(hw, word), "_f")
+        assert made <= len(word)
+        filled += made
+        runs = len(list(itertools.groupby(word)))
+        warm(lambda: rmatrix_from_hw(hw, word), y, lambda c: len(word) + 2 * runs)
     # the closed-form energy schedule raises through the same kernel
     scheduled = 0
     for x in seeded_pairs(19, 150):
+        h, made = cold(lambda: _schedule_correction(x), "_e")
         steps = schedule_walk_steps(x)
-        calls.clear()
-        _schedule_correction(x)
-        assert (calls["_e"], calls["_f"]) == (steps, 0)
+        assert made <= steps
+        warm(lambda: _schedule_correction(x), h, lambda c: steps + 2 * c)
         scheduled += steps > 0
-    assert scheduled
+        filled += made
+    assert scheduled and filled
 
 
 def test_yang_baxter_on_triples():
@@ -311,10 +371,14 @@ def test_failed_transport_replay_raises_typed_error(monkeypatch):
 
 
 def test_raising_past_a_string_raises_typed_error(monkeypatch):
-    # a raise that meets crystal zero is an OracleFailure, not an AttributeError
-    monkeypatch.setattr(patterns, "_e", lambda A, l: None)
+    # a raise that meets crystal zero is an OracleFailure, not an
+    # AttributeError.  The factors are built here, so their records hold no
+    # image yet and the first step asks the patched memo.
+    asked = []
+    monkeypatch.setattr(patterns, "_e", lambda A, l: asked.append(l))
     with pytest.raises(OracleFailure, match="transport word failed at e_1"):
         to_highest_weight(pair(cell(1, 1, 1), cell(1, 3, 3)))
+    assert asked == [1]
 
 
 def full_graph(params):

@@ -77,6 +77,27 @@ def test_module_level_caches_are_the_operator_memos():
         assert isinstance(maxsize, int), f"{name} memo has no integer maxsize"
 
 
+def test_string_records_are_read_only_by_their_two_owners():
+    # KRPattern._strings, one [phi, eps, first, last, f image, e image]
+    # record per color, is filled in patterns.py and read in place by the
+    # transport kernel in rmatrix.py; every other module goes through the
+    # KRPattern statistics and operators
+    readers = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_strings"
+        ]
+        if lines:
+            readers[path.name] = lines
+    owners = {"patterns.py", "rmatrix.py"}
+    assert owners <= readers.keys()
+    others = {name: lines for name, lines in readers.items() if name not in owners}
+    assert not others, f"_strings read outside its owners at lines {others}"
+
+
 def test_energy_binds_no_mutable_container_at_module_level():
     # global_energy's pair memo lives and dies with the call; a dict, list
     # or set bound at module level, or as a default argument, would outlive
