@@ -143,10 +143,12 @@ def global_energy(x, energy=None):
     (``rmatrix_from_hw``) the first time a swap follows the pair: at most
     C(N, 2) transports for N factors.  By default H is read there: it is
     constant on classical components, so it is minus the entry sum of the
-    first factor (``local_energy_hw``).  A callable ``energy`` (such as
-    ``local_energy``, the closed form) is read once per distinct pair
-    instead; it sees the same pairs as a separate transport per pair, and
-    a pair no swap follows (position 1) is then not raised at all.
+    first factor (``local_energy_hw``).  A swap of two factors of one shape
+    keeps the pair and lowers nothing, since R is the identity on B (x) B.
+    A callable ``energy`` (such as ``local_energy``, the closed form) is
+    read once per distinct pair instead; it sees the same pairs as a
+    separate transport per pair, and a pair no swap follows (position 1)
+    or of one shape is then not raised at all.
     The pairs are built unchecked: their factors come from x, whose
     factors already share one rank.
     """
@@ -162,11 +164,12 @@ def global_energy(x, energy=None):
             entry = memo.get(key)
             if entry is None:
                 pair = TensorElement._trusted(key)
+                image = key if key[0].params == key[1].params else None
                 if energy is None:
                     raised = to_highest_weight(pair)
-                    entry = memo[key] = [-raised[0].factors[0].total(), raised, None]
+                    entry = memo[key] = [-raised[0].factors[0].total(), raised, image]
                 else:
-                    entry = memo[key] = [energy(pair), None, None]
+                    entry = memo[key] = [energy(pair), None, image]
             total += entry[0]
             if pos > 1:
                 if entry[2] is None:

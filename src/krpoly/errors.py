@@ -44,8 +44,9 @@ class IndexOutOfRange(KRError):
     """Color index outside its range.
 
     Raised for a color that is not an ``int`` in 0..n in the string
-    statistics and operators (``KRPattern._stats``) and for a pivot at
-    l = r or 0.
+    statistics and operators (``KRPattern._stats``), for a pivot at
+    l = r or 0, for a transport word color that is not an ``int`` in 1..n
+    (``rmatrix_from_hw``) and for a monomial color other than 1 and 2.
     """
 
 

@@ -7,7 +7,7 @@ components, the rank-2 regularity check and ``table.PairTable`` all read
 these id lists.  One reader fills them: each distinct KRPattern factor of
 the vertices is read on its rows once per color, ``tensor.tensor_rule``
 picks the factor f_l acts on, and the image is looked up by its factor
-ids, so no pattern is built and no operator memo is filled.
+ids, so no pattern is built and no memo or canonical image is filled.
 ``build_graph`` sorts the vertices in lexicographic order of their
 flattened entries and the edges are the sorted (source id, color, target
 id) triples, so exports are byte-for-byte deterministic.

@@ -21,15 +21,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParams
+from .errors import IndexOutOfRange, InvalidParams
 from .patterns import KRPattern
+
+
+def _is_term(item):
+    """True for one ((index, shift), exponent) pair of a Monomial."""
+    if not (isinstance(item, tuple) and len(item) == 2):
+        return False
+    key, v = item
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return False
+    i, k = key
+    return type(i) is type(k) is type(v) is int and i in (1, 2) and v != 0
 
 
 @dataclass(frozen=True)
 class Monomial:
-    """Finitely supported exponent map ((index, shift) -> exponent)."""
+    """Finitely supported exponent map ((index, shift) -> exponent).
+
+    ``exps`` is a tuple of ((index, shift), exponent) pairs sorted by
+    (index, shift) without repeats: index 1 or 2, ``int`` shifts and
+    nonzero ``int`` exponents (bools refused).  Anything else raises
+    InvalidParams; ``from_items`` builds this form from any items.
+    """
 
     exps: tuple
+
+    def __post_init__(self):
+        exps = self.exps
+        if not (
+            isinstance(exps, tuple)
+            and all(map(_is_term, exps))
+            and all(a[0] < b[0] for a, b in zip(exps, exps[1:]))
+        ):
+            raise InvalidParams(
+                "exps must be ((index, shift), exponent) pairs sorted without repeats, "
+                f"index 1 or 2, integer shifts and nonzero integer exponents, got {exps!r}"
+            )
 
     @classmethod
     def from_items(cls, items):
@@ -58,7 +87,9 @@ class MonomialCrystal:
         from 0 one shift below the least Y_l shift through every shift up to
         the largest (an absent shift adds 0).  phi is its peak, eps the peak
         minus the final sum, nf and ne the first and last shifts at the peak.
+        A color that is not the ``int`` 1 or 2 raises IndexOutOfRange.
         """
+        _check_color(l)
         exps = {k: v for (i, k), v in m.exps if i == l}
         if not exps:
             return 0, 0, 0, 0
@@ -89,6 +120,7 @@ class MonomialCrystal:
 
     def multiplier(self, l, k):
         """Exponent items of A_l(k)."""
+        _check_color(l)
         if l == 1:
             return [((1, k), 1), ((1, k + 1), 1), ((2, k + 1), -1)]
         return [((2, k), 1), ((2, k + 1), 1), ((1, k), -1)]
@@ -103,6 +135,11 @@ class MonomialCrystal:
 
     def is_dominant(self, m):
         return self.eps(m, 1) == self.eps(m, 2) == 0
+
+
+def _check_color(l):
+    if type(l) is not int or l not in (1, 2):
+        raise IndexOutOfRange(f"color {l!r} outside 1..2")
 
 
 def psi_embedding(pattern):

@@ -10,7 +10,9 @@ The grid carries the full affine crystal structure.  Classical colors
 (1, n).  Crystal zero (an undefined operator application) is represented
 by ``None`` throughout.  Each pattern keeps one record per color that it
 has been read in (``KRPattern._strings``): the string statistics and, once
-read, the images of f_l and e_l.
+read, the images of f_l and e_l.  Each operator image is the one object of
+its grid among all images (``_canonical``), so equal images share one
+record list.
 """
 
 from __future__ import annotations
@@ -102,13 +104,15 @@ class KRParams:
 class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
 
-    Patterns key every operator cache, so the hash of (params, rows) is
-    computed once and kept in ``_hash``.  ``_strings`` holds one record per
-    color after its first read, ``[phi, eps, first, last, f image, e
-    image]``: the string statistics, then the images of f_l and e_l, each
-    filled on its first read.  Neither takes part in equality, ``repr`` or
-    ``to_dict``.  Only this module and the transport kernel in
-    ``rmatrix`` read the records.
+    Patterns key the string memo and the canonical-image table, so the
+    hash of (params, rows) is computed once and kept in ``_hash``.
+    ``_strings`` holds one record per color after its first read, ``[phi,
+    eps, first, last, f image, e image]``: the string statistics, then the
+    images of f_l and e_l, each filled on its first read with the
+    canonical object of its grid (``_move``), which carries its own
+    records.  Neither takes part in equality, ``repr`` or ``to_dict``.
+    Only this module and the transport kernel in ``rmatrix`` read the
+    records.
     """
 
     params: KRParams
@@ -168,7 +172,7 @@ class KRPattern:
         """The record of color l, its statistics read once per object from ``_string``.
 
         A color that is not an ``int`` in 0..n raises IndexOutOfRange, also
-        True, which the ``_f``/``_e`` memos would key as color 1.
+        True, which would index the record of color 1.
         """
         strings = self._strings
         if strings is None:
@@ -197,7 +201,7 @@ class KRPattern:
             return None
         image = record[4]
         if image is None:
-            image = record[4] = _f(self, l)
+            image = record[4] = _move(self, l, record[2], 1)
         return image
 
     def e(self, l):
@@ -207,7 +211,7 @@ class KRPattern:
             return None
         image = record[5]
         if image is None:
-            image = record[5] = _e(self, l)
+            image = record[5] = _move(self, l, record[3], -1)
         return image
 
     # -- plumbing ----------------------------------------------------------
@@ -436,18 +440,16 @@ def _move_rows(params, rows, l, i, step):
 
 
 def _move(A, l, i, step):
-    """The pattern of ``_move_rows`` on A."""
-    return KRPattern(A.params, _move_rows(A.params, A.rows, l, i, step))
+    """The operator image of ``_move_rows`` on A: the one object of its grid."""
+    return _canonical(KRPattern(A.params, _move_rows(A.params, A.rows, l, i, step)))
 
 
-# The two operator memos make equal patterns built apart share their images
-# (and the records those carry).  ``KRPattern.f``/``.e`` ask them only to
-# fill an empty image slot of a record whose phi/eps is not zero.
+# The canonical-image table: every operator image is the first object built
+# for its grid, so words that reach one grid (as e_i e_j b = e_j e_i b)
+# share one object and the records it carries, and a transport that joins
+# a grid another one visited reads the rest of its steps from records.  It
+# holds one entry per distinct image and only images: patterns that callers
+# build, read or enumerate never enter it.
 @lru_cache(maxsize=None)
-def _f(A, l):
-    return _move(A, l, A._stats(l)[2], 1)
-
-
-@lru_cache(maxsize=None)
-def _e(A, l):
-    return _move(A, l, A._stats(l)[3], -1)
+def _canonical(A):
+    return A

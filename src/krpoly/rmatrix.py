@@ -7,26 +7,33 @@ rt = max(r1,r2) and k = min(r-1, n-rt); the entries along that diagonal
 weakly decrease and are bounded by min(s1,s2).  Both the elements and
 their images are read and built through the cells: the R-matrix keeps
 those entries and only swaps the carrying shapes, reading the first factor
-cell by cell on the swapped grid.  Arbitrary elements are handled by
-transport to the highest weight representative and back.  Transport splits
-each whole string between the two factors by the tensor rule, reading
-their string statistics once per color, in one kernel (``_raise_strings``)
-that the closed-form energy schedule shares; ``rmatrix_from_hw`` mirrors
-it for lowering.  The kernel reads each factor's per-color record
-(``KRPattern._strings``: phi, eps, first, last, f image, e image) in place,
-so a single step whose image is already on the record costs an index; the
-``KRPattern`` operators fill a record or an empty image slot.  The image of
-a highest weight element is memoized in a bounded memo of 1024 entries
-(``rmatrix_on_hw``): transports land on few distinct highest weight
-elements, and a repeated one then costs a lookup.
+cell by cell on the swapped grid.  On B (x) B, which is connected, R is
+the unique affine automorphism, the identity, and ``rmatrix`` returns its
+argument.  Other elements are handled by transport to the highest weight
+representative and back.  Transport splits each whole string between the
+two factors by the tensor rule, reading their string statistics once per
+color, in one kernel (``_raise_strings``) that the closed-form energy
+schedule shares; ``rmatrix_from_hw`` mirrors it for lowering.  The kernel
+reads each factor's per-color record (``KRPattern._strings``: phi, eps,
+first, last, f image, e image) in place, so a single step whose image is
+already on the record costs an index; the ``KRPattern`` operators fill a
+record or an empty image slot.  Every image is the one object of its grid
+among operator images (``patterns._canonical``), so a transport that
+reaches a grid by another word, or one that another transport visited,
+reads its further steps from the records already on it.  Reading records
+in place skips the color gate of ``KRPattern._stats``, so
+``rmatrix_from_hw`` checks its word itself.  The image of a highest weight
+element is memoized in a bounded memo of 1024 entries (``rmatrix_on_hw``):
+transports land on few distinct highest weight elements, and a repeated
+one then costs a lookup.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, wraps
 
-from .errors import InvalidParams, NotHighestWeight, OracleFailure
+from .errors import IndexOutOfRange, InvalidParams, NotHighestWeight, OracleFailure
 from .patterns import KRPattern, pattern_from_cells, zero_pattern
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw, two_factors
@@ -58,11 +65,33 @@ def highest_weight_elements(params1, params2):
     return out
 
 
+def _two_fold_first(memo):
+    """``memo`` behind the two-fold check.
+
+    An argument that is not a two-fold TensorElement, such as a list the
+    memo could not even hash, raises InvalidParams before the memo sees
+    it.  ``cache_info``, ``cache_clear`` and the unmemoized ``__wrapped__``
+    are the memo's.
+    """
+
+    @wraps(memo)
+    def checked(x):
+        two_factors(x, "the R-matrix acts on two-fold products")
+        return memo(x)
+
+    checked.__wrapped__ = memo.__wrapped__
+    checked.cache_info = memo.cache_info
+    checked.cache_clear = memo.cache_clear
+    return checked
+
+
 # Transports land on few distinct highest weight elements: global_energy on
-# the 216 seeded 8-fold paths at n=5 (bench seed 1) calls this 3,741 times
-# on 241 of them, rmatrix on 2,000 seeded pairs at n=8 2,000 times on 99.
+# the 216 seeded 8-fold paths at n=5 (bench seed 1) calls this 3,326 times
+# on 200 of them, rmatrix on 2,000 seeded pairs at n=8 1,500 times on 62
+# (the other 500 pairs have one shape, where R is the identity).
 # 1024 entries hold every distinct one seen there; the bound keeps a long
 # run over large crystals from growing the memo without end.
+@_two_fold_first
 @lru_cache(maxsize=1024)
 def rmatrix_on_hw(x):
     """Image of a classical highest weight element under the R-matrix.
@@ -71,9 +100,10 @@ def rmatrix_on_hw(x):
     check below, and a call that raises is not cached, so a hit returns
     the image of an equal element that passed them all; equal arguments
     get back the same image object.  ``rmatrix_on_hw.cache_info()`` shows
-    the hits, misses and current size.
+    the hits, misses and current size.  What is not a two-fold element
+    raises InvalidParams before the memo (``_two_fold_first``).
     """
-    first, second = two_factors(x, "the R-matrix acts on two-fold products")
+    first, second = x.factors
     if not is_classical_hw(x):
         raise NotHighestWeight("element is not killed by all classical raising operators")
     if second.total() != 0:
@@ -156,10 +186,18 @@ def rmatrix_from_hw(hw, word):
     Maps hw by ``rmatrix_on_hw`` and lowers the image a (x) b back along
     the reversed transport word.  A run of k steps of one color splits by
     the tensor rule: b takes min(k, max(0, phi_l(b) - eps_l(a))) and a the
-    rest.
+    rest.  The steps read the factors' records in place, past the color
+    gate of ``KRPattern._stats``, so the word is checked here: one that is
+    not a tuple or list raises InvalidParams, and a color that is not an
+    ``int`` in 1..n (True included) IndexOutOfRange, checked once per run.
     """
+    if not isinstance(word, (tuple, list)):
+        raise InvalidParams(f"a transport word is a tuple or list of colors, got {word!r}")
     a, b = rmatrix_on_hw(hw).factors
+    n = a.n
     for l, run in itertools.groupby(reversed(word)):
+        if type(l) is not int or not 1 <= l <= n:
+            raise IndexOutOfRange(f"transport word color {l!r} outside 1..{n}")
         k = len(list(run))
         strings = b._strings
         phi_b = ((strings and strings[l]) or b._stats(l))[0]
@@ -174,8 +212,14 @@ def rmatrix_from_hw(hw, word):
 
 
 def rmatrix(x):
-    """R-matrix on an arbitrary element of a two-fold product."""
-    two_factors(x, "the R-matrix acts on two-fold products")
+    """R-matrix on an arbitrary element of a two-fold product.
+
+    The identity when both factors have one shape: B (x) B is connected, so
+    its only affine automorphism is the identity.
+    """
+    a, b = two_factors(x, "the R-matrix acts on two-fold products")
+    if a.params == b.params:
+        return x
     return rmatrix_from_hw(*to_highest_weight(x))
 
 

@@ -224,7 +224,7 @@ def test_a_repeated_color_is_rejected(make):
 
 def test_rows_route_fills_no_operator_memo():
     # hits and misses too: earlier tests may have filled the memos already
-    memos = (patterns._f, patterns._e, patterns._string)
+    memos = (patterns._canonical, patterns._string)
     before = [memo.cache_info() for memo in memos]
     graph = build_graph(enumerate_crystal(KRParams(4, 2, 2)), range(5))
     assert len(graph.edges) > 0

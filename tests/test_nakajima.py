@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
 
 from krpoly import (
+    IndexOutOfRange,
     InvalidParams,
     KRError,
     KRParams,
@@ -36,6 +38,41 @@ def test_empty_monomial():
     assert A2.wt(one) == (0, 0)
     assert A2.phi(one, 1) == A2.eps(one, 1) == 0
     assert A2.f(one, 1) is None and A2.e(one, 2) is None
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        None,
+        5,
+        {},
+        [((1, 0), 1)],
+        (((1, 0), 1, 2),),
+        (((3, 0), 1),),
+        (((0, 0), 1),),
+        (((True, 0), 1),),
+        (((1, 0.0), 1),),
+        (((1, 0), True),),
+        (((1, 0), 0),),
+        (((2, 0), 1), ((1, 0), 1)),
+        (((1, 0), 1), ((1, 0), 2)),
+    ],
+)
+def test_a_malformed_monomial_is_refused(exps):
+    with pytest.raises(InvalidParams, match="^exps must be"):
+        Monomial(exps)
+
+
+@pytest.mark.parametrize("color", [0, 3, 5, -1, True, 1.0, "1", None])
+def test_a_color_outside_the_rank_two_crystal_is_refused(color):
+    # f(m, 5) returned None, as if the string were empty
+    m = Y(((1, 0), 1), ((1, 1), -1), ((2, 0), 1))
+    reads = [functools.partial(read, m) for read in (A2.phi, A2.eps, A2.nf, A2.ne, A2.f, A2.e)]
+    reads.append(lambda l: A2.multiplier(l, 0))
+    for read in reads:
+        assert read(1) is not None
+        with pytest.raises(IndexOutOfRange, match=rf"^color {color!r} outside 1\.\.2$"):
+            read(color)
 
 
 def test_single_variable():

@@ -10,6 +10,7 @@ from krpoly import (
     InvalidParams,
     KRError,
     KRParams,
+    KRPattern,
     NegativeEntry,
     PathSumExceeded,
     SizeLimitExceeded,
@@ -331,8 +332,7 @@ def test_colors_outside_the_range_raise_before_and_after_the_slot_fills():
 @pytest.mark.parametrize("color", [True, False, 1.0, "1", None])
 def test_a_color_that_is_not_an_int_is_refused(color):
     # one gate in the record read: True is not read as color 1, also once
-    # color 1 sits in the records and in the _f/_e memos, which key True and
-    # 1 alike
+    # color 1 sits in the records, which True would index as 1
     b = validate_pattern([[0, 1], [1, 0]], KRParams(3, 2, 2))
     x = TensorElement((b, zero_pattern(KRParams(3, 1, 1))))
     reads = {
@@ -359,8 +359,9 @@ def test_a_color_that_is_not_an_int_is_refused(color):
 
 def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
     # with the memos cleared, every image slot a read fills is the move at
-    # the record's first or last argmax; a second read asks no memo
-    for memo in (patterns._string, patterns._f, patterns._e):
+    # the record's first or last argmax, the one object of its grid; a
+    # second read asks no memo and makes no move
+    for memo in (patterns._string, patterns._canonical):
         memo.cache_clear()
     walk = patterns._string.__wrapped__
     rng = random.Random(33)
@@ -373,11 +374,11 @@ def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
             lower, upper = b.f(l), b.e(l)
             record = b._strings[l]
             assert record == [phi, eps, first, last, lower, upper]
-            assert lower == (patterns._move(b, l, first, 1) if phi else None)
-            assert upper == (patterns._move(b, l, last, -1) if eps else None)
+            assert lower is (patterns._move(b, l, first, 1) if phi else None)
+            assert upper is (patterns._move(b, l, last, -1) if eps else None)
     calls = []
-    for name in ("_string", "_f", "_e"):
-        monkeypatch.setattr(patterns, name, lambda A, l, name=name: calls.append(name))
+    for name in ("_string", "_move", "_canonical"):
+        monkeypatch.setattr(patterns, name, lambda *args, name=name: calls.append(name))
     for b in elements:
         for l in range(b.n + 1):
             record = list(b._strings[l])
@@ -385,6 +386,31 @@ def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
             assert (b.f(l), b.e(l)) == (record[4], record[5])
             assert b.f(l) is record[4] and b.e(l) is record[5]
     assert not calls
+
+
+def test_words_that_reach_one_grid_return_one_object():
+    # e_i e_j b = e_j e_i b for classical colors |i - j| >= 2, and the
+    # canonical-image table makes the two words one object with one set of
+    # records, also for f; the patterns a caller built never enter it
+    rng = random.Random(36)
+    shapes = [p for n in (5, 6, 7) for p in all_params(n, 3)]
+    inputs = [random_pattern(rng, rng.choice(shapes)) for _ in range(200)]
+    met = 0
+    for b in inputs:
+        for i, j in itertools.combinations(range(1, b.n + 1), 2):
+            if j - i < 2:
+                continue
+            for op in (type(b).e, type(b).f):
+                first = op(b, i)
+                if first is None or op(first, j) is None:
+                    continue
+                ij, ji = op(first, j), op(op(b, j), i)
+                assert ij is ji and ij._strings is ji._strings
+                assert patterns._canonical(KRPattern(ij.params, ij.rows)) is ij
+                met += 1
+    assert met > 200
+    for b in inputs:
+        assert patterns._canonical(KRPattern(b.params, b.rows)) is not b
 
 
 def test_a_second_read_of_one_object_skips_the_memo():

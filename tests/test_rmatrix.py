@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from krpoly import (
+    IndexOutOfRange,
     InvalidParams,
     KRError,
     KRParams,
@@ -263,26 +264,33 @@ def test_whole_string_raising_matches_single_steps():
         assert rmatrix_from_hw(hw, word) == y
 
 
-# image slot of each operator memo in a ``KRPattern._strings`` record
-IMAGE_SLOT = {"_f": 4, "_e": 5}
+# the operator a ``patterns._move`` step of +1 or -1 makes, and its image
+# slot in a ``KRPattern._strings`` record
+OPERATOR = {1: "f", -1: "e"}
+IMAGE_SLOT = {"f": 4, "e": 5}
 
 
 def test_each_single_step_is_applied_once(monkeypatch):
     # transport must not re-walk a string or re-apply a step.  On fresh
-    # factors each memo call fills one empty image slot and each string is
+    # factors each move fills one empty image slot and each string is
     # walked once per object; over the records that leaves behind, the same
     # transport makes every single step one record read, with one more
-    # read per factor and color visited, and calls no memo and no _stats
+    # read per factor and color visited, and makes no move and no _stats
     calls = []
-    for name in ("_e", "_f", "_string"):
+    walk, move = patterns._string, patterns._move
 
-        def counting(A, l, op=getattr(patterns, name), name=name):
-            if name in IMAGE_SLOT:
-                assert A._strings[l][IMAGE_SLOT[name]] is None, (name, A, l)
-            calls.append((name, A, l))
-            return op(A, l)
+    def walking(A, l):
+        calls.append(("_string", A, l))
+        return walk(A, l)
 
-        monkeypatch.setattr(patterns, name, counting)
+    def moving(A, l, i, step):
+        name = OPERATOR[step]
+        assert A._strings[l][IMAGE_SLOT[name]] is None, (name, A, l)
+        calls.append((name, A, l))
+        return move(A, l, i, step)
+
+    monkeypatch.setattr(patterns, "_string", walking)
+    monkeypatch.setattr(patterns, "_move", moving)
     rm = importlib.import_module("krpoly.rmatrix")
     energy = importlib.import_module("krpoly.energy")
     visits = Counter()
@@ -296,7 +304,7 @@ def test_each_single_step_is_applied_once(monkeypatch):
     monkeypatch.setattr(energy, "_raise_strings", visiting)
 
     def cold(run, op):
-        # the output and the number of memo calls
+        # the output and the number of moves
         calls.clear()
         out = run()
         ops = [(name, A, l) for name, A, l in calls if name != "_string"]
@@ -329,11 +337,11 @@ def test_each_single_step_is_applied_once(monkeypatch):
 
     filled = 0
     for x in seeded_pairs(19, 150):
-        (hw, word), made = cold(lambda: to_highest_weight(x), "_e")
+        (hw, word), made = cold(lambda: to_highest_weight(x), "e")
         assert made <= len(word)
         filled += made
         warm(lambda: to_highest_weight(x), (hw, word), lambda c: len(word) + 2 * c)
-        y, made = cold(lambda: rmatrix_from_hw(hw, word), "_f")
+        y, made = cold(lambda: rmatrix_from_hw(hw, word), "f")
         assert made <= len(word)
         filled += made
         runs = len(list(itertools.groupby(word)))
@@ -341,13 +349,61 @@ def test_each_single_step_is_applied_once(monkeypatch):
     # the closed-form energy schedule raises through the same kernel
     scheduled = 0
     for x in seeded_pairs(19, 150):
-        h, made = cold(lambda: _schedule_correction(x), "_e")
+        h, made = cold(lambda: _schedule_correction(x), "e")
         steps = schedule_walk_steps(x)
         assert made <= steps
         warm(lambda: _schedule_correction(x), h, lambda c: steps + 2 * c)
         scheduled += steps > 0
         filled += made
     assert scheduled and filled
+
+
+def test_rmatrix_is_the_identity_on_one_shape():
+    # B (x) B is connected, so R, its unique affine automorphism, is the
+    # identity; rmatrix returns x itself, and the transport kernel agrees
+    desk = [x for n in range(1, 5) for p in all_params(n, 2) for x in product_elements(p, p)]
+    rng = random.Random(37)
+    shapes = [p for n in (6, 7, 8) for p in all_params(n, 3)]
+    sampled = [random_element(rng, [rng.choice(shapes)], 2) for _ in range(300)]
+    for x in desk + sampled:
+        assert rmatrix(x) is x
+        assert x == rmatrix_from_hw(*to_highest_weight(x))
+
+
+# an element of B^{1,1} (x) B^{2,1} at n=3 that to_highest_weight raises
+# by a single e_3
+WORD_X = pair(pat(3, 1, 1, [[0], [0], [1]]), pat(3, 2, 1, [[0, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize(
+    "word, error",
+    [
+        ({}, InvalidParams),
+        ("", InvalidParams),
+        ("3", InvalidParams),
+        (None, InvalidParams),
+        (3, InvalidParams),
+        (iter((3,)), InvalidParams),
+        ((-1,), IndexOutOfRange),
+        ((0,), IndexOutOfRange),
+        ((4,), IndexOutOfRange),
+        ((True,), IndexOutOfRange),
+        ((3.0,), IndexOutOfRange),
+        (("3",), IndexOutOfRange),
+        ((None,), IndexOutOfRange),
+        ((3, -1), IndexOutOfRange),
+        ([-1, 3], IndexOutOfRange),
+    ],
+)
+def test_a_transport_word_is_checked_before_it_is_read(word, error):
+    # the kernel reads the records in place, past the color gate of
+    # KRPattern._stats: once the good word has put color 3 in them, -1
+    # would read it
+    hw, good = to_highest_weight(WORD_X)
+    assert good == (3,)
+    assert rmatrix_from_hw(hw, good) == rmatrix_from_hw(hw, list(good))
+    with pytest.raises(error):
+        rmatrix_from_hw(hw, word)
 
 
 def test_yang_baxter_on_triples():
@@ -363,22 +419,23 @@ def test_yang_baxter_on_triples():
 
 def test_failed_transport_replay_raises_typed_error(monkeypatch):
     module = importlib.import_module("krpoly.rmatrix")
-    # the trivial component's highest weight element: f_1 kills it
+    # the trivial component's highest weight element: f_1 kills it.  The
+    # kernel is called directly: rmatrix is the identity on B (x) B
     trivial = pair(cell(1, 1, 1), cell(1, 1, 0))
     monkeypatch.setattr(module, "rmatrix_on_hw", lambda hw: trivial)
     with pytest.raises(OracleFailure, match="transport word"):
-        rmatrix(pair(cell(1, 1, 1), cell(1, 1, 1)))
+        rmatrix_from_hw(*to_highest_weight(pair(cell(1, 1, 1), cell(1, 1, 1))))
 
 
 def test_raising_past_a_string_raises_typed_error(monkeypatch):
     # a raise that meets crystal zero is an OracleFailure, not an
     # AttributeError.  The factors are built here, so their records hold no
-    # image yet and the first step asks the patched memo.
+    # image yet and the first step asks the patched move.
     asked = []
-    monkeypatch.setattr(patterns, "_e", lambda A, l: asked.append(l))
+    monkeypatch.setattr(patterns, "_move", lambda A, l, i, step: asked.append((l, step)))
     with pytest.raises(OracleFailure, match="transport word failed at e_1"):
         to_highest_weight(pair(cell(1, 1, 1), cell(1, 3, 3)))
-    assert asked == [1]
+    assert asked == [(1, -1)]
 
 
 def full_graph(params):
@@ -420,10 +477,13 @@ def test_arity_and_rank_guards_raise_invalid_params(call, message):
     "entry", [rmatrix, to_highest_weight, rmatrix_on_hw, local_energy, local_energy_hw, global_energy]
 )
 @pytest.mark.parametrize(
-    "arg", [cell(1, 1, 0), (cell(1, 1, 0), cell(1, 1, 0)), None], ids=["pattern", "tuple", "none"]
+    "arg",
+    [cell(1, 1, 0), (cell(1, 1, 0), cell(1, 1, 0)), None, [1, 2]],
+    ids=["pattern", "tuple", "none", "list"],
 )
 def test_entry_points_refuse_what_is_not_a_tensor_element(entry, arg):
-    # a bare pattern, a tuple of patterns or None has no factors to read
+    # a bare pattern, a tuple of patterns, None or a list has no factors to
+    # read; the list reaches no memo, which could not hash it
     with pytest.raises(InvalidParams):
         entry(arg)
 

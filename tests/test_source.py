@@ -44,10 +44,10 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_module_level_caches_are_the_operator_memos():
-    # the string walker, the two operators and the R-matrix on highest weight
-    # elements are the only memos that live as long as the process; any other
-    # cache belongs to an object a caller owns.  Only the two operators, whose
-    # entries every crystal walk shares, may grow without a bound.
+    # the string walker, the canonical-image table and the R-matrix on
+    # highest weight elements are the only memos that live as long as the
+    # process; any other cache belongs to an object a caller owns.  Only the
+    # table, one entry per distinct operator image, may grow without a bound.
     def cache_name(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if isinstance(target, ast.Attribute):
@@ -64,13 +64,12 @@ def test_module_level_caches_are_the_operator_memos():
             and any(cache_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
         ]
     assert sorted(found) == [
-        "patterns._e",
-        "patterns._f",
+        "patterns._canonical",
         "patterns._string",
         "rmatrix.rmatrix_on_hw",
     ]
     for name in found:
-        if name in ("patterns._e", "patterns._f"):
+        if name == "patterns._canonical":
             continue
         module, func = name.split(".")
         maxsize = getattr(importlib.import_module(f"krpoly.{module}"), func).cache_info().maxsize
