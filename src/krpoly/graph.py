@@ -1,4 +1,4 @@
-"""Colored crystal digraphs: construction, components, DOT/JSON export.
+"""Colored crystal digraphs: construction, components, DOT export.
 
 A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
 of f_l of each vertex (None for crystal zero), its inverse ``e[l]`` and
@@ -8,6 +8,9 @@ these id lists.  One reader fills them: each distinct KRPattern factor of
 the vertices is read on its rows once per color, ``tensor.tensor_rule``
 picks the factor f_l acts on, and the image is looked up by its factor
 ids, so no pattern is built and no memo or canonical image is filled.
+A color l other than 0 and r reads only two lines of a grid (rows l-1
+and l, or columns l and l+1), so its string is walked once per distinct
+pair of lines among the factors of one shape, not once per factor.
 ``build_graph`` sorts the vertices in lexicographic order of their
 flattened entries and the edges are the sorted (source id, color, target
 id) triples, so exports are byte-for-byte deterministic.
@@ -15,7 +18,9 @@ id) triples, so exports are byte-for-byte deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache, cached_property
+from operator import itemgetter
 
 from .errors import IndexOutOfRange, InvalidParams, KRError, SizeLimitExceeded
 from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
@@ -30,14 +35,19 @@ class CrystalGraph:
     as those id lists by color, or as None: ``_read_rows`` then reads f_l
     on the rows of the factors of KRPattern or TensorElement vertices.  A
     vertex given twice or with two incoming l-edges raises KRError, a color
-    given twice or an id list not one id or None per vertex InvalidParams.
+    that is not an ``int`` IndexOutOfRange (also True, which would read
+    color 1), vertices or colors that are not iterable, a color given twice
+    or an id list not one id or None per vertex InvalidParams.
     ``eps[l][i]``/``phi[l][i]`` are the numbers of l-steps from vertex i
     to the head and to the end of its l-string, None on an l-cycle.
     """
 
     def __init__(self, vertices, colors, f=None):
-        self.vertices = tuple(vertices)
-        self.colors = tuple(colors)
+        self.vertices = _items(vertices, "vertices")
+        self.colors = _items(colors, "colors")
+        for l in self.colors:
+            if type(l) is not int:
+                raise IndexOutOfRange(f"color {l!r} is not an int")
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise KRError(f"{len(self.vertices)} vertices hold {len(self.index)} distinct elements")
@@ -87,12 +97,6 @@ class CrystalGraph:
     def is_connected(self, colors=None):
         return len(self.component_indices(colors)) <= 1
 
-    def to_json_dict(self):
-        return {
-            "vertices": [v.to_dict() for v in self.vertices],
-            "edges": [list(edge) for edge in self.edges],
-        }
-
     def to_dot(self):
         """DOT text; each distinct KRPattern factor is labelled once."""
         label = cache(vertex_label)
@@ -104,6 +108,13 @@ class CrystalGraph:
             lines.append(f'  n{a} -> n{b} [label="{l}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _items(values, name):
+    """``values`` as a tuple; InvalidParams if it is not iterable."""
+    if not isinstance(values, Iterable):
+        raise InvalidParams(f"{name} must be iterable, got {values!r}")
+    return tuple(values)
 
 
 def _inverse(targets, size, color):
@@ -159,15 +170,19 @@ def vertex_label(v):
 def _read_rows(vertices, colors):
     """Per color, the id of f_l of every vertex, read on its factors' rows.
 
-    Each distinct factor is numbered per shape by rows and read once per
-    color by the unmemoized walker ``_string.__wrapped__``; ``_move_rows``,
-    the move of ``KRPattern.f``, gives its image rows.  A KRPattern keys
-    ``index`` by its factor id, a TensorElement by the tuple of its factor
-    ids.  No pattern is built and no ``_strings`` slot is filled.  Color by
-    color, a color outside 0..n raises IndexOutOfRange and a set not
-    closed under the color InvalidParams.
+    Each distinct factor is numbered per shape by rows.  Colors 0 and r act
+    on one cell each, so every factor is read on its own by the unmemoized
+    walker ``_string.__wrapped__``.  Any other color reads two lines of a
+    grid, rows l-1 and l for l > r and columns l and l+1 for l < r, and
+    many factors share them, so the walker runs once per distinct line
+    pair of a shape, in a memo that lives for that color and shape only.
+    ``_move_rows``, the move of ``KRPattern.f``, gives the image rows; for
+    l > r the moved pair of rows is kept in the memo and spliced in.  A
+    KRPattern keys ``index`` by its factor id, a TensorElement by the tuple
+    of its factor ids.  No pattern is built and no ``_strings`` slot is
+    filled.  Color by color, a color outside 0..n raises IndexOutOfRange
+    and a set not closed under the color InvalidParams.
     """
-    walk = _string.__wrapped__
     shapes, factors, keys = {}, [], []
     for v in vertices:
         key = []
@@ -183,14 +198,11 @@ def _read_rows(vertices, colors):
     index = {key: i for i, key in enumerate(keys)}
     lists = {}
     for l in colors:
-        for pr in shapes:  # in the order of each shape's first factor
+        stats, images = [None] * len(factors), [None] * len(factors)
+        for pr, ids in shapes.items():  # in the order of each shape's first factor
             if not 0 <= l <= pr.n:
                 raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
-        stats = [walk(b, l) for b in factors]
-        images = [
-            shapes[b.params].get(_move_rows(b.params, b.rows, l, s[2], 1), -1) if s[0] else None
-            for b, s in zip(factors, stats)
-        ]
+            _read_color(pr, ids, l, factors, stats, images)
         targets = lists[l] = [None] * len(vertices)
         for i, key in enumerate(keys):
             if type(key) is int:
@@ -205,6 +217,45 @@ def _read_rows(vertices, colors):
     return lists
 
 
+def _read_color(pr, ids, l, factors, stats, images):
+    """Fill ``stats``/``images`` at the ids of one shape's factors for color l.
+
+    ``ids`` maps the rows of each factor of shape ``pr`` to its id; an
+    image is the id of its rows there, -1 if it is not a factor.
+    """
+    walk = _string.__wrapped__
+    r = pr.r
+    if l == 0 or l == r:
+        for rows, k in ids.items():
+            s = stats[k] = walk(factors[k], l)
+            if s[0]:
+                images[k] = ids.get(_move_rows(pr, rows, l, 0, 1), -1)
+        return
+    lines = {}
+    if l > r:
+        q = l - 1 - r
+        for rows, k in ids.items():
+            line = rows[q : q + 2]
+            read = lines.get(line)
+            if read is None:
+                s = walk(factors[k], l)
+                read = lines[line] = s, _move_rows(pr, rows, l, s[2], 1)[q : q + 2] if s[0] else None
+            s, moved = read
+            stats[k] = s
+            if s[0]:
+                images[k] = ids.get(rows[:q] + moved + rows[q + 2 :], -1)
+        return
+    pick = itemgetter(l - 1, l)
+    for rows, k in ids.items():
+        line = tuple(map(pick, rows))
+        s = lines.get(line)
+        if s is None:
+            s = lines[line] = walk(factors[k], l)
+        stats[k] = s
+        if s[0]:
+            images[k] = ids.get(_move_rows(pr, rows, l, s[2], 1), -1)
+
+
 def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     """Full colored digraph over the given elements, repeats removed.
 
@@ -213,8 +264,12 @@ def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     factors (see ``CrystalGraph``).  The element set must be closed
     under every requested color.
     """
+    elements = _items(elements, "elements")
     if len(elements) > max_size:
         raise SizeLimitExceeded(f"{len(elements)} vertices exceed cap {max_size}")
+    for x in elements:
+        if not isinstance(x, (KRPattern, TensorElement)):
+            raise InvalidParams(f"{x!r} is not a KRPattern or TensorElement")
     factor_key = cache(KRPattern.sort_key)
 
     def key(x):

@@ -133,9 +133,6 @@ class MonomialCrystal:
         _, eps, _, ne = self._string(m, l)
         return None if eps == 0 else m.times(self.multiplier(l, ne), 1)
 
-    def is_dominant(self, m):
-        return self.eps(m, 1) == self.eps(m, 2) == 0
-
 
 def _check_color(l):
     if type(l) is not int or l not in (1, 2):

@@ -105,7 +105,9 @@ class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
 
     Patterns key the string memo and the canonical-image table, so the
-    hash of (params, rows) is computed once and kept in ``_hash``.
+    hash of (params, rows) is computed once and kept in ``_hash``; rows
+    that cannot be hashed (lists, as ``validate_pattern`` would not
+    return) raise InvalidParams there.
     ``_strings`` holds one record per color after its first read, ``[phi,
     eps, first, last, f image, e image]``: the string statistics, then the
     images of f_l and e_l, each filled on its first read with the
@@ -123,7 +125,10 @@ class KRPattern:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.params, self.rows))
+            try:
+                h = hash((self.params, self.rows))
+            except TypeError:
+                raise InvalidParams(f"rows {self.rows!r} are not a tuple of tuples") from None
             object.__setattr__(self, "_hash", h)
         return h
 

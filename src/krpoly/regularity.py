@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParams, KRError
+from .graph import CrystalGraph
 
 
 @dataclass
@@ -52,10 +53,13 @@ def rank2_off_diagonal(j, k, n):
 def is_regular_rank2(graph, pair):
     """Check every {j,k}-component against the rank-2 string axioms.
 
-    The pair must name two distinct colors of the graph, and the graph's
-    vertices must carry the rank n (a KRError otherwise).  Violations name
-    their component by its least vertex and come in component order.
+    ``graph`` must be a CrystalGraph (InvalidParams otherwise), the pair
+    must name two distinct colors of it, and its vertices must carry the
+    rank n (a KRError otherwise).  Violations name their component by its
+    least vertex and come in component order.
     """
+    if not isinstance(graph, CrystalGraph):
+        raise InvalidParams(f"{graph!r} is not a CrystalGraph")
     j, k = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
     if j == k or j not in graph.colors or k not in graph.colors:
         raise KRError(f"color pair {pair} is not two distinct colors of {graph.colors}")

@@ -87,14 +87,6 @@ def _signature_images(x, l, word):
     return fx, ex
 
 
-def signature_f(x, l):
-    return _signature_images(x, l, signature_word(x, l))[0]
-
-
-def signature_e(x, l):
-    return _signature_images(x, l, signature_word(x, l))[1]
-
-
 def string_eps(x, l):
     count = 0
     while True:

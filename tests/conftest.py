@@ -139,6 +139,14 @@ def f_lists(vertices, colors, f=lambda x, l: x.f(l)):
     return lists
 
 
+def graph_json(graph):
+    """The ``krpoly graph --format json`` payload of a CrystalGraph, as plain lists."""
+    return {
+        "vertices": [v.to_dict() for v in graph.vertices],
+        "edges": [list(edge) for edge in graph.edges],
+    }
+
+
 UNDECIDED = "not certified connected by its highest weight elements"
 
 

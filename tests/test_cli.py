@@ -25,7 +25,7 @@ from krpoly import (
 from krpoly.cli import main
 from krpoly.rmatrix import rmatrix
 
-from conftest import all_params, random_element, random_pattern
+from conftest import all_params, graph_json, random_element, random_pattern
 
 
 def run(capsys, argv):
@@ -414,7 +414,7 @@ def test_writer_streams_one_chunk_per_item():
     payload = {"vertices": graph.vertices, "edges": graph.edges}
     chunks = list(cli._json_chunks(payload))
     assert len(chunks) == 2 * 2 + len(graph.vertices) + len(graph.edges) + 2
-    assert "".join(chunks) == json.dumps(graph.to_json_dict(), indent=2) + "\n"
+    assert "".join(chunks) == json.dumps(graph_json(graph), indent=2) + "\n"
 
 
 def cli_cases(tmp_path):
@@ -459,15 +459,15 @@ def cli_cases(tmp_path):
         ),
         (
             ["graph", "--factor", "3,2,2", "--format", "json"],
-            build_graph(enumerate_crystal(small), range(4)).to_json_dict(),
+            graph_json(build_graph(enumerate_crystal(small), range(4))),
         ),
         (
             ["graph", *(f"--factor={p.n},{p.r},{p.s}" for p in factors), "--format", "json"],
-            build_graph(product_elements(factors), range(4)).to_json_dict(),
+            graph_json(build_graph(product_elements(factors), range(4))),
         ),
         (
             ["graph", "--factor", "3,1,1", "--factor", "3,2,2", "--format", "json"],
-            build_graph(product_elements([KRParams(3, 1, 1), small]), range(4)).to_json_dict(),
+            graph_json(build_graph(product_elements([KRParams(3, 1, 1), small]), range(4))),
         ),
         (["rmatrix", *files], rmatrix(pair).to_dict()),
         (

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from krpoly.graph import CrystalGraph, build_graph, vertex_label
 from krpoly.regularity import rank2_off_diagonal
 from krpoly.tensor import product_elements as product_of
 
-from conftest import all_params, closure, f_lists, product_elements
+from conftest import all_params, closure, f_lists, graph_json, product_elements
 
 # the factors of the cli workload's `graph` commands
 CLI_PRODUCT = (KRParams(4, 2, 2), KRParams(4, 1, 2), KRParams(4, 3, 1))
@@ -81,7 +82,7 @@ def test_dot_output_is_well_formed_and_deterministic():
 
 def test_json_export_shape():
     graph = three_cycle()
-    data = json.loads(json.dumps(graph.to_json_dict()))
+    data = json.loads(json.dumps(graph_json(graph)))
     assert len(data["vertices"]) == 3
     assert sorted(map(tuple, data["edges"])) == sorted(map(tuple, graph.edges))
     assert all(set(v) == {"n", "r", "s", "rows"} for v in data["vertices"])
@@ -118,6 +119,8 @@ def test_rows_route_matches_the_pattern_operators():
         for pair_ in itertools.product(all_params(n, 2), repeat=2):
             vertex_sets.append((product_of(pair_), n))
     vertex_sets.append((product_of((KRParams(2, 2, 1),) * 3), 2))
+    # the graph of the exhaustive benchmark, whose factors share line pairs
+    vertex_sets.append((enumerate_crystal(KRParams(6, 3, 3)), 6))
     for vertices, n in vertex_sets:
         graph = build_graph(vertices, range(n + 1))
         reference = per_element(graph.vertices, graph.colors)
@@ -148,15 +151,77 @@ def test_rows_route_on_mixed_shapes_is_the_disjoint_union():
     assert len(graph.edges) == sum(len(CrystalGraph(part, range(3)).edges) for part in parts)
 
 
-@pytest.mark.parametrize("color", [-1, 3])
+@pytest.mark.parametrize("color", [-1, 3, True, 1.0, "1"])
 def test_rows_route_rejects_colors_outside_the_range(color):
+    # a color that is not a plain int is refused on both routes, also True,
+    # which would read color 1 and carry True into the edges
+    outside = rf"^color {re.escape(repr(color))} outside 0\.\.2$"
+    refused = {CrystalGraph: outside, per_element: outside}
+    if type(color) is not int:
+        refused[CrystalGraph] = rf"^color {re.escape(repr(color))} is not an int$"
     for vertices in (
         enumerate_crystal(KRParams(2, 1, 2)),
         product_elements(KRParams(2, 1, 2), KRParams(2, 2, 1)),
     ):
-        for make in (CrystalGraph, per_element):
-            with pytest.raises(IndexOutOfRange, match=rf"^color {color} outside 0\.\.2$"):
+        for make, message in refused.items():
+            with pytest.raises(IndexOutOfRange, match=message):
                 make(vertices, (0, color))
+    if type(color) is not int:
+        # the id-list route and a graph without vertices refuse it too
+        c = enumerate_crystal(KRParams(2, 1, 1))
+        for vertices, f in ((c, {color: [None] * 3}), ((), None)):
+            with pytest.raises(IndexOutOfRange, match=refused[CrystalGraph]):
+                CrystalGraph(vertices, [color], f)
+
+
+def test_the_reader_walks_each_line_pair_once(monkeypatch):
+    # f_l of a color l other than 0 and r reads rows l-1 and l (l > r) or
+    # columns l and l+1 (l < r), so the walker runs once per distinct pair
+    # of those lines; colors 0 and r read one cell each, once per factor
+    params = KRParams(6, 3, 3)
+    crystal = enumerate_crystal(params)
+    walker = patterns._string.__wrapped__
+    walks = Counter()
+
+    def counting(b, l):
+        walks[l] += 1
+        return walker(b, l)
+
+    # the id lists of this graph are checked in
+    # test_rows_route_matches_the_pattern_operators
+    monkeypatch.setattr(graph_module, "_string", SimpleNamespace(__wrapped__=counting))
+    build_graph(crystal, range(params.n + 1))
+    monkeypatch.undo()
+    lines = {
+        l: {b.rows[l - 4 : l - 2] if l > 3 else tuple(row[l - 1 : l + 1] for row in b.rows)
+            for b in crystal}
+        for l in (1, 2, 4, 5, 6)
+    }
+    assert {l: len(pairs) for l, pairs in lines.items()} == {1: 490, 2: 490, 4: 175, 5: 175, 6: 175}
+    assert walks == {0: 4116, 3: 4116, **{l: len(pairs) for l, pairs in lines.items()}}
+
+
+ENTRY_POINT_CALLS = {
+    "build_graph(5, cs)": lambda c: build_graph(5, range(3)),
+    "build_graph(None, cs)": lambda c: build_graph(None, range(3)),
+    "build_graph(c, 5)": lambda c: build_graph(c, 5),
+    "build_graph([5], cs)": lambda c: build_graph([5], range(3)),
+    "build_graph([[5]], cs)": lambda c: build_graph([[5]], range(3)),
+    "build_graph(c + [str], cs)": lambda c: build_graph(c + ["0/0"], range(3)),
+    "CrystalGraph(5, cs)": lambda c: CrystalGraph(5, range(3)),
+    "CrystalGraph(c, None)": lambda c: CrystalGraph(c, None),
+    "CrystalGraph([5], cs)": lambda c: CrystalGraph([5], range(3)),
+    "is_regular_rank2(5, pair)": lambda c: is_regular_rank2(5, (1, 2)),
+    "is_regular_rank2(None, pair)": lambda c: is_regular_rank2(None, (1, 2)),
+    "is_regular_rank2(c, pair)": lambda c: is_regular_rank2(c, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINT_CALLS.values(), ids=ENTRY_POINT_CALLS.keys())
+def test_graph_entry_points_refuse_what_is_not_their_input(call):
+    # these raised a bare TypeError or AttributeError
+    with pytest.raises(InvalidParams):
+        call(enumerate_crystal(KRParams(2, 1, 1)))
 
 
 def test_rows_route_rejects_a_subset_that_is_not_closed():

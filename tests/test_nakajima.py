@@ -138,7 +138,7 @@ def test_dominant_component_sizes_match_weyl_dimension():
             if a == b == 0:
                 continue
             m = Y(((1, 0), a), ((2, 0), b))
-            assert A2.is_dominant(m)
+            assert A2.eps(m, 1) == A2.eps(m, 2) == 0
             assert len(component(m)) == weyl_dim_a2(a, b)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -288,6 +289,28 @@ def test_hash_is_cached_and_hidden():
     unread = pat(3, 2, 2, [[0, 1], [1, 0]])
     assert unread._strings is None
     assert b == unread and hash(b) == hash(unread) == hash((b.params, b.rows))
+
+
+@pytest.mark.parametrize("rows", [[[0]], ([0],)])
+def test_rows_that_cannot_be_hashed_raise_a_typed_error(rows):
+    # the constructor does not check its rows; the first hash, which every
+    # memo, table and graph index takes, used to raise a bare TypeError
+    from krpoly.energy import local_energy
+    from krpoly.graph import build_graph
+    from krpoly.rmatrix import rmatrix_on_hw
+
+    message = rf"^rows {re.escape(repr(rows))} are not a tuple of tuples$"
+    for read in (
+        hash,
+        lambda b: b.phi(1),
+        lambda b: local_energy(TensorElement((b, b))),
+        lambda b: rmatrix_on_hw(TensorElement((b, b))),
+        lambda b: build_graph([b], range(2)),
+    ):
+        b = KRPattern(KRParams(1, 1, 1), rows)
+        with pytest.raises(InvalidParams, match=message):
+            read(b)
+        assert b._hash is None
 
 
 def test_kept_string_statistics_match_a_fresh_walk():

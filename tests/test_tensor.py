@@ -16,7 +16,7 @@ from krpoly import (
 )
 from krpoly.graph import build_graph
 from krpoly.tensor import product_elements as product_of
-from krpoly.verify import signature_e, signature_f, signature_word, string_eps, string_phi
+from krpoly.verify import _signature_images, signature_word, string_eps, string_phi
 
 from conftest import all_params, cell, pair, product_elements, random_element
 
@@ -105,8 +105,7 @@ def test_signature_rule_matches_recursive_rule_pairs():
                     word = signature_word(x, l)
                     assert x.phi(l) == sum(1 for w in word if w[0] == "+")
                     assert x.eps(l) == sum(1 for w in word if w[0] == "-")
-                    assert x.f(l) == signature_f(x, l)
-                    assert x.e(l) == signature_e(x, l)
+                    assert (x.f(l), x.e(l)) == _signature_images(x, l, word)
 
 
 def test_signature_rule_matches_recursive_rule_triples():
@@ -114,9 +113,8 @@ def test_signature_rule_matches_recursive_rule_triples():
     for factors in itertools.product(crystal, repeat=3):
         x = TensorElement(factors)
         for l in range(3):
-            assert x.f(l) == signature_f(x, l)
-            assert x.e(l) == signature_e(x, l)
             word = signature_word(x, l)
+            assert (x.f(l), x.e(l)) == _signature_images(x, l, word)
             assert x.phi(l) == sum(1 for w in word if w[0] == "+")
             assert x.eps(l) == sum(1 for w in word if w[0] == "-")
 
