@@ -152,7 +152,7 @@ def _json_chunks(payload):
             shape, entries = value.params, value.entries_flat()
         elif isinstance(value, TensorElement):
             shape = tuple(b.params for b in value.factors)
-            entries = tuple(x for b in value.factors for row in b.rows for x in row)
+            entries = tuple(x for b in value.factors for x in b.entries_flat())
         elif type(value) is tuple and all(type(x) is int for x in value):
             shape, entries = len(value), value
         else:

@@ -59,9 +59,7 @@ def local_energy(x):
     a, b = two_factors(x, "local energy lives on two-fold products")
     r = min(a.params.r, b.params.r)
     rt = max(a.params.r, b.params.r)
-    # entry sum of a over columns 1..r and rows rt..n
-    partial = sum(sum(row[:r]) for row in a.rows[rt - a.params.r :])
-    return -partial + _schedule_correction(x)
+    return -a.corner_sum(r, rt) + _schedule_correction(x)
 
 
 def local_energy_oracle(params1, params2, sigma=None):
@@ -154,6 +152,8 @@ def global_energy(x, energy=None):
     """
     if not isinstance(x, TensorElement):
         raise InvalidParams(f"global energy lives on tensor elements, got {type(x).__name__}")
+    if energy is not None and not callable(energy):
+        raise InvalidParams(f"energy must be None or a callable, got {energy!r}")
     # (left, right) -> [H, to_highest_weight of the pair or None, R image or None]
     memo = {}
     total = 0

@@ -4,26 +4,21 @@ A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
 of f_l of each vertex (None for crystal zero), its inverse ``e[l]`` and
 the string lengths ``eps[l]``/``phi[l]`` derived from them once;
 components, the rank-2 regularity check and ``table.PairTable`` all read
-these id lists.  One reader fills them: each distinct KRPattern factor of
-the vertices is read on its rows once per color, ``tensor.tensor_rule``
-picks the factor f_l acts on, and the image is looked up by its factor
-ids, so no pattern is built and no memo or canonical image is filled.
-A color l other than 0 and r reads only two lines of a grid (rows l-1
-and l, or columns l and l+1), so its string is walked once per distinct
-pair of lines among the factors of one shape, not once per factor.
-``build_graph`` sorts the vertices in lexicographic order of their
-flattened entries and the edges are the sorted (source id, color, target
-id) triples, so exports are byte-for-byte deterministic.
+these id lists.  One reader fills them: ``patterns._read_color`` reads
+the distinct KRPattern factors of the vertices per shape and color,
+``tensor.tensor_rule`` picks the factor f_l acts on, and the image is
+looked up by its factor ids.  ``build_graph`` sorts the vertices by their
+flattened entries and the edges as (source id, color, target id)
+triples, so exports are byte-for-byte deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cache, cached_property
-from operator import itemgetter
 
 from .errors import IndexOutOfRange, InvalidParams, KRError, SizeLimitExceeded
-from .patterns import ENUMERATION_CAP, KRPattern, _move_rows, _string
+from .patterns import ENUMERATION_CAP, KRPattern, _read_color
 from .tensor import TensorElement, tensor_rule
 
 
@@ -162,28 +157,20 @@ def vertex_label(v):
     """Compact human-readable label; single cells collapse to the integer."""
     if hasattr(v, "factors"):
         return "(x)".join(vertex_label(b) for b in v.factors)
-    if len(v.rows) == 1 and len(v.rows[0]) == 1:
-        return str(v.rows[0][0])
-    return "/".join(",".join(str(x) for x in row) for row in v.rows)
+    return v.label()
 
 
 def _read_rows(vertices, colors):
-    """Per color, the id of f_l of every vertex, read on its factors' rows.
+    """Per color, the id of f_l of every vertex, read on its factors' grids.
 
-    Each distinct factor is numbered per shape by rows.  Colors 0 and r act
-    on one cell each, so every factor is read on its own by the unmemoized
-    walker ``_string.__wrapped__``.  Any other color reads two lines of a
-    grid, rows l-1 and l for l > r and columns l and l+1 for l < r, and
-    many factors share them, so the walker runs once per distinct line
-    pair of a shape, in a memo that lives for that color and shape only.
-    ``_move_rows``, the move of ``KRPattern.f``, gives the image rows; for
-    l > r the moved pair of rows is kept in the memo and spliced in.  A
-    KRPattern keys ``index`` by its factor id, a TensorElement by the tuple
-    of its factor ids.  No pattern is built and no ``_strings`` slot is
-    filled.  Color by color, a color outside 0..n raises IndexOutOfRange
-    and a set not closed under the color InvalidParams.
+    Each distinct factor is numbered per shape by its rows, and each shape
+    is read by ``patterns._read_color``, which builds no pattern and fills
+    no memo or ``_strings`` slot.  A KRPattern keys ``index`` by its factor
+    id, a TensorElement by the tuple of its factor ids.  Color by color, a
+    color outside 0..n raises IndexOutOfRange and a set not closed under
+    the color InvalidParams.
     """
-    shapes, factors, keys = {}, [], []
+    shapes, keys, count = {}, [], 0
     for v in vertices:
         key = []
         for b in v.factors if isinstance(v, TensorElement) else (v,):
@@ -191,18 +178,18 @@ def _read_rows(vertices, colors):
                 raise InvalidParams(f"{v!r} has a factor not a KRPattern: give f as id lists")
             ids = shapes.setdefault(b.params, {})
             if b.rows not in ids:
-                ids[b.rows] = len(factors)
-                factors.append(b)
+                ids[b.rows] = count
+                count += 1
             key.append(ids[b.rows])
         keys.append(key[0] if isinstance(v, KRPattern) else tuple(key))
     index = {key: i for i, key in enumerate(keys)}
     lists = {}
     for l in colors:
-        stats, images = [None] * len(factors), [None] * len(factors)
+        stats, images = [None] * count, [None] * count
         for pr, ids in shapes.items():  # in the order of each shape's first factor
             if not 0 <= l <= pr.n:
                 raise IndexOutOfRange(f"color {l} outside 0..{pr.n}")
-            _read_color(pr, ids, l, factors, stats, images)
+            _read_color(pr, ids, l, stats, images)
         targets = lists[l] = [None] * len(vertices)
         for i, key in enumerate(keys):
             if type(key) is int:
@@ -215,45 +202,6 @@ def _read_rows(vertices, colors):
         if -1 in targets:
             raise InvalidParams(f"element set not closed under color {l}")
     return lists
-
-
-def _read_color(pr, ids, l, factors, stats, images):
-    """Fill ``stats``/``images`` at the ids of one shape's factors for color l.
-
-    ``ids`` maps the rows of each factor of shape ``pr`` to its id; an
-    image is the id of its rows there, -1 if it is not a factor.
-    """
-    walk = _string.__wrapped__
-    r = pr.r
-    if l == 0 or l == r:
-        for rows, k in ids.items():
-            s = stats[k] = walk(factors[k], l)
-            if s[0]:
-                images[k] = ids.get(_move_rows(pr, rows, l, 0, 1), -1)
-        return
-    lines = {}
-    if l > r:
-        q = l - 1 - r
-        for rows, k in ids.items():
-            line = rows[q : q + 2]
-            read = lines.get(line)
-            if read is None:
-                s = walk(factors[k], l)
-                read = lines[line] = s, _move_rows(pr, rows, l, s[2], 1)[q : q + 2] if s[0] else None
-            s, moved = read
-            stats[k] = s
-            if s[0]:
-                images[k] = ids.get(rows[:q] + moved + rows[q + 2 :], -1)
-        return
-    pick = itemgetter(l - 1, l)
-    for rows, k in ids.items():
-        line = tuple(map(pick, rows))
-        s = lines.get(line)
-        if s is None:
-            s = lines[line] = walk(factors[k], l)
-        stats[k] = s
-        if s[0]:
-            images[k] = ids.get(_move_rows(pr, rows, l, s[2], 1), -1)
 
 
 def build_graph(elements, colors, max_size=ENUMERATION_CAP):

@@ -12,13 +12,16 @@ by ``None`` throughout.  Each pattern keeps one record per color that it
 has been read in (``KRPattern._strings``): the string statistics and, once
 read, the images of f_l and e_l.  Each operator image is the one object of
 its grid among all images (``_canonical``), so equal images share one
-record list.
+record list.  This module alone indexes a grid's rows: other modules read
+cells through the pattern's accessors, and the graph reader reads whole
+crystals through ``_read_color``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -63,6 +66,7 @@ def crystal_size(params):
     prod (i + j + c - 1) / (i + j - 1) over 1 <= i <= a, 1 <= j <= b for
     sides a <= b <= c, so only the two shorter sides are iterated.
     """
+    _check_params(params)
     a, b, c = sorted((params.r, params.s, params.n + 1 - params.r))
     num = den = 1
     for i in range(1, a + 1):
@@ -98,6 +102,12 @@ class KRParams:
     @property
     def num_cols(self):
         return self.r
+
+
+def _check_params(params):
+    """InvalidParams unless ``params`` is a KRParams."""
+    if not isinstance(params, KRParams):
+        raise InvalidParams(f"crystal parameters must be a KRParams, got {params!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +155,14 @@ class KRPattern:
 
     def entries_flat(self):
         return tuple(x for row in self.rows for x in row)
+
+    def corner_sum(self, p, q):
+        """Entry sum over the cells (i, j) with i <= p and j >= q."""
+        return sum(sum(row[:p]) for row in self.rows[max(q - self.params.r, 0) :])
+
+    def label(self):
+        """Rows joined by "/", entries by ","; a single cell is its integer."""
+        return "/".join(",".join(map(str, row)) for row in self.rows)
 
     def total(self):
         return sum(map(sum, self.rows))
@@ -232,11 +250,13 @@ class KRPattern:
 
 def zero_pattern(params):
     """The generator of B^{r,s}: all entries zero."""
+    _check_params(params)
     return KRPattern(params, ((0,) * params.num_cols,) * params.num_rows)
 
 
 def pattern_from_cells(params, entry):
     """Unvalidated pattern of shape ``params`` whose cell (p, q) holds ``entry(p, q)``."""
+    _check_params(params)
     cols = range(1, params.r + 1)
     rows = tuple(tuple(entry(p, q) for p in cols) for q in range(params.r, params.n + 1))
     return KRPattern(params, rows)
@@ -263,9 +283,15 @@ def validate_pattern(entries, params):
     Returns the validated KRPattern.  Entries must be ``int`` (not
     ``bool``); nothing is coerced.  The polytope constraint is checked
     by max-path dynamic programming; on failure the witness staircase is
-    attached to the raised PathSumExceeded.
+    attached to the raised PathSumExceeded.  Parameters that are not a
+    KRParams raise InvalidParams, entries that are not rows of entries
+    DimensionMismatch.
     """
-    rows = tuple(tuple(row) for row in entries)
+    _check_params(params)
+    try:
+        rows = tuple(tuple(row) for row in entries)
+    except TypeError:
+        raise DimensionMismatch(f"entries must be rows of entries, got {entries!r}") from None
     if len(rows) != params.num_rows or any(len(row) != params.num_cols for row in rows):
         raise DimensionMismatch(
             f"expected {params.num_rows} rows x {params.num_cols} cols for "
@@ -373,9 +399,12 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 
 @lru_cache(maxsize=_STRING_MEMO_SIZE)
 def _string(A, l):
+    """``_walk`` on the grid of A, memoized on the pattern."""
+    return _walk(A.params, A.rows, l)
+
+
+def _walk(pr, rows, l):
     """(phi, eps, first, last) of color l in 0..n; first/last are extreme argmaxes."""
-    pr = A.params
-    rows = A.rows
     if l == 0:
         eps = pr.s - sum(row[0] for row in rows) - sum(rows[-1][1:])
         return rows[-1][0], eps, 0, 0
@@ -447,6 +476,46 @@ def _move_rows(params, rows, l, i, step):
 def _move(A, l, i, step):
     """The operator image of ``_move_rows`` on A: the one object of its grid."""
     return _canonical(KRPattern(A.params, _move_rows(A.params, A.rows, l, i, step)))
+
+
+def _read_color(pr, ids, l, stats, images):
+    """Color l read on every grid of shape ``pr``, with no pattern built.
+
+    ``ids`` maps each grid to its id k: ``stats[k]`` gets the ``_walk`` of
+    grid k and, where f_l applies, ``images[k]`` the id of its image grid,
+    -1 if that is not in ``ids``.  Two-line colors are walked once per
+    distinct pair of lines; for l > r the moved pair of rows is spliced in.
+    """
+    r = pr.r
+    if l == 0 or l == r:
+        for rows, k in ids.items():
+            s = stats[k] = _walk(pr, rows, l)
+            if s[0]:
+                images[k] = ids.get(_move_rows(pr, rows, l, 0, 1), -1)
+        return
+    lines = {}
+    if l > r:
+        q = l - 1 - r
+        for rows, k in ids.items():
+            line = rows[q : q + 2]
+            read = lines.get(line)
+            if read is None:
+                s = _walk(pr, rows, l)
+                read = lines[line] = s, _move_rows(pr, rows, l, s[2], 1)[q : q + 2] if s[0] else None
+            s, moved = read
+            stats[k] = s
+            if s[0]:
+                images[k] = ids.get(rows[:q] + moved + rows[q + 2 :], -1)
+        return
+    pick = itemgetter(l - 1, l)
+    for rows, k in ids.items():
+        line = tuple(map(pick, rows))
+        s = lines.get(line)
+        if s is None:
+            s = lines[line] = _walk(pr, rows, l)
+        stats[k] = s
+        if s[0]:
+            images[k] = ids.get(_move_rows(pr, rows, l, s[2], 1), -1)
 
 
 # The canonical-image table: every operator image is the first object built

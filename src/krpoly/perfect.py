@@ -26,6 +26,7 @@ from .errors import (
 from .patterns import (
     ENUMERATION_CAP,
     KRParams,
+    _check_params,
     _is_int,
     enumerate_crystal,
     pattern_from_cells,
@@ -117,6 +118,9 @@ def b_upper(weight, params):
 
 
 def _check_level(weight, params):
+    if not isinstance(weight, DominantWeight):
+        raise InvalidParams(f"weight must be a DominantWeight, got {weight!r}")
+    _check_params(params)
     if weight.n != params.n:
         raise LevelMismatch(f"weight rank {weight.n} differs from n={params.n}")
     if weight.level != params.s:

@@ -34,13 +34,15 @@ import itertools
 from functools import lru_cache, wraps
 
 from .errors import IndexOutOfRange, InvalidParams, NotHighestWeight, OracleFailure
-from .patterns import KRPattern, pattern_from_cells, zero_pattern
+from .patterns import KRPattern, _check_params, pattern_from_cells, zero_pattern
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw, two_factors
 
 
 def hw_support(params1, params2):
     """Support cells (shared by both product orders) and the entry bound."""
+    _check_params(params1)
+    _check_params(params2)
     if params1.n != params2.n:
         raise InvalidParams("factors must share the same rank n")
     n = params1.n
@@ -109,9 +111,10 @@ def rmatrix_on_hw(x):
     if second.total() != 0:
         raise NotHighestWeight("second factor of a highest weight element must be zero")
     cells, _ = hw_support(first.params, second.params)
-    for q, row in enumerate(first.rows, first.params.r):
-        for p, entry in enumerate(row, 1):
-            if entry and (p, q) not in cells:
+    pr = first.params
+    for q in range(pr.r, pr.n + 1):
+        for p in range(1, pr.r + 1):
+            if first.a(p, q) and (p, q) not in cells:
                 raise NotHighestWeight(f"entry off the anti-diagonal at {(p, q)}")
     # the support cells lie on both grids, so the first factor read on the
     # swapped grid keeps the anti-diagonal and is zero elsewhere

@@ -6,7 +6,8 @@ e_l acts on the first exactly when eps_l(b1) > phi_l(b2).  This is the
 convention under which highest weight elements carry the zero pattern in
 the *second* slot.  Products of three or more factors associate to the
 left: ``tensor_rule`` folds the rule over N factors, for ``TensorElement``
-and the ``graph`` reader; ``table.PairTable`` keeps the two-fold case inline.
+and the graph reader (``graph._read_rows``); ``table.PairTable`` keeps the
+two-fold case inline.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParams, KRError, SizeLimitExceeded
-from .patterns import ENUMERATION_CAP, KRPattern, crystal_size, enumerate_crystal, pattern_from_dict
+from .patterns import (
+    ENUMERATION_CAP,
+    KRParams,
+    KRPattern,
+    crystal_size,
+    enumerate_crystal,
+    pattern_from_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,16 @@ def product_elements(params_list, max_size=ENUMERATION_CAP):
     """All elements of B_1 (x) ... (x) B_N, factors drawn left to right.
 
     Each factor is enumerated in its lexicographic order, so the product
-    comes out sorted by ``TensorElement.sort_key``.  An empty list or
-    factors of different ranks raise InvalidParams, and a product larger
-    than ``max_size`` SizeLimitExceeded, before any factor is enumerated;
-    the elements are then built unchecked.
+    comes out sorted by ``TensorElement.sort_key``.  Anything but a list or
+    tuple of KRParams, an empty list or factors of different ranks raise
+    InvalidParams, and a product larger than ``max_size``
+    SizeLimitExceeded, before any factor is enumerated; the elements are
+    then built unchecked.
     """
+    if not isinstance(params_list, (list, tuple)) or not all(
+        isinstance(params, KRParams) for params in params_list
+    ):
+        raise InvalidParams(f"factors must be a list of KRParams, got {params_list!r}")
     _check_ranks([params.n for params in params_list])
     crystals = factor_crystals(params_list, max_size)
     return [TensorElement._trusted(factors) for factors in itertools.product(*crystals)]

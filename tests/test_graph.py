@@ -4,7 +4,6 @@ import json
 import random
 import re
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -180,16 +179,16 @@ def test_the_reader_walks_each_line_pair_once(monkeypatch):
     # of those lines; colors 0 and r read one cell each, once per factor
     params = KRParams(6, 3, 3)
     crystal = enumerate_crystal(params)
-    walker = patterns._string.__wrapped__
+    walker = patterns._walk
     walks = Counter()
 
-    def counting(b, l):
+    def counting(pr, rows, l):
         walks[l] += 1
-        return walker(b, l)
+        return walker(pr, rows, l)
 
     # the id lists of this graph are checked in
     # test_rows_route_matches_the_pattern_operators
-    monkeypatch.setattr(graph_module, "_string", SimpleNamespace(__wrapped__=counting))
+    monkeypatch.setattr(patterns, "_walk", counting)
     build_graph(crystal, range(params.n + 1))
     monkeypatch.undo()
     lines = {

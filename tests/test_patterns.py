@@ -7,6 +7,7 @@ import pytest
 
 from krpoly import (
     DimensionMismatch,
+    DominantWeight,
     IndexOutOfRange,
     InvalidParams,
     KRError,
@@ -16,9 +17,18 @@ from krpoly import (
     PathSumExceeded,
     SizeLimitExceeded,
     TensorElement,
+    b_lower,
+    b_upper,
+    check_perfect,
     enumerate_crystal,
+    global_energy,
+    ground_state_path,
+    highest_weight_elements,
+    local_energy_oracle,
     pattern_from_cells,
     pattern_from_dict,
+    product_elements,
+    rmatrix_oracle,
     tensor_from_dict,
     validate_pattern,
     zero_pattern,
@@ -315,13 +325,13 @@ def test_rows_that_cannot_be_hashed_raise_a_typed_error(rows):
 
 def test_kept_string_statistics_match_a_fresh_walk():
     # every read through the per-object slot agrees with the uncached walker
-    walk = patterns._string.__wrapped__
+    walk = patterns._walk
     count = 0
     for n in range(1, 5):
         for params in all_params(n, 2):
             for b in enumerate_crystal(params):
                 for l in range(n + 1):
-                    phi, eps, first, last = walk(b, l)
+                    phi, eps, first, last = walk(b.params, b.rows, l)
                     for _ in range(2):
                         assert (b.phi(l), b.eps(l)) == (phi, eps)
                         assert (b.f(l) is None) == (phi == 0)
@@ -386,14 +396,14 @@ def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
     # second read asks no memo and makes no move
     for memo in (patterns._string, patterns._canonical):
         memo.cache_clear()
-    walk = patterns._string.__wrapped__
+    walk = patterns._walk
     rng = random.Random(33)
     shapes = [p for n in (6, 7, 8) for p in all_params(n, 3)]
     elements = [b for n in range(1, 5) for p in all_params(n, 2) for b in enumerate_crystal(p)]
     elements += [random_pattern(rng, rng.choice(shapes)) for _ in range(300)]
     for b in elements:
         for l in range(b.n + 1):
-            phi, eps, first, last = walk(b, l)
+            phi, eps, first, last = walk(b.params, b.rows, l)
             lower, upper = b.f(l), b.e(l)
             record = b._strings[l]
             assert record == [phi, eps, first, last, lower, upper]
@@ -442,7 +452,37 @@ def test_a_second_read_of_one_object_skips_the_memo():
     for l in range(4):
         b.phi(l)
         info = patterns._string.cache_info()
-        assert (b.eps(l), b.phi(l)) == patterns._string.__wrapped__(b, l)[1::-1]
+        assert (b.eps(l), b.phi(l)) == patterns._walk(b.params, b.rows, l)[1::-1]
         b.f(l)
         b.e(l)
         assert patterns._string.cache_info() == info
+
+
+P = KRParams(2, 1, 1)
+W = DominantWeight((0, 1, 0))
+ZERO_PAIR = TensorElement((zero_pattern(P), zero_pattern(P)))
+PARAMS_GATE_CALLS = {
+    "check_perfect(5)": (InvalidParams, lambda: check_perfect(5)),
+    "enumerate_crystal(5)": (InvalidParams, lambda: enumerate_crystal(5)),
+    "product_elements(5)": (InvalidParams, lambda: product_elements(5)),
+    "product_elements([5])": (InvalidParams, lambda: product_elements([5])),
+    "highest_weight_elements(None, P)": (InvalidParams, lambda: highest_weight_elements(None, P)),
+    "b_lower(None, P)": (InvalidParams, lambda: b_lower(None, P)),
+    "b_upper(w, None)": (InvalidParams, lambda: b_upper(W, None)),
+    "ground_state_path(w, None, 3)": (InvalidParams, lambda: ground_state_path(W, None, 3)),
+    "zero_pattern(5)": (InvalidParams, lambda: zero_pattern(5)),
+    "pattern_from_cells(5, f)": (InvalidParams, lambda: pattern_from_cells(5, lambda p, q: 0)),
+    "validate_pattern([[0]], 5)": (InvalidParams, lambda: validate_pattern([[0]], 5)),
+    "validate_pattern(5, P)": (DimensionMismatch, lambda: validate_pattern(5, P)),
+    "validate_pattern([5], P)": (DimensionMismatch, lambda: validate_pattern([5], P)),
+    "local_energy_oracle(5, P)": (InvalidParams, lambda: local_energy_oracle(5, P)),
+    "rmatrix_oracle(5, P)": (InvalidParams, lambda: rmatrix_oracle(5, P)),
+    "global_energy(x, energy=5)": (InvalidParams, lambda: global_energy(ZERO_PAIR, energy=5)),
+}
+
+
+@pytest.mark.parametrize("error, call", PARAMS_GATE_CALLS.values(), ids=PARAMS_GATE_CALLS.keys())
+def test_params_gates_refuse_what_is_not_their_input(error, call):
+    # each raised a bare AttributeError or TypeError before the gates
+    with pytest.raises(error):
+        call()

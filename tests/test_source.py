@@ -182,6 +182,46 @@ def test_patterns_are_built_only_in_patterns():
     assert not outside, f"KRPattern built outside patterns.py: {', '.join(outside)}"
 
 
+def test_rows_are_read_only_in_patterns():
+    # the layout is read in patterns.py alone too: no other module
+    # subscripts, slices, iterates or calls a method of a pattern's rows
+    # (``.rows``, or a name ``rows``).  Elsewhere a whole grid may key a dict.
+    iterating = {
+        "all", "any", "enumerate", "filter", "iter", "len", "list", "map", "max", "min",
+        "reversed", "set", "sorted", "sum", "tuple", "zip",
+    }
+
+    def is_rows(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "rows"
+        return isinstance(node, ast.Name) and node.id == "rows"
+
+    def read(node):
+        if isinstance(node, (ast.Subscript, ast.Starred, ast.Attribute)):
+            return [node.value]
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            return [node.iter]
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in iterating:
+            return node.args
+        if isinstance(node, ast.Compare):
+            pairs = zip(node.ops, node.comparators)
+            return [right for op, right in pairs if isinstance(op, (ast.In, ast.NotIn))]
+        return []
+
+    inside, outside = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = [
+            f"{path.name}:{value.lineno}"
+            for node in ast.walk(tree)
+            for value in read(node)
+            if is_rows(value)
+        ]
+        (inside if path.name == "patterns.py" else outside).extend(reads)
+    assert inside, "patterns.py no longer reads rows"
+    assert not outside, f"rows read outside patterns.py: {', '.join(outside)}"
+
+
 def test_graphs_are_filled_without_per_element_operators():
     # graph.py reads f_l on the factors' rows (``_read_rows``); a .f(...) or
     # .e(...) call there would bring back a per-element fill
