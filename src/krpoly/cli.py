@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .energy import global_energy, local_energy, local_energy_oracle
 from .errors import KRError, SizeLimitExceeded
@@ -152,7 +153,7 @@ def _json_chunks(payload):
             shape, entries = value.params, value.entries_flat()
         elif isinstance(value, TensorElement):
             shape = tuple(b.params for b in value.factors)
-            entries = tuple(x for b in value.factors for x in b.entries_flat())
+            entries = tuple(chain.from_iterable(map(KRPattern.entries_flat, value.factors)))
         elif type(value) is tuple and all(type(x) is int for x in value):
             shape, entries = len(value), value
         else:

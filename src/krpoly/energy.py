@@ -5,9 +5,10 @@ H(0 (x) 0) = 0, that is constant along classical edges and drops (grows)
 by one along a raising 0-edge exactly when e_0 acts on the first (second)
 factor of both the element and its R-matrix image.  Two routes are
 implemented: a recursion oracle that propagates those increments over the
-whole product, and the closed form that reads H off an intermediate
-element produced by a fixed schedule of maximal raising moves, made by
-the transport kernel ``rmatrix._raise_strings``: no string is walked here.
+whole product, and the closed form: one call of the transport kernel
+``rmatrix._raise_strings`` raises the element along a fixed schedule of
+whole strings, and H is minus a corner sum of the raised first factor.
+No string is walked here.
 """
 
 from __future__ import annotations
@@ -26,40 +27,28 @@ def local_energy_hw(x):
     return -first.total()
 
 
-def _pass_colors(r2, s):
-    return tuple(range(1, r2)) + tuple(range(r2 + s, r2 - 1, -1))
-
-
-def _schedule_correction(x):
-    """Summed corrections of the raising schedule on A (x) B.
-
-    Pass s = 0..n-r2 raises A (x) B along the whole strings of the colors
-    ``_pass_colors(r2, s)`` through the transport kernel ``_raise_strings``.
-    Every pass ends on color r2, and A's share of that last string, the
-    only one that can lower the tracked entry sum, is the pass's
-    correction.  A raise past a string is the kernel's OracleFailure, a
-    second factor not zero at the end an InconsistentRecursion.
-    """
-    a, b = x.factors
-    r2 = b.params.r
-    total = 0
-    for s in range(x.n - r2 + 1):
-        a, b, left = _raise_strings(a, b, _pass_colors(r2, s), [])
-        total += left
-    if b.total() != 0:
-        raise InconsistentRecursion("schedule did not raise the second factor to zero")
-    return total
+def _schedule(r2, n):
+    """Raising schedule of A (x) B, B in B^{r2,s2} at rank n: passes
+    s = 0..n-r2 end to end, each colors 1..r2-1 then r2+s down to r2."""
+    return [l for s in range(n - r2 + 1) for l in (*range(1, r2), *range(r2 + s, r2 - 1, -1))]
 
 
 def local_energy(x):
     """Closed-form local energy of an arbitrary two-fold element.
 
     Read on x itself for every pair of levels: no R-matrix is applied.
+    One kernel call (``_raise_strings``) raises A (x) B along the colors
+    of ``_schedule``; H is minus the corner sum (columns <= r, rows >= rt)
+    of the raised first factor.  A raise past a string is the kernel's
+    OracleFailure, a nonzero final B an InconsistentRecursion.
     """
     a, b = two_factors(x, "local energy lives on two-fold products")
     r = min(a.params.r, b.params.r)
     rt = max(a.params.r, b.params.r)
-    return -a.corner_sum(r, rt) + _schedule_correction(x)
+    a, b = _raise_strings(a, b, _schedule(b.params.r, x.n), [])
+    if b.total() != 0:
+        raise InconsistentRecursion("schedule did not raise the second factor to zero")
+    return -a.corner_sum(r, rt)
 
 
 def local_energy_oracle(params1, params2, sigma=None):
@@ -71,8 +60,8 @@ def local_energy_oracle(params1, params2, sigma=None):
     InconsistentRecursion.  The walk runs on id pairs
     (``table.product_table``, under ``ENUMERATION_CAP``); ``sigma``, the
     R-matrix as ``rmatrix_oracle`` returns it, is built on ids when not
-    given, and one that does not map every element of B1 (x) B2 into
-    B2 (x) B1 raises InvalidParams.  The result maps TensorElements.
+    given, and one that is not a dict mapping every element of B1 (x) B2
+    into B2 (x) B1 raises InvalidParams.  The result maps TensorElements.
     """
     pair = product_table(params1, params2)
     image = pair.swapped()
@@ -80,6 +69,8 @@ def local_energy_oracle(params1, params2, sigma=None):
         raise InconsistentRecursion("product has no zero element")
     if sigma is None:
         sigma_ids = rmatrix_oracle_ids(pair)
+    elif not isinstance(sigma, dict):
+        raise InvalidParams(f"sigma must be None or a dict of elements, got {sigma!r}")
     else:
         try:
             sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}

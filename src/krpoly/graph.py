@@ -18,8 +18,8 @@ from collections.abc import Iterable
 from functools import cache, cached_property
 
 from .errors import IndexOutOfRange, InvalidParams, KRError, SizeLimitExceeded
-from .patterns import ENUMERATION_CAP, KRPattern, _read_color
-from .tensor import TensorElement, tensor_rule
+from .patterns import ENUMERATION_CAP, KRPattern, _check_cap, _read_color
+from .tensor import TensorElement, _check_element, tensor_rule
 
 
 class CrystalGraph:
@@ -212,12 +212,12 @@ def build_graph(elements, colors, max_size=ENUMERATION_CAP):
     factors (see ``CrystalGraph``).  The element set must be closed
     under every requested color.
     """
+    _check_cap(max_size)
     elements = _items(elements, "elements")
     if len(elements) > max_size:
         raise SizeLimitExceeded(f"{len(elements)} vertices exceed cap {max_size}")
     for x in elements:
-        if not isinstance(x, (KRPattern, TensorElement)):
-            raise InvalidParams(f"{x!r} is not a KRPattern or TensorElement")
+        _check_element(x)
     factor_key = cache(KRPattern.sort_key)
 
     def key(x):

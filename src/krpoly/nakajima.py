@@ -77,6 +77,7 @@ class MonomialCrystal:
 
     def wt(self, m):
         """Classical weight: per-index exponent sums."""
+        _check_monomial(m)
         coeffs = [0, 0]
         for (i, _), v in m.exps:
             coeffs[i - 1] += v
@@ -87,8 +88,10 @@ class MonomialCrystal:
         from 0 one shift below the least Y_l shift through every shift up to
         the largest (an absent shift adds 0).  phi is its peak, eps the peak
         minus the final sum, nf and ne the first and last shifts at the peak.
-        A color that is not the ``int`` 1 or 2 raises IndexOutOfRange.
+        A color that is not the ``int`` 1 or 2 raises IndexOutOfRange, an
+        m that is not a Monomial InvalidParams.
         """
+        _check_monomial(m)
         _check_color(l)
         exps = {k: v for (i, k), v in m.exps if i == l}
         if not exps:
@@ -121,6 +124,8 @@ class MonomialCrystal:
     def multiplier(self, l, k):
         """Exponent items of A_l(k)."""
         _check_color(l)
+        if type(k) is not int:
+            raise InvalidParams(f"shift {k!r} is not an int")
         if l == 1:
             return [((1, k), 1), ((1, k + 1), 1), ((2, k + 1), -1)]
         return [((2, k), 1), ((2, k + 1), 1), ((1, k), -1)]
@@ -132,6 +137,11 @@ class MonomialCrystal:
     def e(self, m, l):
         _, eps, _, ne = self._string(m, l)
         return None if eps == 0 else m.times(self.multiplier(l, ne), 1)
+
+
+def _check_monomial(m):
+    if not isinstance(m, Monomial):
+        raise InvalidParams(f"{m!r} is not a Monomial")
 
 
 def _check_color(l):

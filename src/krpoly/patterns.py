@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .errors import (
@@ -110,6 +111,18 @@ def _check_params(params):
         raise InvalidParams(f"crystal parameters must be a KRParams, got {params!r}")
 
 
+def _check_cap(max_size):
+    """InvalidParams unless the size cap ``max_size`` is an int (True refused)."""
+    if type(max_size) is not int:
+        raise InvalidParams(f"a size cap must be an integer, got {max_size!r}")
+
+
+def _check_cell(p, q):
+    """IndexOutOfRange unless column p and row q are ints (True, which reads 1, refused)."""
+    if type(p) is not int or type(q) is not int:
+        raise IndexOutOfRange(f"cell ({p!r}, {q!r}) is not a pair of ints")
+
+
 @dataclass(frozen=True, slots=True)
 class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
@@ -148,16 +161,18 @@ class KRPattern:
 
     def a(self, p, q):
         """Entry at column p, row q; zero outside the grid."""
+        _check_cell(p, q)
         pr = self.params
         if 1 <= p <= pr.r and pr.r <= q <= pr.n:
             return self.rows[q - pr.r][p - 1]
         return 0
 
     def entries_flat(self):
-        return tuple(x for row in self.rows for x in row)
+        return tuple(chain.from_iterable(self.rows))
 
     def corner_sum(self, p, q):
         """Entry sum over the cells (i, j) with i <= p and j >= q."""
+        _check_cell(p, q)
         return sum(sum(row[:p]) for row in self.rows[max(q - self.params.r, 0) :])
 
     def label(self):
@@ -257,6 +272,8 @@ def zero_pattern(params):
 def pattern_from_cells(params, entry):
     """Unvalidated pattern of shape ``params`` whose cell (p, q) holds ``entry(p, q)``."""
     _check_params(params)
+    if not callable(entry):
+        raise InvalidParams(f"entry must be a callable of (p, q), got {entry!r}")
     cols = range(1, params.r + 1)
     rows = tuple(tuple(entry(p, q) for p in cols) for q in range(params.r, params.n + 1))
     return KRPattern(params, rows)
@@ -350,6 +367,7 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
     SizeLimitExceeded before any pattern is built, and a count kept while
     the patterns are built refuses one the size misjudges.
     """
+    _check_cap(max_size)
     if crystal_size(params) > max_size:
         raise SizeLimitExceeded(
             f"B^({params.r},{params.s}) at n={params.n} exceeds cap {max_size}"
@@ -436,6 +454,8 @@ def pivot(A, l):
     For r < l <= n they are the columns (p_+, q_+); for 1 <= l < r the
     rows (q_-, p_-).  f_l moves a unit at p_+ or p_-, e_l at q_+ or q_-.
     """
+    if not isinstance(A, KRPattern):
+        raise InvalidParams(f"pivot reads a KRPattern, got {A!r}")
     pr = A.params
     _, _, first, last, _, _ = A._stats(l)  # refuses a color off 0..n
     if l == pr.r:

@@ -34,7 +34,7 @@ from .patterns import (
     zero_pattern,
 )
 from .rmatrix import highest_weight_elements, to_highest_weight
-from .tensor import is_classical_hw
+from .tensor import _check_element, is_classical_hw
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,12 @@ def dominant_weights(n, level):
 
 
 def eps_profile(b):
+    _check_element(b)
     return tuple(b.eps(l) for l in range(b.n + 1))
 
 
 def phi_profile(b):
+    _check_element(b)
     return tuple(b.phi(l) for l in range(b.n + 1))
 
 
@@ -238,6 +240,7 @@ def check_perfect(params):
     top = zero_pattern(params).classical_weight()
     inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
     cone, hits_e, hits_f, at_top, min_level = {}, {}, {}, 0, None
+    colors = range(n + 1)
     for b in elements:
         wt = b.classical_weight()
         at_top += wt == top
@@ -248,7 +251,7 @@ def check_perfect(params):
             ok = cone[wt] = not any(c < 0 or c % (n + 1) for c in coords)
         if not ok:
             violations.append(f"weight of {b} escapes the dominance cone")
-        prof_e, prof_f = eps_profile(b), phi_profile(b)
+        prof_e, prof_f = tuple(map(b.eps, colors)), tuple(map(b.phi, colors))
         level = sum(prof_e)
         if min_level is None or level < min_level:
             min_level = level

@@ -145,9 +145,9 @@ def _raise_strings(a, b, colors, word):
 
     By the tensor rule a takes max(0, eps_l(a) - phi_l(b)) steps and b
     eps_l(b); a color with no step is skipped.  The step colors are
-    appended to ``word``.  Returns (a, b, a's share of the last color).
+    appended to ``word``.  Returns the raised (a, b).  The colors are read
+    in turn, so one call over joined color lists equals one call per list.
     """
-    left = 0
     for l in colors:
         strings = b._strings
         record = (strings and strings[l]) or b._stats(l)
@@ -162,7 +162,7 @@ def _raise_strings(a, b, colors, word):
             a = _steps(a, l, left, _RAISE)
         if left or eps_b:
             word.extend([l] * (left + eps_b))
-    return a, b, left
+    return a, b
 
 
 def to_highest_weight(x):
@@ -179,7 +179,7 @@ def to_highest_weight(x):
     moved = None
     while moved != len(word):
         moved = len(word)
-        a, b, _ = _raise_strings(a, b, range(1, a.n + 1), word)
+        a, b = _raise_strings(a, b, range(1, a.n + 1), word)
     return TensorElement._trusted((a, b)), tuple(word)
 
 

@@ -21,6 +21,7 @@ from .patterns import (
     ENUMERATION_CAP,
     KRParams,
     KRPattern,
+    _check_cap,
     crystal_size,
     enumerate_crystal,
     pattern_from_dict,
@@ -143,8 +144,15 @@ def two_factors(x, message):
     return x.factors
 
 
+def _check_element(x):
+    """InvalidParams unless x is a KRPattern or a TensorElement."""
+    if not isinstance(x, (KRPattern, TensorElement)):
+        raise InvalidParams(f"{x!r} is not a KRPattern or TensorElement")
+
+
 def is_classical_hw(x):
     """True when every classical raising operator kills x."""
+    _check_element(x)
     return not any(map(x.eps, range(1, x.n + 1)))
 
 
@@ -154,6 +162,7 @@ def factor_crystals(params_list, max_size=ENUMERATION_CAP):
     A product larger than ``max_size`` raises SizeLimitExceeded before any
     factor is enumerated: its size is the product of the Weyl dimensions.
     """
+    _check_cap(max_size)
     size = math.prod(crystal_size(params) for params in params_list)
     if size > max_size:
         raise SizeLimitExceeded(f"product of {len(params_list)} crystals has {size} > {max_size}")

@@ -560,3 +560,48 @@ def test_a_reader_that_closes_early_ends_the_command_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+# each command's (exit code, stdout) under one hash seed, read through
+# cli.main in one interpreter
+HASH_SEED_SCRIPT = """
+import contextlib, io, json, sys
+from krpoly.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+sys.stdout.write(json.dumps(runs))
+"""
+HASH_SEED_COMMANDS = [
+    ["verify", "--suite", "all", "--n", "2", "--max-s", "2"],
+    ["graph", "--factor", "3,1,1", "--factor", "3,2,1", "--format", "json"],
+    ["graph", "--factor", "3,2,2"],
+    ["perfect", "--n", "3", "--r", "2", "--s", "2"],
+    ["enumerate", "--n", "4", "--r", "2", "--s", "2"],
+    ["gsp", "--weight", "1,1,0,0", "--r", "2", "--len", "6"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # string hashing, and so the order of a set or dict of strings, moves
+    # with PYTHONHASHSEED; the integer grids and every output must not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, json.dumps(HASH_SEED_COMMANDS)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    runs = json.loads(outputs[0])
+    assert [code for code, _ in runs] == [0] * len(HASH_SEED_COMMANDS)
+    assert all(out for _, out in runs)
+    assert outputs[0] == outputs[1]

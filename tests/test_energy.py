@@ -85,7 +85,7 @@ def test_schedule_breaks_raise_typed_errors(monkeypatch):
     assert asked == [(1, -1)]
     # a kernel that raises nothing leaves B as it was
     module = importlib.import_module("krpoly.energy")
-    monkeypatch.setattr(module, "_raise_strings", lambda a, b, colors, word: (a, b, 0))
+    monkeypatch.setattr(module, "_raise_strings", lambda a, b, colors, word: (a, b))
     with pytest.raises(InconsistentRecursion, match="second factor to zero"):
         local_energy(pair(zero, zero.f(1)))
 
@@ -284,7 +284,7 @@ def test_default_global_energy_transports_each_pair_once(monkeypatch):
         calls.append(x)
         return to_hw(x)
 
-    def forbidden(x):
+    def forbidden(*args):
         raise AssertionError("the default route must not use the closed form")
 
     # the reference walk reads the closed form, so it runs before the patch
@@ -297,7 +297,7 @@ def test_default_global_energy_transports_each_pair_once(monkeypatch):
         walks.append((size, x, met))
     monkeypatch.setattr(module, "to_highest_weight", counting)
     monkeypatch.setattr(module, "local_energy", forbidden)
-    monkeypatch.setattr(module, "_schedule_correction", forbidden)
+    monkeypatch.setattr(module, "_raise_strings", forbidden)
     for size, x, met in walks:
         calls.clear()
         module.global_energy(x)

@@ -29,7 +29,7 @@ from krpoly import (
     to_highest_weight,
 )
 from krpoly import patterns
-from krpoly.energy import _pass_colors, _schedule_correction
+from krpoly.energy import _schedule
 from krpoly.graph import build_graph
 from krpoly.rmatrix import hw_support, rmatrix
 from krpoly.table import PairTable
@@ -227,13 +227,11 @@ def pass_schedule_walk(x):
 def schedule_walk_steps(x):
     """Reference: single steps the closed-form energy schedule takes on x,
     one TensorElement.e at a time through every pass."""
-    r2 = x.factors[1].params.r
     steps = 0
-    for s in range(x.n - r2 + 1):
-        for l in _pass_colors(r2, s):
-            while (y := x.e(l)) is not None:
-                x = y
-                steps += 1
+    for l in _schedule(x.factors[1].params.r, x.n):
+        while (y := x.e(l)) is not None:
+            x = y
+            steps += 1
     return steps
 
 
@@ -349,10 +347,10 @@ def test_each_single_step_is_applied_once(monkeypatch):
     # the closed-form energy schedule raises through the same kernel
     scheduled = 0
     for x in seeded_pairs(19, 150):
-        h, made = cold(lambda: _schedule_correction(x), "e")
+        h, made = cold(lambda: local_energy(x), "e")
         steps = schedule_walk_steps(x)
         assert made <= steps
-        warm(lambda: _schedule_correction(x), h, lambda c: steps + 2 * c)
+        warm(lambda: local_energy(x), h, lambda c: steps + 2 * c)
         scheduled += steps > 0
         filled += made
     assert scheduled and filled
