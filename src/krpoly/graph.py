@@ -66,9 +66,13 @@ class CrystalGraph:
         return tuple(sorted(edges))
 
     def component_indices(self, colors=None):
-        """Undirected connected components, each a sorted tuple of indices."""
+        """Undirected connected components, each a sorted tuple of indices.
+
+        A color that is not an ``int`` of the graph (True and 1.0 included)
+        raises KRError.
+        """
         chosen = self.colors if colors is None else tuple(colors)
-        if not set(chosen) <= set(self.colors):
+        if not all(type(l) is int and l in self.colors for l in chosen):
             raise KRError(f"colors {chosen} are not all colors of {self.colors}")
         arrows = [self.f[l] for l in chosen] + [self.e[l] for l in chosen]
         seen = [False] * len(self.vertices)

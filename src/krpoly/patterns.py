@@ -10,11 +10,12 @@ The grid carries the full affine crystal structure.  Classical colors
 (1, n).  Crystal zero (an undefined operator application) is represented
 by ``None`` throughout.  Each pattern keeps one record per color that it
 has been read in (``KRPattern._strings``): the string statistics and, once
-read, the images of f_l and e_l.  Each operator image is the one object of
-its grid among all images (``_canonical``), so equal images share one
-record list.  This module alone indexes a grid's rows: other modules read
-cells through the pattern's accessors, and the graph reader reads whole
-crystals through ``_read_color``.
+read, the images of f_l and e_l.  Each operator image, and each shape's
+zero pattern, is the one object of its grid among all such objects
+(``_canonical``), so equal images share one record list.  This module
+alone indexes a grid's rows: other modules read cells through the
+pattern's accessors, and the graph reader reads whole crystals through
+``_read_color``.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 1_000_000
-# entries of the ``_string`` memo; each pattern keeps its own statistics, so
-# the memo serves equal patterns built apart, and this many entries hold
-# most of their repeat walks
-_STRING_MEMO_SIZE = 1024
 
 
 def weyl_dimension(weight):
@@ -127,10 +124,10 @@ def _check_cell(p, q):
 class KRPattern:
     """One element of B^{r,s}: rows[q-r][p-1] = a[p,q].
 
-    Patterns key the string memo and the canonical-image table, so the
-    hash of (params, rows) is computed once and kept in ``_hash``; rows
-    that cannot be hashed (lists, as ``validate_pattern`` would not
-    return) raise InvalidParams there.
+    Patterns key the canonical-image table, so the hash of (params, rows)
+    is computed once and kept in ``_hash``; rows that cannot be hashed
+    (lists, as ``validate_pattern`` would not return) raise InvalidParams
+    there, and a pattern's first read hashes it.
     ``_strings`` holds one record per color after its first read, ``[phi,
     eps, first, last, f image, e image]``: the string statistics, then the
     images of f_l and e_l, each filled on its first read with the
@@ -173,7 +170,7 @@ class KRPattern:
     def corner_sum(self, p, q):
         """Entry sum over the cells (i, j) with i <= p and j >= q."""
         _check_cell(p, q)
-        return sum(sum(row[:p]) for row in self.rows[max(q - self.params.r, 0) :])
+        return sum(sum(row[: max(p, 0)]) for row in self.rows[max(q - self.params.r, 0) :])
 
     def label(self):
         """Rows joined by "/", entries by ","; a single cell is its integer."""
@@ -207,20 +204,23 @@ class KRPattern:
     # -- string statistics and operators ----------------------------------
 
     def _stats(self, l):
-        """The record of color l, its statistics read once per object from ``_string``.
+        """The record of color l, its statistics walked once per object.
 
         A color that is not an ``int`` in 0..n raises IndexOutOfRange, also
-        True, which would index the record of color 1.
+        True, which would index the record of color 1.  The first read of
+        a pattern hashes it, so rows that are not a tuple of tuples raise
+        InvalidParams before any walk.
         """
         strings = self._strings
         if strings is None:
+            hash(self)
             strings = [None] * (self.params.n + 1)
             object.__setattr__(self, "_strings", strings)
         if type(l) is not int or not 0 <= l < len(strings):
             raise IndexOutOfRange(f"color {l!r} outside 0..{self.params.n}")
         record = strings[l]
         if record is None:
-            phi, eps, first, last = _string(self, l)
+            phi, eps, first, last = _walk(self.params, self.rows, l)
             record = strings[l] = [phi, eps, first, last, None, None]
         return record
 
@@ -264,9 +264,9 @@ class KRPattern:
 
 
 def zero_pattern(params):
-    """The generator of B^{r,s}: all entries zero."""
+    """The generator of B^{r,s}: all entries zero, one object per shape."""
     _check_params(params)
-    return KRPattern(params, ((0,) * params.num_cols,) * params.num_rows)
+    return _canonical(KRPattern(params, ((0,) * params.num_cols,) * params.num_rows))
 
 
 def pattern_from_cells(params, entry):
@@ -415,12 +415,6 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 # and r act on one cell each, (1, n) and (r, r).
 
 
-@lru_cache(maxsize=_STRING_MEMO_SIZE)
-def _string(A, l):
-    """``_walk`` on the grid of A, memoized on the pattern."""
-    return _walk(A.params, A.rows, l)
-
-
 def _walk(pr, rows, l):
     """(phi, eps, first, last) of color l in 0..n; first/last are extreme argmaxes."""
     if l == 0:
@@ -538,12 +532,13 @@ def _read_color(pr, ids, l, stats, images):
             images[k] = ids.get(_move_rows(pr, rows, l, s[2], 1), -1)
 
 
-# The canonical-image table: every operator image is the first object built
-# for its grid, so words that reach one grid (as e_i e_j b = e_j e_i b)
-# share one object and the records it carries, and a transport that joins
-# a grid another one visited reads the rest of its steps from records.  It
-# holds one entry per distinct image and only images: patterns that callers
-# build, read or enumerate never enter it.
+# The canonical-image table: every operator image and every shape's zero
+# pattern is the first object built for its grid, so words that reach one
+# grid (as e_i e_j b = e_j e_i b) share one object and the records it
+# carries, and a transport that joins a grid another one visited reads the
+# rest of its steps from records.  It holds one entry per distinct image or
+# zero pattern: other patterns that callers build, read or enumerate never
+# enter it.
 @lru_cache(maxsize=None)
 def _canonical(A):
     return A

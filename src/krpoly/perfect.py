@@ -15,6 +15,7 @@ violation, and no square is walked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, pairwise
 
 from .errors import (
     InconsistentRecursion,
@@ -66,19 +67,18 @@ class DominantWeight:
 
 
 def dominant_weights(n, level):
-    """All level-`level` dominant weights for rank n, lexicographic."""
+    """All level-`level` dominant weights for rank n, lexicographic.
+
+    The n + 1 coefficients are the gaps around n bars placed among
+    level + n slots, and bar positions in lexicographic order give the
+    weights in lexicographic order.
+    """
     if not (_is_int(n) and _is_int(level) and n >= 1 and level >= 0):
         raise InvalidParams(f"need integers n >= 1 and level >= 0, got n={n!r}, level={level!r}")
     out = []
-
-    def extend(prefix, remaining):
-        if len(prefix) == n:
-            out.append(DominantWeight(tuple(prefix) + (remaining,)))
-            return
-        for c in range(remaining + 1):
-            extend(prefix + [c], remaining - c)
-
-    extend([], level)
+    for bars in combinations(range(level + n), n):
+        ends = (-1, *bars, level + n)
+        out.append(DominantWeight(tuple(b - a - 1 for a, b in pairwise(ends))))
     return out
 
 

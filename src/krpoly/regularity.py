@@ -54,14 +54,15 @@ def is_regular_rank2(graph, pair):
     """Check every {j,k}-component against the rank-2 string axioms.
 
     ``graph`` must be a CrystalGraph (InvalidParams otherwise), the pair
-    must name two distinct colors of it, and its vertices must carry the
-    rank n (a KRError otherwise).  Violations name their component by its
-    least vertex and come in component order.
+    must name two distinct colors of it, each an ``int`` (not True or
+    1.0), and its vertices must carry the rank n (a KRError otherwise).
+    Violations name their component by its least vertex and come in
+    component order.
     """
     if not isinstance(graph, CrystalGraph):
         raise InvalidParams(f"{graph!r} is not a CrystalGraph")
     j, k = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
-    if j == k or j not in graph.colors or k not in graph.colors:
+    if j == k or not all(type(c) is int and c in graph.colors for c in (j, k)):
         raise KRError(f"color pair {pair} is not two distinct colors of {graph.colors}")
     n = _graph_rank(graph)
     a = rank2_off_diagonal(j, k, n)

@@ -37,25 +37,35 @@ class Check:
 
 def count_rect_ssyt(rows, cols, max_entry):
     """Semistandard fillings of an rows x cols rectangle with entries
-    1..max_entry: weakly increasing rows, strictly increasing columns."""
-    grid = [[0] * cols for _ in range(rows)]
+    1..max_entry: weakly increasing rows, strictly increasing columns.
 
-    def fill(idx):
-        if idx == rows * cols:
-            return 1
-        i, j = divmod(idx, cols)
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        total = 0
-        for v in range(lo, max_entry + 1):
-            grid[i][j] = v
-            total += fill(idx + 1)
-        return total
-
-    return fill(0)
+    A brute-force count, backtracking over the cells in reading order:
+    ``grid[idx]`` holds the value tried at cell idx (0 before the first),
+    so no recursion depth limits the shape.
+    """
+    cells = rows * cols
+    grid = [0] * cells
+    count = 0
+    idx = 0
+    while idx >= 0:
+        if idx == cells:
+            count += 1
+            idx -= 1
+            continue
+        v = grid[idx]
+        if v:
+            v += 1
+        else:
+            v = grid[idx - 1] if idx % cols else 1
+            if idx >= cols:
+                v = max(v, grid[idx - cols] + 1)
+        if v > max_entry:
+            grid[idx] = 0
+            idx -= 1
+        else:
+            grid[idx] = v
+            idx += 1
+    return count
 
 
 def signature_word(x, l):

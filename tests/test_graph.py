@@ -287,14 +287,13 @@ def test_a_repeated_color_is_rejected(make):
 
 
 def test_rows_route_fills_no_operator_memo():
-    # hits and misses too: earlier tests may have filled the memos already
-    memos = (patterns._canonical, patterns._string)
-    before = [memo.cache_info() for memo in memos]
+    # hits and misses too: earlier tests may have filled the table already
+    before = patterns._canonical.cache_info()
     graph = build_graph(enumerate_crystal(KRParams(4, 2, 2)), range(5))
     assert len(graph.edges) > 0
     product = build_graph(product_of(CLI_PRODUCT), range(5))
     assert len(product) == 7500 and len(product.edges) > 0
-    assert [memo.cache_info() for memo in memos] == before
+    assert patterns._canonical.cache_info() == before
     assert all(v._strings is None for v in graph.vertices)
     assert all(b._strings is None for v in product.vertices for b in v.factors)
 
@@ -425,12 +424,25 @@ def test_regularity_rejects_a_pair_that_is_not_two_graph_colors():
         graph.component_indices((0, 1))
 
 
-@pytest.mark.parametrize("pair_", [(1, 2, 0), (1,), 5, ("a", "b")])
+@pytest.mark.parametrize(
+    "pair_", [(1, 2, 0), (1,), 5, ("a", "b"), (True, 2), (1.0, 2), (1, 2.0), [2, False]]
+)
 def test_regularity_rejects_a_malformed_pair(pair_):
-    # the first three used to raise a bare ValueError or TypeError
+    # the first three used to raise a bare ValueError or TypeError, and a
+    # bool or float color used to run as the int it equals
     graph = build_graph(enumerate_crystal(KRParams(2, 1, 1)), range(3))
     with pytest.raises(KRError, match="is not two distinct colors"):
         is_regular_rank2(graph, pair_)
+
+
+@pytest.mark.parametrize("colors", [(True,), (1.0,), (0, 2.0), [False], ("1",), ([1],)])
+def test_components_refuse_a_color_that_is_not_an_int(colors):
+    # a bool or float color used to be read as the int it equals
+    graph = build_graph(enumerate_crystal(KRParams(2, 1, 1)), range(3))
+    with pytest.raises(KRError, match="are not all colors of"):
+        graph.component_indices(colors=colors)
+    with pytest.raises(KRError, match="are not all colors of"):
+        graph.is_connected(colors)
 
 
 def test_regularity_on_a_one_vertex_graph():

@@ -197,6 +197,18 @@ def test_oversized_crystals_are_refused_before_any_pattern(monkeypatch):
         enumerate_crystal(KRParams(3, 2, 2), max_size=19)
 
 
+def test_corner_sum_is_the_sum_of_its_cells():
+    # a column bound below 1 used to slice from the end of each row
+    assert validate_pattern([[1, 1], [0, 1]], KRParams(3, 2, 3)).corner_sum(-1, 2) == 0
+    for n in range(1, 4):
+        for params in all_params(n, 2):
+            r = params.r
+            for b in enumerate_crystal(params):
+                for p, q in itertools.product(range(-2, r + 2), range(r - 2, n + 3)):
+                    cells = itertools.product(range(1, p + 1), range(q, n + 1))
+                    assert b.corner_sum(p, q) == sum(b.a(i, j) for i, j in cells), (b, p, q)
+
+
 def test_cardinality_matches_ssyt_count():
     for params in all_params(3, 2):
         size = len(enumerate_crystal(params))
@@ -391,11 +403,10 @@ def test_a_color_that_is_not_an_int_is_refused(color):
 
 
 def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
-    # with the memos cleared, every image slot a read fills is the move at
+    # with the table cleared, every image slot a read fills is the move at
     # the record's first or last argmax, the one object of its grid; a
-    # second read asks no memo and makes no move
-    for memo in (patterns._string, patterns._canonical):
-        memo.cache_clear()
+    # second read walks no string, asks no table and makes no move
+    patterns._canonical.cache_clear()
     walk = patterns._walk
     rng = random.Random(33)
     shapes = [p for n in (6, 7, 8) for p in all_params(n, 3)]
@@ -410,7 +421,7 @@ def test_record_images_are_the_moves_of_a_fresh_walk(monkeypatch):
             assert lower is (patterns._move(b, l, first, 1) if phi else None)
             assert upper is (patterns._move(b, l, last, -1) if eps else None)
     calls = []
-    for name in ("_string", "_move", "_canonical"):
+    for name in ("_walk", "_move", "_canonical"):
         monkeypatch.setattr(patterns, name, lambda *args, name=name: calls.append(name))
     for b in elements:
         for l in range(b.n + 1):
@@ -446,16 +457,22 @@ def test_words_that_reach_one_grid_return_one_object():
         assert patterns._canonical(KRPattern(b.params, b.rows)) is not b
 
 
-def test_a_second_read_of_one_object_skips_the_memo():
-    assert isinstance(patterns._string.cache_info().maxsize, int)
+def test_a_second_read_of_one_object_walks_no_string(monkeypatch):
+    walk, walks = patterns._walk, []
+
+    def counted(pr, rows, l):
+        walks.append(l)
+        return walk(pr, rows, l)
+
+    monkeypatch.setattr(patterns, "_walk", counted)
     b = validate_pattern([[1, 0], [0, 1]], KRParams(3, 2, 3))
     for l in range(4):
         b.phi(l)
-        info = patterns._string.cache_info()
-        assert (b.eps(l), b.phi(l)) == patterns._walk(b.params, b.rows, l)[1::-1]
+        assert walks == list(range(l + 1))
+        assert (b.eps(l), b.phi(l)) == walk(b.params, b.rows, l)[1::-1]
         b.f(l)
         b.e(l)
-        assert patterns._string.cache_info() == info
+        assert walks == list(range(l + 1))
 
 
 P = KRParams(2, 1, 1)

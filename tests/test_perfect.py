@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -29,6 +30,19 @@ def test_dominant_weight_enumeration():
     assert [w.coeffs for w in weights] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert all(w.level == 1 for w in weights)
     assert len(dominant_weights(3, 2)) == 10
+    for n in range(1, 5):
+        for level in range(5):
+            brute = [c for c in itertools.product(range(level + 1), repeat=n + 1) if sum(c) == level]
+            assert [w.coeffs for w in dominant_weights(n, level)] == brute
+
+
+def test_dominant_weights_at_a_high_rank():
+    # the list used to recurse once per coefficient and failed from n = 995;
+    # at level 1 the weights are the unit vectors, the last one first
+    weights = dominant_weights(1500, 1)
+    assert len(weights) == 1501
+    assert [w.coeffs.index(1) for w in weights] == list(range(1500, -1, -1))
+    assert all(w.level == 1 for w in weights)
 
 
 @pytest.mark.parametrize("n, level", [(-1, 1), (0, 2), (2, -1), (True, 1), (2, False), (2.0, 1)])

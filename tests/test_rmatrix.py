@@ -27,6 +27,7 @@ from krpoly import (
     rmatrix_on_hw,
     rmatrix_oracle,
     to_highest_weight,
+    zero_pattern,
 )
 from krpoly import patterns
 from krpoly.energy import _schedule
@@ -275,11 +276,11 @@ def test_each_single_step_is_applied_once(monkeypatch):
     # transport makes every single step one record read, with one more
     # read per factor and color visited, and makes no move and no _stats
     calls = []
-    walk, move = patterns._string, patterns._move
+    walk, move = patterns._walk, patterns._move
 
-    def walking(A, l):
-        calls.append(("_string", A, l))
-        return walk(A, l)
+    def walking(pr, rows, l):
+        calls.append(("_walk", rows, l))
+        return walk(pr, rows, l)
 
     def moving(A, l, i, step):
         name = OPERATOR[step]
@@ -287,7 +288,7 @@ def test_each_single_step_is_applied_once(monkeypatch):
         calls.append((name, A, l))
         return move(A, l, i, step)
 
-    monkeypatch.setattr(patterns, "_string", walking)
+    monkeypatch.setattr(patterns, "_walk", walking)
     monkeypatch.setattr(patterns, "_move", moving)
     rm = importlib.import_module("krpoly.rmatrix")
     energy = importlib.import_module("krpoly.energy")
@@ -305,8 +306,8 @@ def test_each_single_step_is_applied_once(monkeypatch):
         # the output and the number of moves
         calls.clear()
         out = run()
-        ops = [(name, A, l) for name, A, l in calls if name != "_string"]
-        walks = [(id(A), l) for name, A, l in calls if name == "_string"]
+        ops = [(name, A, l) for name, A, l in calls if name != "_walk"]
+        walks = [(id(rows), l) for name, rows, l in calls if name == "_walk"]
         assert {name for name, _, _ in ops} <= {op}
         assert len({(id(A), l) for _, A, l in ops}) == len(ops)
         assert all(A._strings[l][IMAGE_SLOT[op]] is not None for _, A, l in ops)
@@ -366,6 +367,26 @@ def test_rmatrix_is_the_identity_on_one_shape():
     for x in desk + sampled:
         assert rmatrix(x) is x
         assert x == rmatrix_from_hw(*to_highest_weight(x))
+
+
+def test_the_zero_pattern_is_one_object_per_shape():
+    # the library builds the generator again and again, as the second factor
+    # of every highest weight element and of its R image; each shape's is
+    # one object with one set of records.  Both tables are cleared so no
+    # image made before an earlier clear of the canonical table is reused.
+    patterns._canonical.cache_clear()
+    rmatrix_on_hw.cache_clear()
+    shapes = [p for n in range(1, 5) for p in all_params(n, 2)]
+    for p in shapes:
+        zero = zero_pattern(p)
+        assert zero_pattern(KRParams(p.n, p.r, p.s)) is zero
+        assert zero == KRPattern(p, zero.rows) and zero.total() == 0
+    for p, q in itertools.product(shapes, repeat=2):
+        if p.n != q.n:
+            continue
+        for hw in highest_weight_elements(p, q):
+            assert hw.factors[1] is zero_pattern(q)
+            assert rmatrix_on_hw(hw).factors[1] is zero_pattern(p)
 
 
 # an element of B^{1,1} (x) B^{2,1} at n=3 that to_highest_weight raises

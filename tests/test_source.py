@@ -44,10 +44,10 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_module_level_caches_are_the_operator_memos():
-    # the string walker, the canonical-image table and the R-matrix on
-    # highest weight elements are the only memos that live as long as the
-    # process; any other cache belongs to an object a caller owns.  Only the
-    # table, one entry per distinct operator image, may grow without a bound.
+    # the canonical-image table and the R-matrix on highest weight elements
+    # are the only memos that live as long as the process; any other cache
+    # belongs to an object a caller owns.  Only the table, one entry per
+    # distinct operator image or zero pattern, may grow without a bound.
     def cache_name(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if isinstance(target, ast.Attribute):
@@ -65,7 +65,6 @@ def test_module_level_caches_are_the_operator_memos():
         ]
     assert sorted(found) == [
         "patterns._canonical",
-        "patterns._string",
         "rmatrix.rmatrix_on_hw",
     ]
     for name in found:

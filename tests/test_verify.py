@@ -16,6 +16,18 @@ def test_ssyt_counter_known_values():
     assert count_rect_ssyt(2, 2, 2) == 1  # forced filling
 
 
+def test_ssyt_counter_is_the_crystal_size_and_needs_no_recursion():
+    # |B^{r,s}| at rank n counts the r x s tableaux with entries 1..n+1;
+    # the counter used to recurse once per cell and failed past about 990
+    for n in range(1, 6):
+        for r in range(1, n + 1):
+            for s in range(1, 4):
+                assert count_rect_ssyt(r, s, n + 1) == patterns.crystal_size(KRParams(n, r, s))
+    assert count_rect_ssyt(3, 2, 2) == 0  # a column longer than the alphabet
+    assert count_rect_ssyt(0, 3, 2) == count_rect_ssyt(2, 0, 2) == 1  # the empty filling
+    assert count_rect_ssyt(1, 1200, 2) == 1201
+
+
 def test_signature_word_survivors():
     # factor stats for color 1: (phi, eps) = (0, 1) and (1, 2);
     # the word "-+--" cancels its middle pair, leaving two minuses
@@ -97,17 +109,17 @@ def test_rmatrix_check_catches_an_oracle_that_is_not_an_involution(monkeypatch):
 
 
 def test_tensor_check_catches_a_nonzero_level(monkeypatch):
-    walk = patterns._string
+    walk = patterns._walk
 
-    def raised(A, l):
+    def raised(pr, rows, l):
         # phi_0 one too high: the tensor and signature rules still agree
-        phi, eps, first, last = walk(A, l)
+        phi, eps, first, last = walk(pr, rows, l)
         return phi + (l == 0), eps, first, last
 
     # canonical images made before carry true records, those made here
     # raised ones: neither may outlive its side of the patch
     patterns._canonical.cache_clear()
-    monkeypatch.setattr(patterns, "_string", raised)
+    monkeypatch.setattr(patterns, "_walk", raised)
     try:
         checks = run_suite("tensor", 2, 1)
     finally:
