@@ -412,7 +412,9 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 # for l < r.  Both share one objective, max_i sum(hi[:i+1]) + sum(lo[i:]),
 # with phi = best - sum(lo) and eps = best - sum(hi); f moves one unit from
 # hi to lo at the first argmax and e moves it back at the last.  Colors 0
-# and r act on one cell each, (1, n) and (r, r).
+# and r move one cell each, (1, n) and (r, r); their statistics read
+# column 1 and the last row (color 0), the first row and the last column
+# (color r).
 
 
 def _walk(pr, rows, l):
@@ -497,16 +499,12 @@ def _read_color(pr, ids, l, stats, images):
 
     ``ids`` maps each grid to its id k: ``stats[k]`` gets the ``_walk`` of
     grid k and, where f_l applies, ``images[k]`` the id of its image grid,
-    -1 if that is not in ``ids``.  Two-line colors are walked once per
-    distinct pair of lines; for l > r the moved pair of rows is spliced in.
+    -1 if that is not in ``ids``.  Each color is walked once per distinct
+    set of the lines it reads: two rows (l > r), two columns (0 < l < r),
+    column 1 and the last row (l = 0), or the last column and the first
+    row (l = r).  For l > r the moved pair of rows is spliced in.
     """
     r = pr.r
-    if l == 0 or l == r:
-        for rows, k in ids.items():
-            s = stats[k] = _walk(pr, rows, l)
-            if s[0]:
-                images[k] = ids.get(_move_rows(pr, rows, l, 0, 1), -1)
-        return
     lines = {}
     if l > r:
         q = l - 1 - r
@@ -521,9 +519,16 @@ def _read_color(pr, ids, l, stats, images):
             if s[0]:
                 images[k] = ids.get(rows[:q] + moved + rows[q + 2 :], -1)
         return
-    pick = itemgetter(l - 1, l)
+    if l == 0:
+        pick, whole = itemgetter(0), -1
+    elif l == r:
+        pick, whole = itemgetter(-1), 0
+    else:
+        pick, whole = itemgetter(l - 1, l), None
     for rows, k in ids.items():
         line = tuple(map(pick, rows))
+        if whole is not None:
+            line = line, rows[whole]
         s = lines.get(line)
         if s is None:
             s = lines[line] = _walk(pr, rows, l)

@@ -148,8 +148,9 @@ class GroundStatePath:
 def ground_state_path(weight, params, length):
     """Weights and elements of the ground-state path, length steps.
 
-    Successive weights are left-rotations by r; each step is checked
-    against the defining recursion (the epsilon-profile of the current
+    Successive weights are left-rotations by r, so they repeat with period
+    at most n+1: each distinct weight's element is built once and checked
+    once against the defining recursion (the epsilon-profile of the
     element is the next weight).  A length over ``ENUMERATION_CAP`` raises
     SizeLimitExceeded before any element is built.
     """
@@ -162,13 +163,19 @@ def ground_state_path(weight, params, length):
     _check_level(weight, params)
     weights = [weight]
     elements = []
+    steps = {}  # weight -> (its element, the next weight)
     for _ in range(length):
-        b = b_upper(weights[-1], params)
-        elements.append(b)
-        nxt = weights[-1].rotate(params.r)
-        if eps_profile(b) != nxt.coeffs:
-            raise InconsistentRecursion("ground-state path recursion does not rotate the weight")
-        weights.append(nxt)
+        step = steps.get(weights[-1])
+        if step is None:
+            b = b_upper(weights[-1], params)
+            nxt = weights[-1].rotate(params.r)
+            if eps_profile(b) != nxt.coeffs:
+                raise InconsistentRecursion(
+                    "ground-state path recursion does not rotate the weight"
+                )
+            step = steps[weights[-1]] = b, nxt
+        elements.append(step[0])
+        weights.append(step[1])
     return GroundStatePath(params, tuple(weights[:length]), tuple(elements))
 
 
@@ -233,12 +240,10 @@ def check_perfect(params):
         )
 
     # one pass over B.  The classical weight of the zero pattern dominates
-    # B: top - wt is a non-negative integer combination of simple roots, read
-    # with the inverse Cartan matrix scaled by n+1 to stay in integers, once
-    # per distinct weight.  Each side keeps its level-exact profiles in order.
+    # B (``_dominated``, once per distinct weight).  Each side keeps its
+    # level-exact profiles in order.
     n, s = params.n, params.s
     top = zero_pattern(params).classical_weight()
-    inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
     cone, hits_e, hits_f, at_top, min_level = {}, {}, {}, 0, None
     colors = range(n + 1)
     for b in elements:
@@ -246,9 +251,7 @@ def check_perfect(params):
         at_top += wt == top
         ok = cone.get(wt)
         if ok is None:
-            diff = [top[t] - wt[t] for t in range(n)]
-            coords = [sum(row[t] * diff[t] for t in range(n)) for row in inverse]
-            ok = cone[wt] = not any(c < 0 or c % (n + 1) for c in coords)
+            ok = cone[wt] = _dominated(top, wt)
         if not ok:
             violations.append(f"weight of {b} escapes the dominance cone")
         prof_e, prof_f = tuple(map(b.eps, colors)), tuple(map(b.phi, colors))
@@ -290,6 +293,27 @@ def check_perfect(params):
     report.formulas_match_search = not any(disagree)
     violations.extend(message for wrong in disagree for message in wrong)
     return report
+
+
+def _dominated(top, wt):
+    """True when top - wt is a non-negative integer combination of simple roots.
+
+    Its coordinates c_i are the inverse Cartan matrix of A_n applied to
+    d = top - wt.  Scaled by n+1 to stay in integers, with T = sum_j j d_j,
+    (n+1) c_i = (n+1) (sum_{j<=i} j d_j + i sum_{j>i} d_j) - i T, so one
+    pass of prefix sums reads them all.
+    """
+    n1 = len(top) + 1
+    d = [t - w for t, w in zip(top, wt)]
+    total = sum(j * x for j, x in enumerate(d, 1))
+    low, high = 0, sum(d)  # sum_{j<=i} j d_j and sum_{j>i} d_j
+    for i, x in enumerate(d, 1):
+        low += i * x
+        high -= x
+        c = n1 * (low + i * high) - i * total
+        if c < 0 or c % n1:
+            return False
+    return True
 
 
 def _certificate(params, size):

@@ -23,15 +23,16 @@ reaches a grid by another word, or one that another transport visited,
 reads its further steps from the records already on it.  Reading records
 in place skips the color gate of ``KRPattern._stats``, so
 ``rmatrix_from_hw`` checks its word itself.  The image of a highest weight
-element is memoized in a bounded memo of 1024 entries (``rmatrix_on_hw``):
-transports land on few distinct highest weight elements, and a repeated
-one then costs a lookup.
+element is memoized in a bounded memo of 1024 entries (``_hw_image``,
+whose counters ``rmatrix_on_hw.cache_info()`` shows): transports land on
+few distinct highest weight elements, and a repeated one then costs a
+lookup.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .errors import IndexOutOfRange, InvalidParams, NotHighestWeight, OracleFailure
 from .patterns import KRPattern, _check_params, pattern_from_cells, zero_pattern
@@ -67,44 +68,15 @@ def highest_weight_elements(params1, params2):
     return out
 
 
-def _two_fold_first(memo):
-    """``memo`` behind the two-fold check.
-
-    An argument that is not a two-fold TensorElement, such as a list the
-    memo could not even hash, raises InvalidParams before the memo sees
-    it.  ``cache_info``, ``cache_clear`` and the unmemoized ``__wrapped__``
-    are the memo's.
-    """
-
-    @wraps(memo)
-    def checked(x):
-        two_factors(x, "the R-matrix acts on two-fold products")
-        return memo(x)
-
-    checked.__wrapped__ = memo.__wrapped__
-    checked.cache_info = memo.cache_info
-    checked.cache_clear = memo.cache_clear
-    return checked
-
-
 # Transports land on few distinct highest weight elements: global_energy on
 # the 216 seeded 8-fold paths at n=5 (bench seed 1) calls this 3,326 times
 # on 200 of them, rmatrix on 2,000 seeded pairs at n=8 1,500 times on 62
 # (the other 500 pairs have one shape, where R is the identity).
 # 1024 entries hold every distinct one seen there; the bound keeps a long
 # run over large crystals from growing the memo without end.
-@_two_fold_first
 @lru_cache(maxsize=1024)
-def rmatrix_on_hw(x):
-    """Image of a classical highest weight element under the R-matrix.
-
-    Memoized on x in a bounded memo of 1024 entries: a miss runs every
-    check below, and a call that raises is not cached, so a hit returns
-    the image of an equal element that passed them all; equal arguments
-    get back the same image object.  ``rmatrix_on_hw.cache_info()`` shows
-    the hits, misses and current size.  What is not a two-fold element
-    raises InvalidParams before the memo (``_two_fold_first``).
-    """
+def _hw_image(x):
+    """``rmatrix_on_hw`` on a two-fold x, memoized on x."""
     first, second = x.factors
     if not is_classical_hw(x):
         raise NotHighestWeight("element is not killed by all classical raising operators")
@@ -121,6 +93,23 @@ def rmatrix_on_hw(x):
     return TensorElement._trusted(
         (pattern_from_cells(second.params, first.a), zero_pattern(first.params))
     )
+
+
+def rmatrix_on_hw(x):
+    """Image of a classical highest weight element under the R-matrix.
+
+    What is not a two-fold element, such as a list the memo could not even
+    hash, raises InvalidParams first.  The image is memoized on x in a
+    bounded memo of 1024 entries: a miss runs every check, and a call that
+    raises is not cached, so a hit returns the image of an equal element
+    that passed them all; equal arguments get back the same image object.
+    ``rmatrix_on_hw.cache_info()`` shows the hits, misses and current size.
+    """
+    two_factors(x, "the R-matrix acts on two-fold products")
+    return _hw_image(x)
+
+
+rmatrix_on_hw.cache_info = _hw_image.cache_info
 
 
 # a move along a string: the image slot of a ``KRPattern._strings`` record,

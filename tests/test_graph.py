@@ -175,8 +175,9 @@ def test_rows_route_rejects_colors_outside_the_range(color):
 
 def test_the_reader_walks_each_line_pair_once(monkeypatch):
     # f_l of a color l other than 0 and r reads rows l-1 and l (l > r) or
-    # columns l and l+1 (l < r), so the walker runs once per distinct pair
-    # of those lines; colors 0 and r read one cell each, once per factor
+    # columns l and l+1 (l < r), color 0 column 1 and the last row, color r
+    # the first row and the last column, so the walker runs once per
+    # distinct set of those cells
     params = KRParams(6, 3, 3)
     crystal = enumerate_crystal(params)
     walker = patterns._walk
@@ -196,8 +197,12 @@ def test_the_reader_walks_each_line_pair_once(monkeypatch):
             for b in crystal}
         for l in (1, 2, 4, 5, 6)
     }
-    assert {l: len(pairs) for l, pairs in lines.items()} == {1: 490, 2: 490, 4: 175, 5: 175, 6: 175}
-    assert walks == {0: 4116, 3: 4116, **{l: len(pairs) for l, pairs in lines.items()}}
+    lines[0] = {(tuple(row[0] for row in b.rows), b.rows[-1]) for b in crystal}
+    lines[3] = {(b.rows[0], tuple(row[-1] for row in b.rows)) for b in crystal}
+    assert {l: len(pairs) for l, pairs in lines.items()} == {
+        1: 490, 2: 490, 4: 175, 5: 175, 6: 175, 0: 84, 3: 84
+    }
+    assert walks == {l: len(pairs) for l, pairs in lines.items()}
 
 
 ENTRY_POINT_CALLS = {

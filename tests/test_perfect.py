@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -252,6 +254,62 @@ def test_weight_cone_rejects_a_second_top_and_escaping_weights(monkeypatch):
         "weight of off again escapes the dominance cone",
         "2 elements share the top classical weight",
     ]
+
+
+def cone_by_inverse_cartan(top, wt):
+    """Reference: the inverse Cartan matrix of A_n, scaled by n+1, applied to top - wt."""
+    n = len(top)
+    inverse = [[(n + 1) * min(i, j) - i * j for j in range(1, n + 1)] for i in range(1, n + 1)]
+    diff = [t - w for t, w in zip(top, wt)]
+    coords = [sum(a * d for a, d in zip(row, diff)) for row in inverse]
+    return not any(c < 0 or c % (n + 1) for c in coords)
+
+
+def test_dominance_cone_by_prefix_sums_matches_the_matrix_form():
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        top = tuple(rng.randint(0, 4) for _ in range(n))
+        # below the top on the root lattice, above it, or anywhere (mostly off it)
+        roots = [0, *(rng.randint(-1 if rng.random() < 0.3 else 0, 3) for _ in range(n)), 0]
+        cartan = [2 * roots[i] - roots[i - 1] - roots[i + 1] for i in range(1, n + 1)]
+        shift = cartan if rng.random() < 0.6 else [rng.randint(-3, 3) for _ in range(n)]
+        wt = tuple(t - d for t, d in zip(top, shift))
+        want = cone_by_inverse_cartan(top, wt)
+        assert perfect._dominated(top, wt) == want, (top, wt)
+        verdicts[want] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def test_ground_state_path_builds_each_distinct_weight_once(monkeypatch):
+    built = Counter()
+    builder = perfect.b_upper
+
+    def counting(weight, params):
+        built[weight.coeffs] += 1
+        return builder(weight, params)
+
+    for params, weight in [
+        (KRParams(3, 3, 3), DominantWeight((1, 0, 2, 0))),
+        (KRParams(5, 2, 4), DominantWeight((2, 1, 0, 0, 1, 0))),
+        (KRParams(4, 2, 1), DominantWeight((0, 0, 1, 0, 0))),
+    ]:
+        length = 10 * (params.n + 1)
+        built.clear()
+        monkeypatch.setattr(perfect, "b_upper", counting)
+        path = ground_state_path(weight, params, length)
+        monkeypatch.undo()
+        assert sum(built.values()) <= params.n + 1 and max(built.values()) == 1
+        # reference: build and check every step
+        weights, elements = [weight], []
+        for _ in range(length):
+            b = b_upper(weights[-1], params)
+            elements.append(b)
+            weights.append(weights[-1].rotate(params.r))
+            assert eps_profile(b) == weights[-1].coeffs
+        assert path.weights == tuple(weights[:length])
+        assert path.elements == tuple(elements)
 
 
 def test_ground_state_path_full_rotation():

@@ -32,7 +32,7 @@ from krpoly import (
 from krpoly import patterns
 from krpoly.energy import _schedule
 from krpoly.graph import build_graph
-from krpoly.rmatrix import hw_support, rmatrix
+from krpoly.rmatrix import _hw_image, hw_support, rmatrix
 from krpoly.table import PairTable
 
 from conftest import (
@@ -118,7 +118,7 @@ def test_memoized_image_matches_the_unmemoized_map():
         for params1 in all_params(n, 3):
             for params2 in all_params(n, 3):
                 for hw in highest_weight_elements(params1, params2):
-                    assert rmatrix_on_hw(hw) == rmatrix_on_hw.__wrapped__(hw)
+                    assert rmatrix_on_hw(hw) == _hw_image.__wrapped__(hw)
 
 
 def test_equal_hw_share_one_image():
@@ -139,6 +139,14 @@ def test_rejections_are_not_memoized():
     assert after.currsize == before.currsize
     assert after.misses == before.misses + 2
     assert after.hits == before.hits
+
+
+@pytest.mark.parametrize("arg", [[1, 2], 5], ids=["list", "int"])
+def test_what_is_not_two_fold_never_reaches_the_memo(arg):
+    before = rmatrix_on_hw.cache_info()
+    with pytest.raises(InvalidParams, match="the R-matrix acts on two-fold products"):
+        rmatrix_on_hw(arg)
+    assert rmatrix_on_hw.cache_info() == before
 
 
 def test_hw_memo_is_bounded():
@@ -375,7 +383,7 @@ def test_the_zero_pattern_is_one_object_per_shape():
     # one object with one set of records.  Both tables are cleared so no
     # image made before an earlier clear of the canonical table is reused.
     patterns._canonical.cache_clear()
-    rmatrix_on_hw.cache_clear()
+    _hw_image.cache_clear()
     shapes = [p for n in range(1, 5) for p in all_params(n, 2)]
     for p in shapes:
         zero = zero_pattern(p)

@@ -65,7 +65,7 @@ def test_module_level_caches_are_the_operator_memos():
         ]
     assert sorted(found) == [
         "patterns._canonical",
-        "rmatrix.rmatrix_on_hw",
+        "rmatrix._hw_image",
     ]
     for name in found:
         if name == "patterns._canonical":
