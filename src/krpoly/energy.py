@@ -6,15 +6,18 @@ by one along a raising 0-edge exactly when e_0 acts on the first (second)
 factor of both the element and its R-matrix image.  Two routes are
 implemented: a recursion oracle that propagates those increments over the
 whole product, and the closed form: one call of the transport kernel
-``rmatrix._raise_strings`` raises the element along a fixed schedule of
-whole strings, and H is minus a corner sum of the raised first factor.
-No string is walked here.
+``rmatrix._raise_strings`` raises the element along the fixed schedule
+``rmatrix._schedule(r2, n)`` of whole strings, and H is minus a corner sum
+of the raised first factor.  Transport to the highest weight element is
+one call of the same kernel on ``_schedule(1, n)``.  No string is walked
+here.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistentRecursion, InvalidParams, NotHighestWeight
-from .rmatrix import _raise_strings, rmatrix_from_hw, rmatrix_oracle_ids, to_highest_weight
+from .rmatrix import _raise_strings, _schedule, rmatrix_from_hw, rmatrix_oracle_ids
+from .rmatrix import to_highest_weight
 from .table import product_table
 from .tensor import TensorElement, is_classical_hw, two_factors
 
@@ -25,12 +28,6 @@ def local_energy_hw(x):
     if not is_classical_hw(x):
         raise NotHighestWeight("element is not classical highest weight")
     return -first.total()
-
-
-def _schedule(r2, n):
-    """Raising schedule of A (x) B, B in B^{r2,s2} at rank n: passes
-    s = 0..n-r2 end to end, each colors 1..r2-1 then r2+s down to r2."""
-    return [l for s in range(n - r2 + 1) for l in (*range(1, r2), *range(r2 + s, r2 - 1, -1))]
 
 
 def local_energy(x):

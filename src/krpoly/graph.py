@@ -69,9 +69,9 @@ class CrystalGraph:
         """Undirected connected components, each a sorted tuple of indices.
 
         A color that is not an ``int`` of the graph (True and 1.0 included)
-        raises KRError.
+        raises KRError, and ``colors`` that are not iterable InvalidParams.
         """
-        chosen = self.colors if colors is None else tuple(colors)
+        chosen = self.colors if colors is None else _items(colors, "colors")
         if not all(type(l) is int and l in self.colors for l in chosen):
             raise KRError(f"colors {chosen} are not all colors of {self.colors}")
         arrows = [self.f[l] for l in chosen] + [self.e[l] for l in chosen]
@@ -158,9 +158,15 @@ def _string_lengths(targets, sources):
 
 
 def vertex_label(v):
-    """Compact human-readable label; single cells collapse to the integer."""
+    """Compact human-readable label; single cells collapse to the integer.
+
+    A vertex that is neither a KRPattern nor a TensorElement, such as an
+    int of a graph given by id lists, has no label: InvalidParams.
+    """
     if hasattr(v, "factors"):
         return "(x)".join(vertex_label(b) for b in v.factors)
+    if not isinstance(v, KRPattern):
+        raise InvalidParams(f"vertex {v!r} is not a KRPattern or TensorElement: it has no label")
     return v.label()
 
 

@@ -61,7 +61,12 @@ class DominantWeight:
         return sum(self.coeffs)
 
     def rotate(self, r):
-        """Left-rotation by r slots: entry t picks up coefficient t+r."""
+        """Left-rotation by r slots: entry t picks up coefficient t+r.
+
+        An r that is not an ``int`` (True and 2.0 included) raises InvalidParams.
+        """
+        if not _is_int(r):
+            raise InvalidParams(f"a rotation is by an int number of slots, got {r!r}")
         n1 = len(self.coeffs)
         return DominantWeight(tuple(self.coeffs[(t + r) % n1] for t in range(n1)))
 

@@ -12,8 +12,14 @@ the unique affine automorphism, the identity, and ``rmatrix`` returns its
 argument.  Other elements are handled by transport to the highest weight
 representative and back.  Transport splits each whole string between the
 two factors by the tensor rule, reading their string statistics once per
-color, in one kernel (``_raise_strings``) that the closed-form energy
-schedule shares; ``rmatrix_from_hw`` mirrors it for lowering.  The kernel
+color, in one kernel call (``_raise_strings``) along ``_schedule(1, n)``,
+a reduced word of the longest element w0 of S_{n+1}: raising each string
+to its top along any reduced word of w0 ends at the classical highest
+weight element (Littelmann's string parametrization, "Cones, crystals,
+and patterns", Transform. Groups 3, 1998).  The closed-form energy makes
+one call of the same kernel on ``_schedule(r2, n)``, and
+``rmatrix_from_hw`` mirrors the kernel for lowering; ``_hw_image`` still
+refuses an element that is not highest weight.  The kernel
 reads each factor's per-color record (``KRPattern._strings``: phi, eps,
 first, last, f image, e image) in place, so a single step whose image is
 already on the record costs an index; the ``KRPattern`` operators fill a
@@ -154,21 +160,39 @@ def _raise_strings(a, b, colors, word):
     return a, b
 
 
+# Building a schedule anew takes 2.4 us at n=5, where a warm transport
+# takes some 6 us besides; a schedule depends on (r2, n) alone, so one tuple
+# per pair is kept, and the bound keeps a sweep over many ranks finite.
+@lru_cache(maxsize=256)
+def _schedule(r2, n):
+    """Raising schedule of A (x) B, B in B^{r2,s2} at rank n: passes
+    s = 0..n-r2 end to end, each colors 1..r2-1 then r2+s down to r2.
+
+    At r2 = 1 it is (1)(2 1)...(n ... 1), a reduced word of the longest
+    element w0 of S_{n+1}, on which ``to_highest_weight`` raises (the
+    string parametrization); ``energy.local_energy`` raises along the
+    schedule of its own r2.  A tuple, shared by every call on (r2, n).
+    """
+    return tuple(l for s in range(n - r2 + 1) for l in (*range(1, r2), *range(r2 + s, r2 - 1, -1)))
+
+
 def to_highest_weight(x):
     """Raise the two-fold element x = a (x) b to its classical highest weight element.
 
-    Returns (hw, word).  Each pass raises along whole strings, e_l^{eps_l}
-    for l = 1..n in turn (``_raise_strings``); passes repeat until no
-    classical e_l applies.  The word lists the colors of the single steps
-    in the order applied; its length and color multiset are fixed by the
-    weight difference to hw, whatever the schedule.
+    Returns (hw, word).  One kernel call (``_raise_strings``) raises each
+    whole string e_l^{eps_l} in turn along ``_schedule(1, n)``, a reduced
+    word of the longest element w0 of S_{n+1}; raising every string to its
+    top along any reduced word of w0 ends at the highest weight element
+    (Littelmann's string parametrization, "Cones, crystals, and patterns",
+    Transform. Groups 3, 1998), so no further pass is made.  ``_hw_image``
+    still refuses an element that is not highest weight.  The word lists
+    the colors of the single steps in the order applied; its length and
+    color multiset are fixed by the weight difference to hw, whatever the
+    schedule.
     """
     a, b = two_factors(x, "transport acts on two-fold products")
     word = []
-    moved = None
-    while moved != len(word):
-        moved = len(word)
-        a, b = _raise_strings(a, b, range(1, a.n + 1), word)
+    a, b = _raise_strings(a, b, _schedule(1, a.n), word)
     return TensorElement._trusted((a, b)), tuple(word)
 
 

@@ -78,6 +78,8 @@ MALFORMED = {
 }
 EVERY = set(MALFORMED)
 ELEMENTS = {"pattern", "two-fold", "three-fold"}
+# what a color set of GRAPH may be: all its colors, or an iterable of them
+COLOR_SETS = {"None", "[1, 2]", "(1, 2)", "{}"}
 
 # name -> (callable, valid arguments, {slot: the malformed values valid there}).
 # KRPattern is the unchecked constructor (validate_pattern is the checked
@@ -119,6 +121,9 @@ ENTRY_POINTS = {
     "phi_profile": (phi_profile, [B], {0: ELEMENTS}),
     "RegularityReport": (RegularityReport, [(1, 2), -1], {0: EVERY, 1: EVERY}),
     "is_regular_rank2": (is_regular_rank2, [GRAPH, (1, 2)], {1: {"[1, 2]", "(1, 2)"}}),
+    "CrystalGraph.component_indices": (GRAPH.component_indices, [None], {0: COLOR_SETS}),
+    "CrystalGraph.is_connected": (GRAPH.is_connected, [None], {0: COLOR_SETS}),
+    "DominantWeight.rotate": (W.rotate, [1], {0: {"5", "-1"}}),
     "highest_weight_elements": (highest_weight_elements, [P, Q], {}),
     "rmatrix_from_hw": (rmatrix_from_hw, [X, ()], {0: {"two-fold"}, 1: {"[1, 2]", "(1, 2)"}}),
     "rmatrix_on_hw": (rmatrix_on_hw, [X], {0: {"two-fold"}}),

@@ -19,6 +19,7 @@ from krpoly import (
     graph as graph_module,
     is_regular_rank2,
     patterns,
+    psi_embedding,
 )
 from krpoly.graph import CrystalGraph, build_graph, vertex_label
 from krpoly.regularity import rank2_off_diagonal
@@ -66,6 +67,17 @@ def test_edges_match_operators_both_ways():
                     assert graph.e[l][j] == i
         for i, l, j in edge_set:
             assert graph.e[l][j] == i
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[0, 1, 2], [psi_embedding(b) for b in enumerate_crystal(KRParams(2, 1, 1))]],
+    ids=["ints", "monomials"],
+)
+def test_dot_of_an_id_list_graph_names_the_vertex_it_cannot_label(vertices):
+    graph = CrystalGraph(vertices, [1], {1: [1, 2, None]})
+    with pytest.raises(InvalidParams, match=re.escape(f"vertex {vertices[0]!r}")):
+        graph.to_dot()
 
 
 def test_dot_output_is_well_formed_and_deterministic():

@@ -30,9 +30,8 @@ from krpoly import (
     zero_pattern,
 )
 from krpoly import patterns
-from krpoly.energy import _schedule
 from krpoly.graph import build_graph
-from krpoly.rmatrix import _hw_image, hw_support, rmatrix
+from krpoly.rmatrix import _hw_image, _schedule, hw_support, rmatrix
 from krpoly.table import PairTable
 
 from conftest import (
@@ -219,29 +218,15 @@ def single_step_raise(x):
             return x, tuple(word)
 
 
-def pass_schedule_walk(x):
-    """Reference: the transport pass schedule, one TensorElement.e at a time."""
+def schedule_walk(x, colors):
+    """Reference: x raised along ``colors``, each string to its top one
+    TensorElement.e at a time; returns the raised x and the step colors."""
     word = []
-    raised = True
-    while raised:
-        raised = False
-        for l in range(1, x.n + 1):
-            while x.eps(l):
-                x = x.e(l)
-                word.append(l)
-                raised = True
-    return x, tuple(word)
-
-
-def schedule_walk_steps(x):
-    """Reference: single steps the closed-form energy schedule takes on x,
-    one TensorElement.e at a time through every pass."""
-    steps = 0
-    for l in _schedule(x.factors[1].params.r, x.n):
+    for l in colors:
         while (y := x.e(l)) is not None:
             x = y
-            steps += 1
-    return steps
+            word.append(l)
+    return x, tuple(word)
 
 
 def seeded_pairs(seed, count):
@@ -264,11 +249,55 @@ def test_whole_string_raising_matches_single_steps():
     # exactly the single-step walk on the same schedule, there and back
     for x in seeded_pairs(18, 400):
         hw, word = to_highest_weight(x)
-        assert (hw, word) == pass_schedule_walk(x)
+        assert (hw, word) == schedule_walk(x, _schedule(1, x.n))
         y = rmatrix_on_hw(hw)
         for l in reversed(word):
             y = y.f(l)
         assert rmatrix_from_hw(hw, word) == y
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_transport_schedule_is_a_reduced_word_of_w0(n):
+    # (1)(2 1)...(n ... 1): its adjacent transpositions reverse 1..n+1 in
+    # n(n+1)/2 steps, the length of the longest element of S_{n+1}
+    word = _schedule(1, n)
+    assert len(word) == n * (n + 1) // 2
+    perm = list(range(1, n + 2))
+    for l in word:
+        perm[l - 1], perm[l] = perm[l], perm[l - 1]
+    assert perm == list(range(n + 1, 0, -1))
+
+
+def test_transport_is_one_kernel_call(monkeypatch):
+    rm = importlib.import_module("krpoly.rmatrix")
+    kernel = rm._raise_strings
+    calls = []
+
+    def counting(a, b, colors, word):
+        calls.append(colors)
+        return kernel(a, b, colors, word)
+
+    monkeypatch.setattr(rm, "_raise_strings", counting)
+    for x in seeded_pairs(38, 100):
+        calls.clear()
+        to_highest_weight(x)
+        assert calls == [_schedule(1, x.n)]
+
+
+def test_one_schedule_reaches_the_highest_weight_element():
+    desk = [
+        x
+        for n in range(1, 4)
+        for p, q in itertools.product(all_params(n, 2), repeat=2)
+        for x in product_elements(p, q)
+    ]
+    rng = random.Random(38)
+    shapes = {n: all_params(n, 3) for n in range(6, 13)}
+    sampled = [random_element(rng, shapes[rng.randint(6, 12)], 2) for _ in range(300)]
+    for x in desk + sampled:
+        hw, _ = to_highest_weight(x)
+        assert is_classical_hw(hw)
+        assert hw == single_step_raise(x)[0]
 
 
 # the operator a ``patterns._move`` step of +1 or -1 makes, and its image
@@ -357,7 +386,7 @@ def test_each_single_step_is_applied_once(monkeypatch):
     scheduled = 0
     for x in seeded_pairs(19, 150):
         h, made = cold(lambda: local_energy(x), "e")
-        steps = schedule_walk_steps(x)
+        steps = len(schedule_walk(x, _schedule(x.factors[1].params.r, x.n))[1])
         assert made <= steps
         warm(lambda: local_energy(x), h, lambda c: steps + 2 * c)
         scheduled += steps > 0

@@ -44,10 +44,11 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_module_level_caches_are_the_operator_memos():
-    # the canonical-image table and the R-matrix on highest weight elements
-    # are the only memos that live as long as the process; any other cache
-    # belongs to an object a caller owns.  Only the table, one entry per
-    # distinct operator image or zero pattern, may grow without a bound.
+    # the canonical-image table, the R-matrix on highest weight elements and
+    # the raising schedules are the only memos that live as long as the
+    # process; any other cache belongs to an object a caller owns.  Only the
+    # table, one entry per distinct operator image or zero pattern, may grow
+    # without a bound.
     def cache_name(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         if isinstance(target, ast.Attribute):
@@ -66,6 +67,7 @@ def test_module_level_caches_are_the_operator_memos():
     assert sorted(found) == [
         "patterns._canonical",
         "rmatrix._hw_image",
+        "rmatrix._schedule",
     ]
     for name in found:
         if name == "patterns._canonical":
