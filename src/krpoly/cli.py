@@ -15,7 +15,7 @@ import sys
 from itertools import chain
 
 from .energy import global_energy, local_energy, local_energy_oracle
-from .errors import KRError, SizeLimitExceeded
+from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .graph import build_graph
 from .patterns import (
     ENUMERATION_CAP,
@@ -36,7 +36,10 @@ def _parse_triple(text):
         n, r, s = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected n,r,s: {text!r}") from exc
-    return KRParams(n, r, s)
+    try:
+        return KRParams(n, r, s)
+    except InvalidParams as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_cap(text):
@@ -334,7 +337,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # output the buffer still holds meets a closed pipe here
+        return code
     except SizeLimitExceeded as exc:
         sys.stderr.write(f"size cap exceeded: {exc}\n")
         return 3

@@ -61,17 +61,17 @@ class OracleFailure(KRError):
     whose image has another weight or an f_l/e_l that is defined on one
     side only or not intertwined, or does not reach a bijection; when the
     R-matrix transport word does not replay on the image side; or when
-    b_lower/b_upper miss their defining profile.  Must not occur on valid
-    crystals.
+    b_lower/b_upper miss their defining profile (so also when a
+    ground-state path step does not rotate the weight).  Must not occur
+    on valid crystals.
     """
 
 
 class InconsistentRecursion(KRError):
     """A recursive construction broke its invariant.
 
-    The energy recursion assigned conflicting values along two paths, the
-    closed-form raising schedule left its string or did not reach zero, or
-    the ground-state path recursion did not rotate the weight.
+    The energy recursion assigned conflicting values along two paths, or
+    the closed-form raising schedule left its string or did not reach zero.
     """
 
 

@@ -4,12 +4,14 @@ A finite affine crystal is perfect of level l when its tensor square is
 connected, its classical weights sit under a unique maximal weight, every
 epsilon-profile has level at least l, and every dominant weight of level l
 is hit by exactly one epsilon-profile and one phi-profile.  For B^{r,l}
-the distinguished elements are written down directly: the element whose
-phi-profile equals a dominant weight reads the weight coefficients along
-anti-diagonals modulo n+1, the epsilon-side element reads them without
-wraparound.  Connectivity of the tensor square is read off its classical
-highest weight elements alone; when they do not certify it, that is a
-violation, and no square is walked.
+the distinguished elements come from one formula: b_L, whose
+epsilon-profile is the dominant weight L, reads the coefficients of L
+along anti-diagonals, and b^L, whose phi-profile is L, is b_ of
+``L.rotate(r)``.  So the epsilon-profile of b^L is ``L.rotate(r)``, the
+ground-state path recursion, checked where b_ is built.  Connectivity
+of the tensor square is read off its classical highest weight elements
+alone; when they do not certify it, that is a violation, and no square
+is walked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, pairwise
 
 from .errors import (
-    InconsistentRecursion,
     InvalidParams,
     LevelMismatch,
     OracleFailure,
@@ -114,11 +115,12 @@ def b_lower(weight, params):
 def b_upper(weight, params):
     """The unique element whose phi-profile equals the weight.
 
-    Entry at (p, q) is coefficient (p+q) mod (n+1).
+    Entry at (p, q) is coefficient (p+q) mod (n+1), which is b_lower of
+    ``weight.rotate(r)``: its epsilon-profile is that rotation, or b_lower
+    raises OracleFailure.
     """
     _check_level(weight, params)
-    a = weight.coeffs
-    out = pattern_from_cells(params, lambda p, q: a[(p + q) % (params.n + 1)])
+    out = b_lower(weight.rotate(params.r), params)
     if phi_profile(out) != weight.coeffs:
         raise OracleFailure("phi-profile of b_upper does not match the weight")
     return out
@@ -154,10 +156,11 @@ def ground_state_path(weight, params, length):
     """Weights and elements of the ground-state path, length steps.
 
     Successive weights are left-rotations by r, so they repeat with period
-    at most n+1: each distinct weight's element is built once and checked
-    once against the defining recursion (the epsilon-profile of the
-    element is the next weight).  A length over ``ENUMERATION_CAP`` raises
-    SizeLimitExceeded before any element is built.
+    at most n+1: each distinct weight's element is built once by
+    ``b_upper``, whose b_lower step checks the defining recursion (the
+    epsilon-profile of the element is the next weight).  A length over
+    ``ENUMERATION_CAP`` raises SizeLimitExceeded before any element is
+    built.
     """
     if not _is_int(length):
         raise InvalidParams(f"path length must be an integer, got {length!r}")
@@ -172,13 +175,8 @@ def ground_state_path(weight, params, length):
     for _ in range(length):
         step = steps.get(weights[-1])
         if step is None:
-            b = b_upper(weights[-1], params)
             nxt = weights[-1].rotate(params.r)
-            if eps_profile(b) != nxt.coeffs:
-                raise InconsistentRecursion(
-                    "ground-state path recursion does not rotate the weight"
-                )
-            step = steps[weights[-1]] = b, nxt
+            step = steps[weights[-1]] = b_upper(weights[-1], params), nxt
         elements.append(step[0])
         weights.append(step[1])
     return GroundStatePath(params, tuple(weights[:length]), tuple(elements))
@@ -277,18 +275,20 @@ def check_perfect(params):
 
     # each side: every dominant weight of level s is hit exactly once, by
     # the element its formula writes down (of several hits, already a
-    # violation, the last is compared); disagreements are listed per weight
+    # violation, the last is compared); disagreements are listed per weight.
+    # b_ is built once per weight, and b^ of a weight is b_ of its rotation
     targets = dominant_weights(n, s)
     wanted = {w.coeffs for w in targets}
+    lower = {w: b_lower(w, params) for w in targets}
     bijective, disagree = [], [[] for _ in targets]
-    sides = (("epsilon", "b_", hits_e, b_lower), ("phi", "b^", hits_f, b_upper))
-    for tag, mark, hits, formula in sides:
+    sides = (("epsilon", "b_", hits_e, 0), ("phi", "b^", hits_f, params.r))
+    for tag, mark, hits, shift in sides:
         before = len(violations)
         for weight, wrong in zip(targets, disagree):
             found = hits.get(weight.coeffs, [])
             if len(found) != 1:
                 violations.append(f"{tag}-profile {weight.coeffs} hit by {len(found)} elements")
-            if found[-1:] != [formula(weight, params)]:
+            if found[-1:] != [lower[weight.rotate(shift)]]:
                 wrong.append(f"search and formula disagree on {mark}({weight.coeffs})")
         extra = sorted(hits.keys() - wanted)
         if extra:

@@ -302,8 +302,8 @@ def _psi_commutes(crystal2, b, m, pattern_color, monomial_color):
 
 
 def _path_failures(params):
-    """``ground_state_path`` rotates the weights itself and raises
-    InconsistentRecursion at a step whose eps-profile breaks the recursion."""
+    """``ground_state_path`` rotates the weights itself, and its b_upper
+    raises OracleFailure at a step whose eps-profile breaks the recursion."""
     weight = dominant_weights(params.n, params.s)[0]
     ground_state_path(weight, params, 2 * (params.n + 1))
     return []

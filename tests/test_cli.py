@@ -111,6 +111,44 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
+    "argv, flag, reason",
+    [
+        (["graph", "--factor", "3,1"], "--factor", "expected n,r,s: '3,1'"),
+        (["graph", "--factor", "a,b,c"], "--factor", "expected n,r,s: 'a,b,c'"),
+        (["graph", "--factor", "3,0,1"], "--factor", "need 1 <= r <= n, got r=0, n=3"),
+        (
+            ["enumerate", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "0"],
+            "--max-elements",
+            "expected a positive integer: '0'",
+        ),
+        (
+            ["enumerate", "--n", "2", "--r", "1", "--s", "1", "--max-elements", "x"],
+            "--max-elements",
+            "expected a positive integer: 'x'",
+        ),
+        (
+            ["gsp", "--weight", "1,1,0", "--r", "1", "--len", "-3"],
+            "--len",
+            "expected a positive integer: '-3'",
+        ),
+        (
+            ["gsp", "--weight", "1,x", "--r", "1", "--len", "3"],
+            "--weight",
+            "expected a0,a1,...,an: '1,x'",
+        ),
+    ],
+)
+def test_a_bad_flag_value_is_a_usage_error_with_its_reason(capsys, argv, flag, reason):
+    # each flag converter's error names the flag and says what is wrong;
+    # an out-of-range --factor carries the InvalidParams text
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument {flag}: {reason}\n" in err
+
+
+@pytest.mark.parametrize(
     "argv, fragment",
     [
         (["energy", "{n2}"], "at least two patterns"),
@@ -555,6 +593,35 @@ def test_a_reader_that_closes_early_ends_the_command_quietly():
         env=env,
     )
     assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["enumerate", "--n", "7", "--r", "3", "--s", "3"], 10),  # 14,112 patterns
+        (["verify", "--suite", "ops", "--n", "3"], 0),  # a few lines, still buffered
+    ],
+)
+def test_a_reader_that_closes_stdout_early_gets_exit_141(argv, head):
+    # block-buffered stdout, as under a shell pipe: the write that meets the
+    # closed pipe is either one mid-command or the flush at its end, and
+    # both end in 141 with nothing on stderr (a long gsp is the test above)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "krpoly.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(head)) == head
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -56,6 +56,8 @@ def test_empty_monomial():
         (((1, 0), 0),),
         (((2, 0), 1), ((1, 0), 1)),
         (((1, 0), 1), ((1, 0), 2)),
+        ((1, 1),),  # a pair whose key is not an (index, shift) pair
+        (((1, 0, 0), 1),),
     ],
 )
 def test_a_malformed_monomial_is_refused(exps):

@@ -11,6 +11,7 @@ from krpoly import (
     KRError,
     KRParams,
     LevelMismatch,
+    OracleFailure,
     PerfectReport,
     SizeLimitExceeded,
     b_lower,
@@ -254,6 +255,117 @@ def test_weight_cone_rejects_a_second_top_and_escaping_weights(monkeypatch):
         "weight of off again escapes the dominance cone",
         "2 elements share the top classical weight",
     ]
+
+
+class ProfileStub(WeightStub):
+    """A WeightStub whose epsilon- and phi-profiles are both ``profile``."""
+
+    def __init__(self, name, weight, profile):
+        super().__init__(name, weight)
+        self.profile = profile
+
+    def eps(self, l):
+        return self.profile[l]
+
+    phi = eps
+
+
+def test_profiles_below_the_level_or_off_the_dominant_weights_are_violations(monkeypatch):
+    # a profile of level 0 < s, and one of level s with a negative
+    # coefficient, which no dominant weight of level s matches
+    params = KRParams(2, 1, 1)
+    low = enumerate_crystal(params)[-1].classical_weight()
+    stubs = [ProfileStub("low", low, (0, 0, 0)), ProfileStub("odd", low, (-1, 2, 0))]
+    monkeypatch.setattr(perfect, "enumerate_crystal", lambda p: enumerate_crystal(p) + stubs)
+    report = check_perfect(params)
+    assert report.min_profile_level == 0 and not report.profile_level_ok
+    assert not report.eps_profiles_bijective and not report.phi_profiles_bijective
+    assert report.classical_weights_dominated and report.top_weight_unique
+    assert report.formulas_match_search
+    assert report.violations == [
+        f"tensor square of 25 elements {UNDECIDED}",
+        "some epsilon-profile has level 0 < 1",
+        "unexpected level-exact epsilon-profiles: [(-1, 2, 0)]",
+        "unexpected level-exact phi-profiles: [(-1, 2, 0)]",
+    ]
+
+
+def test_a_wrong_formula_element_is_reported_on_both_sides(monkeypatch):
+    # b_ of (0, 1, 0) built as the zero pattern, which is b_ of (1, 0, 0);
+    # the phi side reads it as b^ of (0, 0, 1), which rotates by r = 1 to
+    # (0, 1, 0)
+    params = KRParams(2, 1, 1)
+    formula = perfect.b_lower
+
+    def wrong(weight, params):
+        return formula(DominantWeight((1, 0, 0)) if weight.coeffs == (0, 1, 0) else weight, params)
+
+    monkeypatch.setattr(perfect, "b_lower", wrong)
+    report = check_perfect(params)
+    assert report.eps_profiles_bijective and report.phi_profiles_bijective
+    assert not report.formulas_match_search
+    assert report.violations == [
+        "search and formula disagree on b^((0, 0, 1))",
+        "search and formula disagree on b_((0, 1, 0))",
+    ]
+
+
+def test_check_perfect_builds_each_b_lower_once_and_no_b_upper(monkeypatch):
+    # b^ of a weight is b_ of its rotation by r: one b_ per dominant weight
+    # of level s serves both sides
+    built = Counter()
+    formula = perfect.b_lower
+
+    def counting(weight, params):
+        built[weight] += 1
+        return formula(weight, params)
+
+    def refuse(*args):
+        raise AssertionError("b_upper was called")
+
+    monkeypatch.setattr(perfect, "b_lower", counting)
+    monkeypatch.setattr(perfect, "b_upper", refuse)
+    for params in (KRParams(2, 1, 2), KRParams(4, 3, 2)):
+        built.clear()
+        assert check_perfect(params).ok
+        assert built == Counter(dominant_weights(params.n, params.s))
+
+
+def test_b_upper_checks_its_phi_profile(monkeypatch):
+    profile = perfect.phi_profile
+    monkeypatch.setattr(perfect, "phi_profile", lambda b: (profile(b)[0] + 1,) + profile(b)[1:])
+    with pytest.raises(OracleFailure, match="^phi-profile of b_upper does not match the weight$"):
+        b_upper(DominantWeight((1, 0, 0)), KRParams(2, 1, 1))
+
+
+def test_the_certificate_refuses_a_list_of_wrong_elements_before_weighing_it(monkeypatch):
+    # a repeated element, or one that is not classical highest weight, ends
+    # the certificate before any Weyl dimension is read
+    params = KRParams(2, 1, 1)
+    complete = perfect.highest_weight_elements(params, params)
+    lowered = complete[-1].f(2)
+    assert lowered is not None
+    size = len(enumerate_crystal(params)) ** 2
+    assert perfect._certificate(params, size)
+
+    def weigh(weight):
+        raise AssertionError("a Weyl dimension was read")
+
+    monkeypatch.setattr(perfect, "weyl_dimension", weigh)
+    for listed in (complete + complete[:1], complete[:-1] + [lowered]):
+        monkeypatch.setattr(perfect, "highest_weight_elements", lambda *p, listed=listed: listed)
+        assert perfect._certificate(params, size) is False
+
+
+def test_the_certificate_is_undecided_on_an_image_outside_its_list(monkeypatch):
+    # an f_0/e_0 image raised to an element that H does not hold
+    params = KRParams(2, 1, 1)
+    hw = perfect.highest_weight_elements(params, params)
+    outside = hw[0].f(1)
+    assert outside is not None
+    monkeypatch.setattr(perfect, "_affine_edges", lambda hw: iter([(hw[0], outside)]))
+    size = len(enumerate_crystal(params)) ** 2
+    assert perfect._certificate(params, size) is False
 
 
 def cone_by_inverse_cartan(top, wt):

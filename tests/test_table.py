@@ -24,7 +24,7 @@ from krpoly import (
     rmatrix_oracle,
     zero_pattern,
 )
-from krpoly import perfect
+from krpoly import energy, perfect
 from krpoly.graph import CrystalGraph, build_graph
 from krpoly.patterns import crystal_size
 from krpoly.rmatrix import rmatrix_oracle_ids
@@ -275,3 +275,66 @@ def test_energy_oracle_refuses_a_sigma_off_its_product():
         bad[key] = value
         with pytest.raises(InvalidParams, match="sigma holds an element outside"):
             local_energy_oracle(params1, params2, sigma=bad)
+
+
+def bare_graph(params):
+    """B^{r,s} with its vertices but no edges: every pair is its own component."""
+    vertices = enumerate_crystal(params)
+    colors = range(params.n + 1)
+    return CrystalGraph(vertices, colors, {l: [None] * len(vertices) for l in colors})
+
+
+def test_the_oracles_need_a_zero_element_first(monkeypatch):
+    params = KRParams(2, 1, 1)
+    backwards = CrystalGraph(enumerate_crystal(params)[::-1], range(params.n + 1))
+    table = PairTable(backwards, backwards)
+    with pytest.raises(OracleFailure, match="^product has no zero element$"):
+        rmatrix_oracle_ids(table)
+    # the energy walk checks before it builds sigma, whose walk would
+    # raise OracleFailure instead
+    monkeypatch.setattr(energy, "product_table", lambda p1, p2: table)
+    with pytest.raises(InconsistentRecursion, match="^product has no zero element$"):
+        local_energy_oracle(params, params)
+
+
+def test_the_oracles_refuse_a_disconnected_product(monkeypatch):
+    params = KRParams(1, 1, 1)
+    table = PairTable(bare_graph(params), bare_graph(params))
+    with pytest.raises(OracleFailure, match="^product crystal is not connected$"):
+        rmatrix_oracle_ids(table)
+    # the energy walk reaches its own check only with a sigma given: built
+    # here, the R-matrix walk refuses the product first
+    monkeypatch.setattr(energy, "product_table", lambda p1, p2: table)
+    sigma = {table.element(x): table.element(x) for x in table.ids()}
+    with pytest.raises(InconsistentRecursion, match="^product crystal is not connected$"):
+        local_energy_oracle(params, params, sigma=sigma)
+    with pytest.raises(OracleFailure, match="^product crystal is not connected$"):
+        local_energy_oracle(params, params)
+
+
+class Bare:
+    """A vertex of weight () whose pattern reads as zero."""
+
+    def classical_weight(self):
+        return ()
+
+    def total(self):
+        return 0
+
+
+def test_the_rmatrix_oracle_refuses_a_shared_image(monkeypatch):
+    # A (x) S, for a one-vertex A, is the square S: x0 -> x1, x2 -> x3 in
+    # color 0 and x0 -> x3, x2 -> x1 in color 1.  It covers twice Q (x) A,
+    # where Q is q0 -> q1 in both colors: the walk intertwines every
+    # operator and reaches all four pairs, but hits two images.  The
+    # swapped product of the same two graphs never did this in a search
+    # over small id-list graphs (two colors, factors of two to four
+    # vertices, six at most between them), so Q (x) A stands in for it
+    one = CrystalGraph([Bare()], (0, 1), {0: [None], 1: [None]})
+    f = {0: [1, None, 3, None], 1: [3, None, 1, None]}
+    square = CrystalGraph([Bare() for _ in range(4)], (0, 1), f)
+    quotient = CrystalGraph([Bare(), Bare()], (0, 1), {0: [1, None], 1: [1, None]})
+    table = PairTable(one, square)
+    monkeypatch.setattr(PairTable, "swapped", lambda self: PairTable(quotient, one))
+    with pytest.raises(OracleFailure, match="^two elements share one image$"):
+        rmatrix_oracle_ids(table)

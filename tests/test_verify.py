@@ -2,7 +2,15 @@ import hashlib
 
 import pytest
 
-from krpoly import KRParams, highest_weight_elements, patterns, perfect, verify
+from krpoly import (
+    KRParams,
+    KRPattern,
+    TensorElement,
+    highest_weight_elements,
+    patterns,
+    perfect,
+    verify,
+)
 from krpoly.rmatrix import rmatrix_oracle_ids
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
@@ -129,12 +137,124 @@ def test_tensor_check_catches_a_nonzero_level(monkeypatch):
 
 
 def test_path_check_fails_where_the_recursion_breaks(monkeypatch):
-    # ground_state_path checks each step's eps-profile against the rotated
-    # weight; a profile off by one at color 0 fails every path check
+    # b_upper builds each step as b_lower of the rotated weight, whose
+    # eps-profile b_lower checks; a profile off by one at color 0 fails
+    # every path check
     checks = run_suite("perfect", 2, 1)
     assert all(check.ok for check in checks)
     profile = perfect.eps_profile
     monkeypatch.setattr(perfect, "eps_profile", lambda b: (profile(b)[0] + 1,) + profile(b)[1:])
     paths = [c for c in run_suite("perfect", 2, 1) if c.name.startswith("ground-state path")]
     assert len(paths) == 2 and not any(check.ok for check in paths)
-    assert all(check.detail.startswith("InconsistentRecursion: ") for check in paths)
+    prefix = "OracleFailure: epsilon-profile of b_lower does not match the weight"
+    assert all(check.detail.startswith(prefix) for check in paths)
+
+
+def setting(target, name, value):
+    return lambda mp: mp.setattr(target, name, value)
+
+
+def connected(affine, classical):
+    """Mutant: the ops suite's graph reads as connected or not, over all
+    colors (affine) and over 1..n (classical)."""
+
+    class Graph:
+        def is_connected(self, colors=None):
+            return affine if colors is None else classical
+
+    return setting(verify, "build_graph", lambda *args: Graph())
+
+
+class Report:
+    """A failed rank-2 regularity report."""
+
+    ok = False
+    violations = ["forced"]
+
+
+def monomials(name, color):
+    """Mutant: the nakajima suite's MonomialCrystal read ``name`` is one
+    higher (None for f and e) at one monomial color."""
+    read = getattr(verify.MonomialCrystal, name)
+
+    def wrong(self, m, l):
+        value = read(self, m, l)
+        if l != color:
+            return value
+        return None if name in ("f", "e") else value + 1
+
+    shifted = type("Shifted", (verify.MonomialCrystal,), {name: wrong})
+    return setting(verify, "MonomialCrystal", shifted)
+
+
+def extra_sign(sign):
+    """Mutant: signature_word gets one more (sign, 0) at the end."""
+    word = verify.signature_word
+    return setting(verify, "signature_word", lambda x, l: word(x, l) + [(sign, 0)])
+
+
+def images(read):
+    """Mutant: the signature rule's (f_l x, e_l x) are ``read(x, l)``."""
+    return setting(verify, "_signature_images", lambda x, l, word: read(x, l))
+
+
+def negated(mp):
+    # every side of the energy check reads -H: they agree, and H > 0 somewhere
+    for name in ("local_energy", "local_energy_hw"):
+        read = getattr(verify, name)
+        mp.setattr(verify, name, lambda x, read=read: -read(x))
+    oracle = verify.local_energy_oracle
+    mp.setattr(
+        verify,
+        "local_energy_oracle",
+        lambda p1, p2: {x: -h for x, h in oracle(p1, p2).items()},
+    )
+
+
+# (suite, the message prefix of one failure line, the mutant that fails it)
+FAILURE_LINES = [
+    ("ops", "string stats at ", setting(verify, "string_phi", lambda b, l: -1)),
+    ("ops", "e o f at ", setting(KRPattern, "validate", lambda b: None)),
+    ("ops", "f o e at ", setting(KRPattern, "validate", lambda b: None)),
+    ("ops", "phi - eps mismatch at ", setting(KRPattern, "classical_weight", lambda b: (0,) * b.n)),
+    ("ops", "color-0 commutation at ", setting(verify, "_compose", lambda b, steps: steps)),
+    ("ops", "pivot mismatch at ", setting(verify, "brute_pivot", lambda b, l: None)),
+    ("ops", "affine graph disconnected", connected(False, True)),
+    ("ops", "classical graph disconnected", connected(True, False)),
+    ("tensor", "phi vs signature at ", extra_sign("+")),
+    ("tensor", "eps vs signature at ", extra_sign("-")),
+    ("tensor", "f vs signature at ", images(lambda x, l: (None, x.e(l)))),
+    ("tensor", "e vs signature at ", images(lambda x, l: (x.f(l), None))),
+    ("tensor", "partial inverse at ", setting(TensorElement, "e", lambda x, l: x)),
+    ("rmatrix", "transport differs from oracle at ", setting(verify, "rmatrix", lambda x: x)),
+    ("energy", "closed form differs at ", setting(verify, "local_energy", lambda x: 1)),
+    ("energy", "hw law differs at ", setting(verify, "local_energy_hw", lambda x: 1)),
+    ("energy", "positive energy at ", negated),
+    ("regular", "pair (0, 1): forced", setting(verify, "is_regular_rank2", lambda g, p: Report)),
+    ("nakajima", "color-0 statistics differ at ", monomials("phi", 1)),
+    ("nakajima", "color-0 operators differ at ", monomials("f", 1)),
+    ("nakajima", "color-1 statistics differ at ", monomials("eps", 2)),
+    ("nakajima", "color-1 operators differ at ", monomials("e", 2)),
+    ("nakajima", "nf pivot identity fails at ", monomials("nf", 2)),
+    ("nakajima", "ne pivot identity fails at ", monomials("ne", 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, prefix, mutant", FAILURE_LINES, ids=[row[1].strip() for row in FAILURE_LINES]
+)
+def test_every_failure_line_of_a_suite_can_fail_its_check(monkeypatch, suite, prefix, mutant):
+    # one mutant of the library or of the oracle side per failure line: a
+    # check of the suite at n = 3 (the least rank with a color-0
+    # commutation to check) fails and names that line's message.  Records
+    # made on either side of the patch must not outlive it
+    assert all(check.ok for check in run_suite(suite, 3, 1))
+    patterns._canonical.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mutant(mp)
+            checks = run_suite(suite, 3, 1)
+    finally:
+        patterns._canonical.cache_clear()
+    details = [check.detail for check in checks if not check.ok]
+    assert any(detail.startswith(prefix) or f"; {prefix}" in detail for detail in details), details
