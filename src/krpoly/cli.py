@@ -4,6 +4,13 @@ Subcommands: enumerate, graph, rmatrix, energy, perfect, gsp, verify.
 Output is deterministic byte-for-byte for identical flags.  Exit codes:
 0 success, 1 failed verification, 2 usage or input errors, 3 size caps,
 141 (128 + SIGPIPE) when the reader of stdout closes it early.
+
+Each command imports only the modules it runs: the parsers and the JSON
+writer need ``errors``, ``patterns`` and ``tensor``, and every other
+module is imported inside the ``_cmd_*`` function that calls it, so
+``enumerate`` compiles and runs four modules and only ``verify`` all of
+them.  ``--suite`` is checked against ``verify.SUITES`` by a converter,
+which imports ``verify`` only when that command is parsed.
 """
 
 from __future__ import annotations
@@ -14,9 +21,7 @@ import os
 import sys
 from itertools import chain
 
-from .energy import global_energy, local_energy, local_energy_oracle
 from .errors import InvalidParams, KRError, SizeLimitExceeded
-from .graph import build_graph
 from .patterns import (
     ENUMERATION_CAP,
     KRParams,
@@ -25,10 +30,7 @@ from .patterns import (
     pattern_from_cells,
     pattern_from_dict,
 )
-from .perfect import DominantWeight, check_perfect, ground_state_path
-from .rmatrix import rmatrix
 from .tensor import TensorElement, product_elements
-from .verify import SUITES, run_suite
 
 
 def _parse_triple(text):
@@ -57,6 +59,16 @@ def _parse_weight(text):
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a0,a1,...,an: {text!r}") from exc
+
+
+def _parse_suite(text):
+    from .verify import SUITES
+
+    names = sorted(SUITES) + ["all"]
+    if text not in names:
+        choices = ", ".join(map(repr, names))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 def _build_parser():
@@ -113,7 +125,7 @@ def _build_parser():
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    p.add_argument("--suite", type=_parse_suite, default="all", help="a suite name, or all")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-s", type=int, default=2, dest="max_s")
     return parser
@@ -224,6 +236,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_graph(args):
+    from .graph import build_graph
+
     factor_params = args.factor
     cap = args.max_elements
     if len(factor_params) == 1:
@@ -239,6 +253,8 @@ def _cmd_graph(args):
 
 
 def _cmd_rmatrix(args):
+    from .rmatrix import rmatrix
+
     left = _load_pattern(args.left)
     right = _load_pattern(args.right)
     image = rmatrix(TensorElement((left, right)))
@@ -247,6 +263,8 @@ def _cmd_rmatrix(args):
 
 
 def _cmd_energy(args):
+    from .energy import global_energy, local_energy
+
     patterns = [_load_pattern(path) for path in args.patterns]
     if len(patterns) < 2:
         raise KRError("energy needs at least two patterns")
@@ -264,6 +282,8 @@ def _cmd_energy(args):
 
 
 def _oracle_energy(x):
+    from .energy import global_energy, local_energy_oracle
+
     tables = {}
 
     def energy(pair):
@@ -276,6 +296,8 @@ def _oracle_energy(x):
 
 
 def _cmd_perfect(args):
+    from .perfect import check_perfect
+
     params = KRParams(args.n, args.r, args.s)
     report = check_perfect(params)
     payload = {
@@ -301,6 +323,8 @@ def _cmd_perfect(args):
 
 
 def _cmd_gsp(args):
+    from .perfect import DominantWeight, ground_state_path
+
     weight = DominantWeight(args.weight)
     params = KRParams(len(args.weight) - 1, args.r, weight.level)
     path = ground_state_path(weight, params, args.length)
@@ -309,6 +333,8 @@ def _cmd_gsp(args):
 
 
 def _cmd_verify(args):
+    from .verify import run_suite
+
     checks = run_suite(args.suite, args.n, args.max_s)
     if not checks:
         raise KRError(f"suite {args.suite!r} has no checks at n={args.n}, max-s={args.max_s}")

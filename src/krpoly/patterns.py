@@ -409,12 +409,12 @@ def enumerate_crystal(params, max_size=ENUMERATION_CAP):
 #
 # Every color l other than 0 and r reads two lines of cells, hi and lo:
 # rows l-1 and l for l > r, columns l+1 and l read bottom-up (q = n..r)
-# for l < r.  Both share one objective, max_i sum(hi[:i+1]) + sum(lo[i:]),
-# with phi = best - sum(lo) and eps = best - sum(hi); f moves one unit from
-# hi to lo at the first argmax and e moves it back at the last.  Colors 0
-# and r move one cell each, (1, n) and (r, r); their statistics read
-# column 1 and the last row (color 0), the first row and the last column
-# (color r).
+# for l < r.  Both share one objective, D_i = sum(hi[:i+1]) - sum(lo[:i]),
+# read in one pass, with phi = max D and eps = max D + sum(lo) - sum(hi);
+# f moves one unit from hi to lo at the first argmax and e moves it back at
+# the last.  Colors 0 and r move one cell each, (1, n) and (r, r); their
+# statistics read column 1 and the last row (color 0), the first row and
+# the last column (color r).
 
 
 def _walk(pr, rows, l):
@@ -426,22 +426,19 @@ def _walk(pr, rows, l):
         phi = pr.s - sum(rows[0][:-1]) - sum(row[-1] for row in rows)
         return phi, rows[0][-1], 0, 0
     if l > pr.r:
-        hi, lo = rows[l - 1 - pr.r], rows[l - pr.r]
+        pairs = zip(rows[l - 1 - pr.r], rows[l - pr.r])
     else:
-        hi = [row[l] for row in reversed(rows)]
-        lo = [row[l - 1] for row in reversed(rows)]
-    suffix = sum(lo)
-    run = 0
+        pairs = ((row[l], row[l - 1]) for row in reversed(rows))
+    run = 0  # D_i, then sum(hi[:i+1]) - sum(lo[:i+1]) once lo[i] is read
     best = None
-    for i, (h, x) in enumerate(zip(hi, lo)):
+    for i, (h, x) in enumerate(pairs):
         run += h
-        val = run + suffix
-        suffix -= x
-        if best is None or val > best:
-            best, first, last = val, i, i
-        elif val == best:
+        if best is None or run > best:
+            best, first, last = run, i, i
+        elif run == best:
             last = i
-    return best - sum(lo), best - sum(hi), first, last
+        run -= x
+    return best, best - run, first, last
 
 
 def pivot(A, l):

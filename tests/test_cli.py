@@ -197,7 +197,7 @@ def test_a_library_value_error_is_not_an_input_error(tmp_path, monkeypatch):
 
     path = tmp_path / "n2.json"
     path.write_text(json.dumps({"n": 2, "r": 1, "s": 1, "rows": [[0], [1]]}))
-    monkeypatch.setattr(cli, "rmatrix", broken)
+    monkeypatch.setattr("krpoly.rmatrix.rmatrix", broken)
     with pytest.raises(ValueError, match="too many values to unpack"):
         main(["rmatrix", str(path), str(path)])
 
@@ -281,7 +281,7 @@ def test_energy_three_factors(tmp_path, capsys, monkeypatch):
         seen.append(x)
         return local_energy(x)
 
-    monkeypatch.setattr(cli, "local_energy", counting)
+    monkeypatch.setattr("krpoly.energy.local_energy", counting)
     code, out, _ = run(capsys, ["energy", *paths])
     assert code == 0
     assert "closed_form" in json.loads(out)

@@ -335,6 +335,55 @@ def test_rows_that_cannot_be_hashed_raise_a_typed_error(rows):
         assert b._hash is None
 
 
+def two_list_walk(pr, rows, l):
+    """The string walker as first written, the reference for ``patterns._walk``.
+
+    It builds hi and lo as lists and maximizes sum(hi[:i+1]) + sum(lo[i:])
+    with a running suffix sum; phi and eps subtract sum(lo) and sum(hi).
+    """
+    if l == 0:
+        eps = pr.s - sum(row[0] for row in rows) - sum(rows[-1][1:])
+        return rows[-1][0], eps, 0, 0
+    if l == pr.r:
+        phi = pr.s - sum(rows[0][:-1]) - sum(row[-1] for row in rows)
+        return phi, rows[0][-1], 0, 0
+    if l > pr.r:
+        hi, lo = rows[l - 1 - pr.r], rows[l - pr.r]
+    else:
+        hi = [row[l] for row in reversed(rows)]
+        lo = [row[l - 1] for row in reversed(rows)]
+    suffix = sum(lo)
+    run = 0
+    best = None
+    for i, (h, x) in enumerate(zip(hi, lo)):
+        run += h
+        val = run + suffix
+        suffix -= x
+        if best is None or val > best:
+            best, first, last = val, i, i
+        elif val == best:
+            last = i
+    return best - sum(lo), best - sum(hi), first, last
+
+
+def test_the_one_pass_walk_equals_the_two_list_walk():
+    count = 0
+    for n in range(1, 5):
+        for params in all_params(n, 3):
+            for b in enumerate_crystal(params):
+                for l in range(n + 1):
+                    assert patterns._walk(params, b.rows, l) == two_list_walk(params, b.rows, l)
+                    count += 1
+    assert count == 3608
+    rng = random.Random(40)
+    for _ in range(3000):
+        n = rng.randint(5, 12)
+        params = KRParams(n, rng.randint(1, n), rng.randint(1, 4))
+        rows = random_pattern(rng, params).rows
+        for l in range(n + 1):
+            assert patterns._walk(params, rows, l) == two_list_walk(params, rows, l), (rows, l)
+
+
 def test_kept_string_statistics_match_a_fresh_walk():
     # every read through the per-object slot agrees with the uncached walker
     walk = patterns._walk

@@ -328,10 +328,15 @@ def test_package_attributes_are_the_submodules():
         assert getattr(krpoly, stem) is sys.modules[f"krpoly.{stem}"], stem
 
 
+# argparse needs its own ArgumentTypeError from a type= converter, and a
+# module ``__getattr__`` (PEP 562) must raise AttributeError
+EXTRA_RAISES = {"cli.py": {"argparse.ArgumentTypeError"}, "__init__.py": {"AttributeError"}}
+
+
 def test_every_raise_names_a_library_error():
     # callers catch KRError (the CLI maps it to exit 2 or 3); a raise either
-    # re-raises what it caught or names a class of krpoly.errors.  argparse
-    # needs its own ArgumentTypeError from a type= converter.
+    # re-raises what it caught or names a class of krpoly.errors, save the
+    # EXTRA_RAISES of one file each
     from krpoly import errors
 
     typed = {name for name, value in vars(errors).items() if isinstance(value, type)}
@@ -350,7 +355,7 @@ def test_every_raise_names_a_library_error():
                 continue
             raises += 1
             name = named(node.exc)
-            allowed = typed | ({"argparse.ArgumentTypeError"} if path.name == "cli.py" else set())
+            allowed = typed | EXTRA_RAISES.get(path.name, set())
             if name not in allowed:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert raises
