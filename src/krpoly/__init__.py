@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # the exported names, by the submodule that defines them
 _EXPORTS = {
-    "energy": ("global_energy", "local_energy", "local_energy_hw", "local_energy_oracle"),
+    "energy": ("global_energy", "local_energy", "local_energy_hw"),
     "errors": (
         "DimensionMismatch",
         "IndexOutOfRange",
@@ -35,6 +35,7 @@ _EXPORTS = {
     ),
     "graph": ("CrystalGraph", "build_graph"),
     "nakajima": ("Monomial", "MonomialCrystal", "psi_embedding"),
+    "oracles": ("local_energy_oracle", "rmatrix_oracle"),
     "patterns": (
         "KRParams",
         "KRPattern",
@@ -62,13 +63,12 @@ _EXPORTS = {
         "highest_weight_elements",
         "rmatrix_from_hw",
         "rmatrix_on_hw",
-        "rmatrix_oracle",
         "to_highest_weight",
     ),
     "tensor": ("TensorElement", "is_classical_hw", "product_elements", "tensor_from_dict"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({*_EXPORTS, "cli", "table", "verify"})
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "verify"})
 
 __all__ = list(_SOURCE)
 

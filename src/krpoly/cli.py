@@ -282,7 +282,8 @@ def _cmd_energy(args):
 
 
 def _oracle_energy(x):
-    from .energy import global_energy, local_energy_oracle
+    from .energy import global_energy
+    from .oracles import local_energy_oracle
 
     tables = {}
 

@@ -3,22 +3,20 @@
 The local energy H on B1 (x) B2 is the integer function, normalized by
 H(0 (x) 0) = 0, that is constant along classical edges and drops (grows)
 by one along a raising 0-edge exactly when e_0 acts on the first (second)
-factor of both the element and its R-matrix image.  Two routes are
-implemented: a recursion oracle that propagates those increments over the
-whole product, and the closed form: one call of the transport kernel
-``rmatrix._raise_strings`` raises the element along the fixed schedule
-``rmatrix._schedule(r2, n)`` of whole strings, and H is minus a corner sum
-of the raised first factor.  Transport to the highest weight element is
-one call of the same kernel on ``_schedule(1, n)``.  No string is walked
-here.
+factor of both the element and its R-matrix image.  This module holds the
+closed form: one call of the transport kernel ``rmatrix._raise_strings``
+raises the element along the fixed schedule ``rmatrix._schedule(r2, n)``
+of whole strings, and H is minus a corner sum of the raised first factor.
+Transport to the highest weight element is one call of the same kernel on
+``_schedule(1, n)``.  No string is walked here.  The recursion oracle that
+propagates those increments over the whole product is
+``oracles.local_energy_oracle``.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistentRecursion, InvalidParams, NotHighestWeight
-from .rmatrix import _raise_strings, _schedule, rmatrix_from_hw, rmatrix_oracle_ids
-from .rmatrix import to_highest_weight
-from .table import product_table
+from .rmatrix import _raise_strings, _schedule, rmatrix_from_hw, to_highest_weight
 from .tensor import TensorElement, is_classical_hw, two_factors
 
 
@@ -46,69 +44,6 @@ def local_energy(x):
     if b.total() != 0:
         raise InconsistentRecursion("schedule did not raise the second factor to zero")
     return -a.corner_sum(r, rt)
-
-
-def local_energy_oracle(params1, params2, sigma=None):
-    """EnergyTable for B1 (x) B2 from the defining recursion.
-
-    Propagates the 0-edge increments from 0 (x) 0 across the whole product
-    in one walk that checks every raising edge at its source; a conflict
-    (which would mean the recursion is not well defined) raises
-    InconsistentRecursion.  The walk runs on id pairs
-    (``table.product_table``, under ``ENUMERATION_CAP``); ``sigma``, the
-    R-matrix as ``rmatrix_oracle`` returns it, is built on ids when not
-    given, and one that is not a dict mapping every element of B1 (x) B2
-    into B2 (x) B1 raises InvalidParams.  The result maps TensorElements.
-    """
-    pair = product_table(params1, params2)
-    image = pair.swapped()
-    if pair.left.vertices[0].total() or pair.right.vertices[0].total():
-        raise InconsistentRecursion("product has no zero element")
-    if sigma is None:
-        sigma_ids = rmatrix_oracle_ids(pair)
-    elif not isinstance(sigma, dict):
-        raise InvalidParams(f"sigma must be None or a dict of elements, got {sigma!r}")
-    else:
-        try:
-            sigma_ids = {pair.id_of(x): image.id_of(y) for x, y in sigma.items()}
-        except (KeyError, ValueError):  # a factor off the table, or not a two-fold TensorElement
-            raise InvalidParams("sigma holds an element outside B1 (x) B2 or B2 (x) B1") from None
-        if len(sigma_ids) != len(pair):
-            raise InvalidParams(f"sigma maps {len(sigma_ids)} of {len(pair)} elements")
-
-    def raising_delta(lower, l):
-        # H(e_l lower) - H(lower): -1 (+1) when e_0 acts on the first
-        # (second) factor of both lower and its image
-        if l != 0:
-            return 0
-        side = pair.e_slot(lower, 0)
-        if side != image.e_slot(sigma_ids[lower], 0):
-            return 0
-        return 1 if side else -1
-
-    table = {(0, 0): 0}
-    queue = [(0, 0)]
-    colors = range(params1.n + 1)
-    while queue:
-        x = queue.pop()
-        for l in colors:
-            up = pair.e(x, l)
-            if up is not None:
-                h = table[x] + raising_delta(x, l)
-                known = table.get(up)
-                if known is None:
-                    table[up] = h
-                    queue.append(up)
-                elif known != h:
-                    at = pair.element(x)
-                    raise InconsistentRecursion(f"recursion conflict along e_{l} at {at}")
-            down = pair.f(x, l)
-            if down is not None and down not in table:
-                table[down] = table[x] - raising_delta(down, l)
-                queue.append(down)
-    if len(table) != len(pair):
-        raise InconsistentRecursion("product crystal is not connected")
-    return {pair.element(x): h for x, h in table.items()}
 
 
 def global_energy(x, energy=None):
@@ -165,3 +100,15 @@ def global_energy(x, energy=None):
                     entry[2] = rmatrix_from_hw(*raised).factors
                 fs[pos - 1], fs[pos] = entry[2]
     return total
+
+
+# The benchmark harness reads the recursion oracle here (PEP 562), and the
+# first read keeps it in the module as ``krpoly.__getattr__`` does, so the
+# tracer can wrap it; ROADMAP item 1's benchmark change removes this.
+def __getattr__(name):
+    if name != "local_energy_oracle":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracles import local_energy_oracle
+
+    globals()[name] = local_energy_oracle
+    return local_energy_oracle

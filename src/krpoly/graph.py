@@ -3,7 +3,7 @@
 A ``CrystalGraph`` holds, for every color l, the list ``f[l]`` of the id
 of f_l of each vertex (None for crystal zero), its inverse ``e[l]`` and
 the string lengths ``eps[l]``/``phi[l]`` derived from them once;
-components, the rank-2 regularity check and ``table.PairTable`` all read
+components, the rank-2 regularity check and ``oracles.PairTable`` all read
 these id lists.  One reader fills them: ``patterns._read_color`` reads
 the distinct KRPattern factors of the vertices per shape and color,
 ``tensor.tensor_rule`` picks the factor f_l acts on, and the image is

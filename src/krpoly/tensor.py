@@ -6,8 +6,9 @@ e_l acts on the first exactly when eps_l(b1) > phi_l(b2).  This is the
 convention under which highest weight elements carry the zero pattern in
 the *second* slot.  Products of three or more factors associate to the
 left: ``tensor_rule`` folds the rule over N factors, for ``TensorElement``
-and the graph reader (``graph._read_rows``); ``table.PairTable`` keeps the
-two-fold case inline.
+and the graph reader (``graph._read_rows``); ``oracles.PairTable`` keeps the
+two-fold case inline, and ``oracles.signature`` is the cancellation rule
+both are checked against.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Exhaustive verification suites, each pairing a construction with an
-independent oracle.  The CLI `verify` subcommand and the acceptance tests
-run these through ``run_suite``.
+independent oracle of ``oracles``.  The CLI `verify` subcommand and the
+acceptance tests run these through ``run_suite``.
 
 A suite is one ``SUITES`` row: a shape generator, which lists the crystals
 or pairs of crystals it covers, and the (check kind, failures function)
@@ -13,15 +13,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .energy import local_energy, local_energy_hw, local_energy_oracle
+from .energy import local_energy, local_energy_hw
 from .errors import InvalidParams, KRError, SizeLimitExceeded
 from .graph import build_graph
 from .nakajima import MonomialCrystal, psi_embedding
+from .oracles import (
+    _signature_images,
+    brute_pivot,
+    count_rect_ssyt,
+    local_energy_oracle,
+    product_table,
+    rmatrix_oracle_ids,
+    signature_word,
+    string_eps,
+    string_phi,
+)
 from .patterns import KRParams, crystal_size, enumerate_crystal, pivot
 from .perfect import check_perfect, dominant_weights, ground_state_path
 from .regularity import is_regular_rank2
-from .rmatrix import highest_weight_elements, rmatrix, rmatrix_oracle_ids
-from .table import product_table
+from .rmatrix import highest_weight_elements, rmatrix
 from .tensor import is_classical_hw, product_elements
 
 
@@ -30,109 +40,6 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
-
-
-# -- independent oracles ------------------------------------------------------
-
-
-def count_rect_ssyt(rows, cols, max_entry):
-    """Semistandard fillings of an rows x cols rectangle with entries
-    1..max_entry: weakly increasing rows, strictly increasing columns.
-
-    A brute-force count, backtracking over the cells in reading order:
-    ``grid[idx]`` holds the value tried at cell idx (0 before the first),
-    so no recursion depth limits the shape.
-    """
-    cells = rows * cols
-    grid = [0] * cells
-    count = 0
-    idx = 0
-    while idx >= 0:
-        if idx == cells:
-            count += 1
-            idx -= 1
-            continue
-        v = grid[idx]
-        if v:
-            v += 1
-        else:
-            v = grid[idx - 1] if idx % cols else 1
-            if idx >= cols:
-                v = max(v, grid[idx - cols] + 1)
-        if v > max_entry:
-            grid[idx] = 0
-            idx -= 1
-        else:
-            grid[idx] = v
-            idx += 1
-    return count
-
-
-def signature_word(x, l):
-    """Uncancelled plus/minus word of a tensor element for one color.
-
-    Each factor contributes "+" * phi then "-" * eps, and every "-+" pair
-    cancels.  One pass matches them as brackets: a "+" cancels a "-" on
-    top of the stack.  Survivors are returned as (sign, factor) pairs: the
-    number of "+" is phi of the product, the number of "-" is eps, f acts
-    at the rightmost "+" and e at the leftmost "-".
-    """
-    stack = []
-    for idx, b in enumerate(x.factors):
-        for _ in range(b.phi(l)):
-            if stack and stack[-1][0] == "-":
-                stack.pop()
-            else:
-                stack.append(("+", idx))
-        stack.extend([("-", idx)] * b.eps(l))
-    return stack
-
-
-def _signature_images(x, l, word):
-    """(f_l x, e_l x) by the signature rule on x's ``word`` for color l."""
-    plus = [idx for sign, idx in word if sign == "+"]
-    minus = [idx for sign, idx in word if sign == "-"]
-    fx = x._splice(plus[-1], x.factors[plus[-1]].f(l)) if plus else None
-    ex = x._splice(minus[0], x.factors[minus[0]].e(l)) if minus else None
-    return fx, ex
-
-
-def string_eps(x, l):
-    count = 0
-    while True:
-        x = x.e(l)
-        if x is None:
-            return count
-        count += 1
-
-
-def string_phi(x, l):
-    count = 0
-    while True:
-        x = x.f(l)
-        if x is None:
-            return count
-        count += 1
-
-
-def brute_pivot(A, l):
-    """Pivot positions (lo, hi) by direct enumeration of the defining objective."""
-    pr = A.params
-    if l > pr.r:
-        vals = {
-            p: sum(A.a(j, l - 1) for j in range(1, p + 1))
-            + sum(A.a(j, l) for j in range(p, pr.r + 1))
-            for p in range(1, pr.r + 1)
-        }
-    else:
-        vals = {
-            p: sum(A.a(l, j) for j in range(pr.r, p + 1))
-            + sum(A.a(l + 1, j) for j in range(p, pr.n + 1))
-            for p in range(pr.r, pr.n + 1)
-        }
-    best = max(vals.values())
-    winners = [p for p, v in vals.items() if v == best]
-    return min(winners), max(winners)
 
 
 # -- suites -------------------------------------------------------------------

@@ -497,7 +497,7 @@ def test_an_empty_path_has_no_period():
 
 
 def test_oversized_square_is_refused_before_the_walk(monkeypatch):
-    from krpoly.table import PairTable
+    from krpoly.oracles import PairTable
 
     def walk(self, *args, **kwargs):
         raise AssertionError("the tensor square was walked")
@@ -510,7 +510,7 @@ def test_oversized_square_is_refused_before_the_walk(monkeypatch):
 
 def test_the_certificate_route_builds_no_crystal_graph(monkeypatch):
     from krpoly.graph import CrystalGraph
-    from krpoly.table import PairTable
+    from krpoly.oracles import PairTable
 
     class Built(Exception):
         pass

@@ -32,7 +32,7 @@ from krpoly import (
 from krpoly import patterns
 from krpoly.graph import build_graph
 from krpoly.rmatrix import _hw_image, _schedule, hw_support, rmatrix
-from krpoly.table import PairTable
+from krpoly.oracles import PairTable
 
 from conftest import (
     all_params,

@@ -242,8 +242,7 @@ def test_graphs_are_filled_without_per_element_operators():
 def test_energy_walks_no_string_of_its_own():
     # the closed-form schedule raises through rmatrix._raise_strings, the
     # kernel of transport; a string statistic or a one-argument .e(...) or
-    # .f(...) call in energy.py would bring back a second string walk.  The
-    # oracle's PairTable calls take an id and a color.
+    # .f(...) call in energy.py would bring back a second string walk
     path = SOURCE / "energy.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     calls = [
@@ -265,9 +264,9 @@ def test_each_whole_product_oracle_is_one_walk():
     # walk from 0 (x) 0; a second while loop, or a pass over .ids() other
     # than the one that orders the returned map, would bring back a
     # separate scan.  PairTable keeps no eps or highest weight test for one.
-    oracles = {"rmatrix.py": "rmatrix_oracle_ids", "energy.py": "local_energy_oracle"}
-    for filename, name in oracles.items():
-        tree = ast.parse((SOURCE / filename).read_text(), filename=filename)
+    path = SOURCE / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for name in ("rmatrix_oracle_ids", "local_energy_oracle"):
         (func,) = [node for node in tree.body if getattr(node, "name", None) == name]
         returned = {
             id(inner)
@@ -285,9 +284,7 @@ def test_each_whole_product_oracle_is_one_walk():
             and id(node) not in returned
         ]
         assert len(loops) == 1, f"{name} has {len(loops)} while loops"
-        assert not scans, f"{name} scans .ids() at {filename}:{scans}"
-    path = SOURCE / "table.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+        assert not scans, f"{name} scans .ids() at oracles.py:{scans}"
     (table,) = [node for node in tree.body if getattr(node, "name", None) == "PairTable"]
     methods = {node.name for node in table.body if isinstance(node, ast.FunctionDef)}
     assert {"f", "e", "e_slot"} <= methods
@@ -328,15 +325,25 @@ def test_package_attributes_are_the_submodules():
         assert getattr(krpoly, stem) is sys.modules[f"krpoly.{stem}"], stem
 
 
-# argparse needs its own ArgumentTypeError from a type= converter, and a
-# module ``__getattr__`` (PEP 562) must raise AttributeError
-EXTRA_RAISES = {"cli.py": {"argparse.ArgumentTypeError"}, "__init__.py": {"AttributeError"}}
+# argparse needs its own ArgumentTypeError from a type= converter
+EXTRA_RAISES = {"cli.py": {"argparse.ArgumentTypeError"}}
+
+
+def module_getattr_nodes(tree):
+    """ids of the nodes inside a module-level ``def __getattr__`` (PEP 562)."""
+    return {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+        for inner in ast.walk(node)
+    }
 
 
 def test_every_raise_names_a_library_error():
     # callers catch KRError (the CLI maps it to exit 2 or 3); a raise either
     # re-raises what it caught or names a class of krpoly.errors, save the
-    # EXTRA_RAISES of one file each
+    # EXTRA_RAISES of one file each and the AttributeError that a module
+    # ``__getattr__`` must raise, there alone
     from krpoly import errors
 
     typed = {name for name, value in vars(errors).items() if isinstance(value, type)}
@@ -350,16 +357,60 @@ def test_every_raise_names_a_library_error():
     raises, found = 0, []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        getattr_nodes = module_getattr_nodes(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             raises += 1
             name = named(node.exc)
             allowed = typed | EXTRA_RAISES.get(path.name, set())
+            if id(node) in getattr_nodes:
+                allowed = allowed | {"AttributeError"}
             if name not in allowed:
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert raises
     assert not found, f"raises of a class outside krpoly.errors: {', '.join(found)}"
+
+
+CORE = {"patterns", "tensor", "rmatrix", "energy", "perfect", "errors"}
+OFF_CORE = {"graph", "regularity", "nakajima", "verify", "oracles", "cli"}
+
+
+def package_imports(path):
+    """The krpoly modules a module imports, save those its ``__getattr__`` imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    skipped = module_getattr_nodes(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "krpoly":
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("krpoly."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("krpoly.")}
+    return {name.partition(".")[0] for name in names}
+
+
+def test_the_core_never_reaches_the_graph_layer():
+    # the constructions, their statistics and transport load neither the
+    # graph layer nor an oracle: no import of a core module, at module level
+    # or in a function, reaches an off-core module through any chain of
+    # imports.  A module ``__getattr__`` that hands out an oracle on
+    # request is the one exception.
+    imports = {path.stem: package_imports(path) for path in SOURCE.glob("*.py")}
+    assert CORE <= imports.keys()
+    for module in sorted(CORE):
+        reached, todo = set(), [module]
+        while todo:
+            for name in imports.get(todo.pop(), ()):
+                if name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+        assert not reached & OFF_CORE, f"{module} reaches {sorted(reached & OFF_CORE)}"
 
 
 def test_the_cli_maps_only_typed_errors_to_exit_codes():

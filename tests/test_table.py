@@ -24,11 +24,10 @@ from krpoly import (
     rmatrix_oracle,
     zero_pattern,
 )
-from krpoly import energy, perfect
+from krpoly import oracles, perfect
 from krpoly.graph import CrystalGraph, build_graph
 from krpoly.patterns import crystal_size
-from krpoly.rmatrix import rmatrix_oracle_ids
-from krpoly.table import PairTable, product_table
+from krpoly.oracles import PairTable, product_table, rmatrix_oracle_ids
 
 from conftest import all_params, check_undecided, closure, product_elements
 
@@ -292,7 +291,7 @@ def test_the_oracles_need_a_zero_element_first(monkeypatch):
         rmatrix_oracle_ids(table)
     # the energy walk checks before it builds sigma, whose walk would
     # raise OracleFailure instead
-    monkeypatch.setattr(energy, "product_table", lambda p1, p2: table)
+    monkeypatch.setattr(oracles, "product_table", lambda p1, p2: table)
     with pytest.raises(InconsistentRecursion, match="^product has no zero element$"):
         local_energy_oracle(params, params)
 
@@ -304,7 +303,7 @@ def test_the_oracles_refuse_a_disconnected_product(monkeypatch):
         rmatrix_oracle_ids(table)
     # the energy walk reaches its own check only with a sigma given: built
     # here, the R-matrix walk refuses the product first
-    monkeypatch.setattr(energy, "product_table", lambda p1, p2: table)
+    monkeypatch.setattr(oracles, "product_table", lambda p1, p2: table)
     sigma = {table.element(x): table.element(x) for x in table.ids()}
     with pytest.raises(InconsistentRecursion, match="^product crystal is not connected$"):
         local_energy_oracle(params, params, sigma=sigma)

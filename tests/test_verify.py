@@ -11,7 +11,7 @@ from krpoly import (
     perfect,
     verify,
 )
-from krpoly.rmatrix import rmatrix_oracle_ids
+from krpoly.oracles import rmatrix_oracle_ids
 from krpoly.verify import brute_pivot, count_rect_ssyt, run_suite, signature_word
 
 from conftest import cell, pair, pat
