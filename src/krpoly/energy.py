@@ -4,19 +4,16 @@ The local energy H on B1 (x) B2 is the integer function, normalized by
 H(0 (x) 0) = 0, that is constant along classical edges and drops (grows)
 by one along a raising 0-edge exactly when e_0 acts on the first (second)
 factor of both the element and its R-matrix image.  This module holds the
-closed form: one call of the transport kernel ``rmatrix._raise_strings``
-raises the element along the fixed schedule ``rmatrix._schedule(r2, n)``
-of whole strings, and H is minus a corner sum of the raised first factor.
-Transport to the highest weight element is one call of the same kernel on
-``_schedule(1, n)``.  No string is walked here.  The recursion oracle that
-propagates those increments over the whole product is
-``oracles.local_energy_oracle``.
+closed form, which walks no string of its own (``local_energy``); the
+recursion oracle that propagates those increments over the whole product
+is ``oracles.local_energy_oracle``.
 """
 
 from __future__ import annotations
 
 from .errors import InconsistentRecursion, InvalidParams, NotHighestWeight
-from .rmatrix import _raise_strings, _schedule, rmatrix_from_hw, to_highest_weight
+from .patterns import _raise_strings
+from .rmatrix import _schedule, rmatrix_from_hw, to_highest_weight
 from .tensor import TensorElement, is_classical_hw, two_factors
 
 
@@ -31,11 +28,10 @@ def local_energy_hw(x):
 def local_energy(x):
     """Closed-form local energy of an arbitrary two-fold element.
 
-    Read on x itself for every pair of levels: no R-matrix is applied.
-    One kernel call (``_raise_strings``) raises A (x) B along the colors
-    of ``_schedule``; H is minus the corner sum (columns <= r, rows >= rt)
-    of the raised first factor.  A raise past a string is the kernel's
-    OracleFailure, a nonzero final B an InconsistentRecursion.
+    No R-matrix is applied: H is minus the corner sum (columns <= r, rows
+    >= rt) of the first factor raised along ``_schedule(r2, n)`` by one
+    call of the transport kernel ``patterns._raise_strings``.  A raise past
+    a string is its OracleFailure, a nonzero final B InconsistentRecursion.
     """
     a, b = two_factors(x, "local energy lives on two-fold products")
     r = min(a.params.r, b.params.r)

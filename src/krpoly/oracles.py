@@ -1,13 +1,14 @@
 """Brute-force references that the verification suites check the core against.
 
 Tableau counts, the signature rule on (phi, eps) statistics, string walks
-and the pivot objective check single crystals and tensor elements.  The
-two whole-product oracles walk B1 (x) B2 from 0 (x) 0: ``rmatrix_oracle``
-finds the affine isomorphism onto B2 (x) B1, ``local_energy_oracle``
-propagates the 0-edge recursion of H.  They run on id pairs: each factor
-B^{r,s} is the ``graph.CrystalGraph`` over all colors 0..n of its
-enumerated crystal, numbered in lexicographic order, and a ``PairTable``
-applies the two-factor tensor rule to id pairs (i, j) inline, not through
+and the pivot objective check single crystals and tensor elements, and
+``flip`` maps them by the diagram automorphism.  The two whole-product
+oracles walk B1 (x) B2 from 0 (x) 0: ``rmatrix_oracle`` finds the affine
+isomorphism onto B2 (x) B1, ``local_energy_oracle`` propagates the 0-edge
+recursion of H.  They run on id pairs: each factor B^{r,s} is the
+``graph.CrystalGraph`` over all colors 0..n of its enumerated crystal,
+numbered in lexicographic order, and a ``PairTable`` applies the
+two-factor tensor rule to id pairs (i, j) inline, not through
 ``tensor.tensor_rule`` (through the shared rule the walks took 1.5 to 2.5
 times as long).  Id pairs sort in the same order as the TensorElements
 they stand for.  The core (``patterns``, ``tensor``, ``rmatrix``,
@@ -20,6 +21,7 @@ import itertools
 
 from .errors import InconsistentRecursion, InvalidParams, OracleFailure
 from .graph import CrystalGraph
+from .patterns import KRParams, pattern_from_cells
 from .tensor import TensorElement, factor_crystals, two_factors
 
 # -- references on single crystals and tensor elements ------------------------
@@ -129,6 +131,17 @@ def brute_pivot(A, l):
     best = max(vals.values())
     winners = [p for p, v in vals.items() if v == best]
     return min(winners), max(winners)
+
+
+def flip(x):
+    """The diagram automorphism sigma, color l -> (n+1-l) mod (n+1): b in
+    B^{r,s} maps to the pattern of B^{n+1-r,s} whose cell (p, q) holds
+    b.a(n+1-q, n+1-p), and a TensorElement factor by factor, in order.
+    """
+    if isinstance(x, TensorElement):
+        return TensorElement._trusted(tuple(map(flip, x.factors)))
+    m, pr = x.n + 1, x.params
+    return pattern_from_cells(KRParams(pr.n, m - pr.r, pr.s), lambda p, q: x.a(m - q, m - p))
 
 
 # -- whole two-fold products on id pairs --------------------------------------

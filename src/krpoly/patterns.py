@@ -8,21 +8,18 @@ step raises p or q by one) has entry sum at most s.
 The grid carries the full affine crystal structure.  Classical colors
 1..n act through pivot indices; color 0 acts on the single corner cell
 (1, n).  Crystal zero (an undefined operator application) is represented
-by ``None`` throughout.  Each pattern keeps one record per color that it
-has been read in (``KRPattern._strings``): the string statistics and, once
-read, the images of f_l and e_l.  Each operator image, and each shape's
-zero pattern, is the one object of its grid among all such objects
-(``_canonical``), so equal images share one record list.  This module
-alone indexes a grid's rows: other modules read cells through the
-pattern's accessors, and the graph reader reads whole crystals through
-``_read_color``.
+by ``None`` throughout.  This module alone indexes a grid's rows and
+reads a pattern's per-color records (``KRPattern._strings``): other
+modules read cells and statistics through the pattern's accessors, whole
+crystals through ``_read_color`` and transport through ``_raise_strings``
+and ``_lower_word``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .errors import (
@@ -31,6 +28,7 @@ from .errors import (
     InvalidParams,
     KRError,
     NegativeEntry,
+    OracleFailure,
     PathSumExceeded,
     SizeLimitExceeded,
 )
@@ -127,14 +125,12 @@ class KRPattern:
     Patterns key the canonical-image table, so the hash of (params, rows)
     is computed once and kept in ``_hash``; rows that cannot be hashed
     (lists, as ``validate_pattern`` would not return) raise InvalidParams
-    there, and a pattern's first read hashes it.
-    ``_strings`` holds one record per color after its first read, ``[phi,
+    there, and a pattern's first read hashes it.  ``_strings``, read only
+    in this module, holds one record per color after its first read, ``[phi,
     eps, first, last, f image, e image]``: the string statistics, then the
     images of f_l and e_l, each filled on its first read with the
     canonical object of its grid (``_move``), which carries its own
     records.  Neither takes part in equality, ``repr`` or ``to_dict``.
-    Only this module and the transport kernel in ``rmatrix`` read the
-    records.
     """
 
     params: KRParams
@@ -544,3 +540,72 @@ def _read_color(pr, ids, l, stats, images):
 @lru_cache(maxsize=None)
 def _canonical(A):
     return A
+
+
+# -- transport kernel --------------------------------------------------------
+#
+# Transport moves a (x) b along whole strings split by the tensor rule.  It
+# reads each factor's records in place: a step whose image is on a record
+# costs an index, also on a grid that another transport reached.
+
+# a move along a string: the image slot of a ``KRPattern._strings`` record,
+# the operator that fills the slot, and its name
+_LOWER = (4, KRPattern.f, "f")
+_RAISE = (5, KRPattern.e, "e")
+
+
+def _steps(b, l, k, move):
+    """b moved k single steps of color l by ``move``; OracleFailure past the string."""
+    slot, op, name = move
+    for _ in range(k):
+        strings = b._strings
+        b = ((strings and strings[l]) or b._stats(l))[slot] or op(b, l)
+        if b is None:
+            raise OracleFailure(f"transport word failed at {name}_{l}")
+    return b
+
+
+def _raise_strings(a, b, colors, word):
+    """(a, b) raised along the whole l-string of each color l in ``colors``:
+    a takes max(0, eps_l(a) - phi_l(b)) steps, b eps_l(b), and the step
+    colors are appended to ``word``.  The colors are read in turn, so one
+    call over joined color lists equals one call per list.
+    """
+    for l in colors:
+        strings = b._strings
+        record = (strings and strings[l]) or b._stats(l)
+        eps_b = record[1]
+        strings = a._strings
+        left = ((strings and strings[l]) or a._stats(l))[1] - record[0]
+        if left < 0:
+            left = 0
+        if eps_b:
+            b = _steps(b, l, eps_b, _RAISE)
+        if left:
+            a = _steps(a, l, left, _RAISE)
+        if left or eps_b:
+            word.extend([l] * (left + eps_b))
+    return a, b
+
+
+def _lower_word(a, b, word):
+    """(a, b) lowered along the reversed transport ``word``: b takes
+    min(k, max(0, phi_l(b) - eps_l(a))) steps of a run of k of color l, a
+    the rest.  The records are read past the gate of ``_stats``, so a run
+    whose color is not an ``int`` in 1..n raises IndexOutOfRange.
+    """
+    n = a.n
+    for l, run in groupby(reversed(word)):
+        if type(l) is not int or not 1 <= l <= n:
+            raise IndexOutOfRange(f"transport word color {l!r} outside 1..{n}")
+        k = len(list(run))
+        strings = b._strings
+        phi_b = ((strings and strings[l]) or b._stats(l))[0]
+        strings = a._strings
+        eps_a = ((strings and strings[l]) or a._stats(l))[1]
+        right = min(k, max(0, phi_b - eps_a))
+        if right:
+            b = _steps(b, l, right, _LOWER)
+        if k - right:
+            a = _steps(a, l, k - right, _LOWER)
+    return a, b

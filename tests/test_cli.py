@@ -445,6 +445,21 @@ def test_writer_prints_mixed_elements_at_every_depth():
         assert "".join(cli._json_chunks(payload)) == reference_json(payload)
 
 
+def test_writer_indents_one_object_for_each_depth_it_appears_at():
+    # each list keeps the texts of its items by id: one element and one
+    # edge printed at several depths, and again once more distinct items
+    # than a list keeps texts of have gone by
+    x = random_pattern(random.Random(11), KRParams(3, 2, 2))
+    edge = (0, 1, 2)
+    fillers = [(k,) for k in range(cli._TEXT_MEMO + 1)]
+    for payload in (
+        [x, [x], [[x]], x],
+        {"a": x, "b": [x, [x, edge]], "c": edge},
+        [x, edge, *fillers, [edge], x, edge],
+    ):
+        assert "".join(cli._json_chunks(payload)) == reference_json(payload)
+
+
 def test_writer_streams_one_chunk_per_item():
     elements = enumerate_crystal(KRParams(3, 2, 1))
     assert len(list(cli._json_chunks(elements))) == len(elements) + 2

@@ -4,14 +4,14 @@
 statistics.  Each reader of the tensor rule is checked against it: the
 N-fold fold ``tensor.tensor_rule`` on every tuple of small statistics,
 and, on the desk products, the inline two-fold rule of
-``oracles.PairTable`` and the step split of the transport kernel
-``rmatrix._raise_strings``.
+``oracles.PairTable`` and the step splits of the transport kernel,
+``patterns._raise_strings`` and ``patterns._lower_word``.
 """
 
 import itertools
 
 from krpoly.oracles import product_table, signature
-from krpoly.rmatrix import _raise_strings
+from krpoly.patterns import _lower_word, _raise_strings
 from krpoly.tensor import tensor_rule
 
 from conftest import all_params, product_elements
@@ -94,3 +94,20 @@ def test_the_transport_kernel_splits_each_string_by_the_signature_rule():
                 assert steps == (minus.count(0), minus.count(1)), (x, l)
                 checked += 1
     assert checked == 12686  # (element, color) pairs
+
+
+def test_the_transport_kernel_splits_each_lowering_run_by_the_signature_rule():
+    # k steps of f_l act on the last k "+" of the signature
+    checked = 0
+    for params1, params2 in DESK_PAIRS:
+        for x in product_elements(params1, params2):
+            a, b = x.factors
+            for l in range(1, x.n + 1):
+                word = signature([(a.phi(l), a.eps(l)), (b.phi(l), b.eps(l))])
+                plus = [side for sign, side in word if sign == "+"]
+                for k in range(1, len(plus) + 1):
+                    a2, b2 = _lower_word(a, b, (l,) * k)
+                    steps = (a.phi(l) - a2.phi(l), b.phi(l) - b2.phi(l))
+                    assert steps == (plus[-k:].count(0), plus[-k:].count(1)), (x, l, k)
+                    checked += 1
+    assert checked == 7835  # (element, color, run length) triples

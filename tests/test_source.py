@@ -77,11 +77,11 @@ def test_module_level_caches_are_the_operator_memos():
         assert isinstance(maxsize, int), f"{name} memo has no integer maxsize"
 
 
-def test_string_records_are_read_only_by_their_two_owners():
+def test_string_records_are_read_only_in_patterns():
     # KRPattern._strings, one [phi, eps, first, last, f image, e image]
-    # record per color, is filled in patterns.py and read in place by the
-    # transport kernel in rmatrix.py; every other module goes through the
-    # KRPattern statistics and operators
+    # record per color, is filled in patterns.py and read in place there by
+    # the transport kernel; every other module goes through the KRPattern
+    # statistics and operators or through the kernel
     readers = {}
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -92,7 +92,7 @@ def test_string_records_are_read_only_by_their_two_owners():
         ]
         if lines:
             readers[path.name] = lines
-    owners = {"patterns.py", "rmatrix.py"}
+    owners = {"patterns.py"}
     assert owners <= readers.keys()
     others = {name: lines for name, lines in readers.items() if name not in owners}
     assert not others, f"_strings read outside its owners at lines {others}"
